@@ -4,6 +4,14 @@ One regression tree per class per round. Splits maximize the second-order
 gain with L2 smoothing and a minimum-gain penalty; leaf values apply L1
 soft-thresholding and an optional absolute clip before learning-rate
 scaling. Trees record per-node hessian covers for attribution and audit.
+
+Split search works on a pre-sorted column block, as in XGBoost's exact
+greedy algorithm: `train` stably sorts every feature column once, in
+O(n*d log n), and every node that may split keeps its rows in that order
+per column. A split filters the parent's lists into the children without
+re-sorting, so each tree level costs O(n*d) gathers and cumulative sums.
+Candidates, sums and tie-breaking equal those of sorting each node afresh,
+so the trained models are bit-identical to that simpler search.
 """
 
 import json
@@ -151,7 +159,7 @@ class Tree:
         idx = np.zeros(n, dtype=np.int64)
         leaf = self.feature < 0
         safe_feature = np.maximum(self.feature, 0)
-        for _ in range(max(self.max_node_depth(), 0)):
+        while not leaf[idx].all():
             col = X[np.arange(n), safe_feature[idx]]
             step = np.where(col < self.threshold[idx], self.left[idx], self.right[idx])
             idx = np.where(leaf[idx], idx, step)
@@ -271,38 +279,34 @@ def leaf_weight(G: float, H: float, hp: Hyperparameters) -> float:
     return w
 
 
-def _best_split_over_columns(X, g, h, rows, cols, hp):
+def _best_split(X, g, h, G, H, order, cols, hp):
     """Best (feature, threshold, gain) over candidate columns, or None.
 
-    Candidates are midpoints between consecutive distinct sorted values
-    (degenerate midpoints that collapse onto the lower value are skipped).
-    A split qualifies when both children carry at least min_child_weight of
-    hessian mass and the gamma-penalized gain is non-negative. Ties break
-    toward the smallest threshold within a column and the earliest column
-    across columns.
+    `order[j]` lists the node's rows sorted by `X[:, cols[j]]`, ties in
+    ascending row order; `G` and `H` are the node's gradient and hessian
+    sums. Candidates are midpoints between consecutive distinct sorted
+    values (degenerate midpoints that collapse onto the lower value are
+    skipped). A split qualifies when both children carry at least
+    min_child_weight of hessian mass and the gamma-penalized gain is
+    non-negative. Ties break toward the smallest threshold within a column
+    and the earliest column across columns.
     """
-    n = rows.size
-    if n < 2 or len(cols) == 0:
+    if order.shape[1] < 2:
         return None
-    Xn = X[np.ix_(rows, cols)]
-    gn = g[rows]
-    hn = h[rows]
-    order = np.argsort(Xn, axis=0, kind="stable")
-    Xs = np.take_along_axis(Xn, order, axis=0)
-    GL = np.cumsum(gn[order], axis=0)[:-1]
-    HL = np.cumsum(hn[order], axis=0)[:-1]
-    G = float(gn.sum())
-    H = float(hn.sum())
+    rows = order.astype(np.intp)  # one index conversion serves every gather
+    Xs = X[rows, cols[:, None]]
+    GL = np.cumsum(g.take(rows), axis=1)[:, :-1]
+    HL = np.cumsum(h.take(rows), axis=1)[:, :-1]
     GR = G - GL
     HR = H - HL
-    mid = 0.5 * (Xs[:-1] + Xs[1:])
+    mid = 0.5 * (Xs[:, :-1] + Xs[:, 1:])
     lam = hp.lambda_
     with np.errstate(divide="ignore", invalid="ignore"):
         parent = G * G / (H + lam) if H + lam > 0 else math.inf
         gain = 0.5 * (GL * GL / (HL + lam) + GR * GR / (HR + lam) - parent) - hp.gamma
     valid = (
-        (Xs[1:] > Xs[:-1])
-        & (mid > Xs[:-1])
+        (Xs[:, 1:] > Xs[:, :-1])
+        & (mid > Xs[:, :-1])
         & (HL >= hp.min_child_weight)
         & (HR >= hp.min_child_weight)
         & np.isfinite(gain)
@@ -311,15 +315,10 @@ def _best_split_over_columns(X, g, h, rows, cols, hp):
     if not valid.any():
         return None
     gain = np.where(valid, gain, -np.inf)
-    best = None
-    for c in range(len(cols)):
-        pos = int(np.argmax(gain[:, c]))  # first max: smallest threshold
-        score = gain[pos, c]
-        if score == -np.inf:
-            continue
-        if best is None or score > best[2]:
-            best = (int(cols[c]), float(mid[pos, c]), float(score))
-    return best
+    pos = np.argmax(gain, axis=1)  # first max: smallest threshold
+    score = gain[np.arange(len(cols)), pos]
+    c = int(np.argmax(score))  # first max: earliest column
+    return int(cols[c]), float(mid[c, pos[c]]), float(score[c])
 
 
 def find_best_split(g: np.ndarray, h: np.ndarray, column: np.ndarray, hp: Hyperparameters):
@@ -333,34 +332,66 @@ def find_best_split(g: np.ndarray, h: np.ndarray, column: np.ndarray, hp: Hyperp
     column = np.asarray(column, dtype=float)
     if not g.size == h.size == column.size:
         raise ValueError("g, h and column must be aligned")
-    X = column.reshape(-1, 1)
-    found = _best_split_over_columns(X, g, h, np.arange(column.size), [0], hp)
+    order = np.argsort(column, kind="stable").reshape(1, -1)
+    found = _best_split(column.reshape(-1, 1), g, h, float(g.sum()), float(h.sum()),
+                        order, np.array([0]), hp)
     if found is None:
         return None
     _, threshold, gain = found
     return threshold, gain
 
 
-def _grow_tree(X, g, h, rows, hp, cols_by_depth) -> Tree:
-    builder = _TreeBuilder()
+def _presort_columns(X: np.ndarray) -> np.ndarray:
+    """(d, n) int32 matrix: row j lists all rows stably sorted by column j."""
+    order = np.empty((X.shape[1], X.shape[0]), dtype=np.int32)
+    for j in range(X.shape[1]):
+        order[j] = np.argsort(X[:, j], kind="stable")
+    return order
 
-    def grow(row_idx: np.ndarray, depth: int) -> int:
+
+def _grow_tree(X, g, h, rows, hp, cols_by_depth, presorted) -> Tree:
+    """Grow one tree on `rows` (ascending) from the per-train column sort.
+
+    A node that may split holds its rows sorted per candidate column. Its
+    children filter those lists stably, so they stay sorted with ties in row
+    order and no node sorts again.
+    """
+    builder = _TreeBuilder()
+    cols = np.unique(np.concatenate(cols_by_depth))
+    level_pos = [np.searchsorted(cols, level_cols) for level_cols in cols_by_depth]
+    in_node = np.zeros(X.shape[0], dtype=bool)
+
+    def sorted_rows(order, node_rows, depth):
+        # only nodes that may still split need their sorted lists
+        if depth >= hp.max_depth or node_rows.size < 2:
+            return None
+        in_node[node_rows] = True
+        kept = order[in_node[order]].reshape(order.shape[0], node_rows.size)
+        in_node[node_rows] = False
+        return kept
+
+    def grow(row_idx: np.ndarray, order, depth: int) -> int:
         G = float(g[row_idx].sum())
         H = float(h[row_idx].sum())
         found = None
-        if depth < hp.max_depth and row_idx.size >= 2:
-            found = _best_split_over_columns(X, g, h, row_idx, cols_by_depth[depth], hp)
+        if order is not None:
+            pos = level_pos[depth]
+            found = _best_split(X, g, h, G, H, order[pos], cols[pos], hp)
         if found is None:
             return builder.add_leaf(hp.learning_rate * leaf_weight(G, H, hp), H)
         col, threshold, gain = found
         node = builder.add_internal(col, threshold, gain, H)
         mask = X[row_idx, col] < threshold
-        left = grow(row_idx[mask], depth + 1)
-        right = grow(row_idx[~mask], depth + 1)
+        left_rows = row_idx[mask]
+        left = grow(left_rows, sorted_rows(order, left_rows, depth + 1), depth + 1)
+        # built only now, so one child's lists at a time are alive per level
+        right_rows = row_idx[~mask]
+        right = grow(right_rows, sorted_rows(order, right_rows, depth + 1), depth + 1)
         builder.attach(node, left, right)
         return node
 
-    grow(rows, 0)
+    grow(rows, sorted_rows(presorted[cols], rows, 0), 0)
+    del grow  # the closure refers to itself; this frees it without the cycle collector
     return builder.build()
 
 
@@ -462,6 +493,7 @@ def train(
 
     ensemble = Ensemble(hp=hp, num_features=d, feature_names=names)
     margins = np.zeros((n, k_classes))
+    presorted = _presort_columns(X)
     best_eval = math.inf
     best_round = 0
     rounds_since_best = 0
@@ -475,7 +507,7 @@ def train(
             h = proba[:, k] * (1.0 - proba[:, k])
             rows = _subsample_rows(rng, n, hp.subsample)
             cols_by_depth = _sample_columns(rng, d, hp)
-            tree = _grow_tree(X, g, h, rows, hp, cols_by_depth)
+            tree = _grow_tree(X, g, h, rows, hp, cols_by_depth, presorted)
             margins[:, k] += tree.predict_margin(X)
             round_trees.append(tree)
         ensemble.trees.append(round_trees)

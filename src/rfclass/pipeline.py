@@ -59,6 +59,12 @@ class SynthConfig:
     divergence: float = 1.0
 
 
+def _positive_int(value, name: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     combo: DatabaseTag
@@ -78,6 +84,8 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineConfig":
+        if not isinstance(data, dict):
+            raise ConfigError(f"config must be a JSON object, got {type(data).__name__}")
         try:
             combo = parse_tag(data["combo"])
         except KeyError:
@@ -94,6 +102,8 @@ class PipelineConfig:
                 tag = parse_tag(name)
                 if not tag.is_source:
                     raise ConfigError(f"source entry {name!r} is not a source database")
+                if not isinstance(spec, dict) or "path" not in spec:
+                    raise ConfigError(f"source entry {name!r} needs a 'path'")
                 sources[tag] = SourceConfig(
                     path=spec["path"],
                     key_column=spec.get("key_column", "key"),
@@ -146,6 +156,11 @@ class PipelineConfig:
             for name, (lo, hi) in data.get("range_overrides", {}).items()
         }
         prune = data.get("prune", {})
+        # checked here, so a bad value fails before any stage has run
+        shap_sample = _positive_int(data.get("shap_sample", 100), "shap_sample")
+        patience = data.get("early_stopping_patience")
+        if patience is not None:
+            _positive_int(patience, "early_stopping_patience")
         try:
             return cls(
                 combo=combo,
@@ -159,8 +174,8 @@ class PipelineConfig:
                 feature_threshold=float(prune.get("feature_threshold", 0.70)),
                 record_threshold=float(prune.get("record_threshold", 0.55)),
                 range_overrides=overrides,
-                shap_sample=int(data.get("shap_sample", 100)),
-                early_stopping_patience=data.get("early_stopping_patience"),
+                shap_sample=shap_sample,
+                early_stopping_patience=patience,
                 raw=data,
             )
         except ValueError as exc:

@@ -1,11 +1,13 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rfclass import booster
 from rfclass.booster import (COMBO_PRESETS, Hyperparameters, audit_ensemble,
                              find_best_split, leaf_weight, load_ensemble,
                              mlogloss, predict_class, predict_proba,
@@ -48,6 +50,83 @@ def split_oracle(g, h, column, hp):
         if best is None or gain > best[1]:
             best = (threshold, gain)
     return best
+
+
+def oracle_best_split(X, g, h, rows, cols, hp):
+    """Split search that re-sorts the node's rows on every candidate column."""
+    n = rows.size
+    if n < 2 or len(cols) == 0:
+        return None
+    Xn = X[np.ix_(rows, cols)]
+    gn = g[rows]
+    hn = h[rows]
+    order = np.argsort(Xn, axis=0, kind="stable")
+    Xs = np.take_along_axis(Xn, order, axis=0)
+    GL = np.cumsum(gn[order], axis=0)[:-1]
+    HL = np.cumsum(hn[order], axis=0)[:-1]
+    G = float(gn.sum())
+    H = float(hn.sum())
+    GR = G - GL
+    HR = H - HL
+    mid = 0.5 * (Xs[:-1] + Xs[1:])
+    lam = hp.lambda_
+    with np.errstate(divide="ignore", invalid="ignore"):
+        parent = G * G / (H + lam) if H + lam > 0 else math.inf
+        gain = 0.5 * (GL * GL / (HL + lam) + GR * GR / (HR + lam) - parent) - hp.gamma
+    valid = (
+        (Xs[1:] > Xs[:-1])
+        & (mid > Xs[:-1])
+        & (HL >= hp.min_child_weight)
+        & (HR >= hp.min_child_weight)
+        & np.isfinite(gain)
+        & (gain >= 0.0)
+    )
+    if not valid.any():
+        return None
+    gain = np.where(valid, gain, -np.inf)
+    best = None
+    for c in range(len(cols)):
+        pos = int(np.argmax(gain[:, c]))  # first max: smallest threshold
+        score = gain[pos, c]
+        if score == -np.inf:
+            continue
+        if best is None or score > best[2]:
+            best = (int(cols[c]), float(mid[pos, c]), float(score))
+    return best
+
+
+def oracle_grow_tree(X, g, h, rows, hp, cols_by_depth):
+    """Recursive grower over `oracle_best_split`: every node sorts afresh."""
+    builder = booster._TreeBuilder()
+
+    def grow(row_idx, depth):
+        G = float(g[row_idx].sum())
+        H = float(h[row_idx].sum())
+        found = None
+        if depth < hp.max_depth and row_idx.size >= 2:
+            found = oracle_best_split(X, g, h, row_idx, cols_by_depth[depth], hp)
+        if found is None:
+            return builder.add_leaf(hp.learning_rate * leaf_weight(G, H, hp), H)
+        col, threshold, gain = found
+        node = builder.add_internal(col, threshold, gain, H)
+        mask = X[row_idx, col] < threshold
+        left = grow(row_idx[mask], depth + 1)
+        right = grow(row_idx[~mask], depth + 1)
+        builder.attach(node, left, right)
+        return node
+
+    grow(rows, 0)
+    return builder.build()
+
+
+def oracle_train(X, y, hp, seed):
+    """`train` with the pre-sorted grower swapped for the per-node-sort one;
+    row and column draws are untouched, so the models must match bit for bit."""
+    def grow_tree(X, g, h, rows, hp, cols_by_depth, presorted):
+        return oracle_grow_tree(X, g, h, rows, hp, cols_by_depth)
+
+    with mock.patch.object(booster, "_grow_tree", grow_tree):
+        return train(X, y, hp, seed)
 
 
 def random_split_instance(rng, dyadic):
@@ -301,6 +380,31 @@ class TestTrain:
         np.testing.assert_array_equal(
             predict_class(base, X), predict_class(dup, np.hstack([X, X[:, [0]]]))
         )
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 60), d=st.integers(1, 5),
+           decimals=st.sampled_from([1, 2]), max_depth=st.integers(1, 5),
+           subsample=st.sampled_from([1.0, 0.6]),
+           colsample_bytree=st.sampled_from([1.0, 0.5]),
+           colsample_bylevel=st.sampled_from([1.0, 0.5]),
+           min_child_weight=st.sampled_from([0.0, 0.5, 2.0]),
+           num_class=st.sampled_from([2, 3, 10]), num_rounds=st.integers(1, 3))
+    @example(seed=7, n=60, d=5, decimals=1, max_depth=5, subsample=0.6,
+             colsample_bytree=0.5, colsample_bylevel=0.5, min_child_weight=2.0,
+             num_class=3, num_rounds=3)
+    def test_bit_identical_to_per_node_sort(self, seed, n, d, decimals, max_depth, subsample,
+                                            colsample_bytree, colsample_bylevel,
+                                            min_child_weight, num_class, num_rounds):
+        # rounding to 1-2 decimals gives heavy ties (and -0.0 next to 0.0)
+        data = np.random.default_rng(seed)
+        X = np.round(data.normal(size=(n, d)), decimals)
+        y = data.integers(0, num_class, n)
+        hp = hp_with(max_depth=max_depth, subsample=subsample,
+                     colsample_bytree=colsample_bytree, colsample_bylevel=colsample_bylevel,
+                     min_child_weight=min_child_weight, num_class=num_class,
+                     num_rounds=num_rounds)
+        got = serialize_ensemble(train(X, y, hp, seed))
+        assert got == serialize_ensemble(oracle_train(X, y, hp, seed))
 
     def test_early_stopping_truncates(self, rng):
         # pure-noise labels: the model overfits and validation loss turns up

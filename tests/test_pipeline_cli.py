@@ -238,6 +238,25 @@ class TestCli:
         code = main(["run", "--config", str(path), "--out", str(tmp_path / "run")])
         assert code == 2
 
+    @pytest.mark.parametrize("extra, message", [
+        ({"shap_sample": 0}, "shap_sample"),
+        ({"early_stopping_patience": "x"}, "early_stopping_patience"),
+        ({"synth": None, "sources": {"TORIS": {"key_column": "key"}}}, "needs a 'path'"),
+    ], ids=["shap_sample_zero", "patience_not_integer", "source_without_path"])
+    def test_config_field_error_exits_2_before_any_stage(self, tmp_path, capsys, extra, message):
+        config = self._write_config(tmp_path, **extra)
+        code = main(["run", "--config", str(config), "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_top_level_array_config_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps([{"combo": "TC"}]))
+        code = main(["run", "--config", str(path), "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert "JSON object" in capsys.readouterr().err
+
     def test_seed_override(self, tmp_path):
         config = self._write_config(tmp_path)
         assert main(["run", "--config", str(config), "--seed", "77",
