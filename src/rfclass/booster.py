@@ -143,17 +143,6 @@ class Tree:
     def used_features(self) -> set[int]:
         return {int(f) for f in self.feature if f >= 0}
 
-    def as_lists(self) -> tuple[list, list, list, list, list, list]:
-        """Node arrays as plain lists (cached); the attribution hot path
-        avoids numpy scalar indexing."""
-        cached = getattr(self, "_lists", None)
-        if cached is None:
-            cached = (self.feature.tolist(), self.threshold.tolist(),
-                      self.left.tolist(), self.right.tolist(),
-                      self.value.tolist(), self.cover.tolist())
-            self._lists = cached
-        return cached
-
     def predict_margin(self, X: np.ndarray) -> np.ndarray:
         n = X.shape[0]
         idx = np.zeros(n, dtype=np.int64)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-N_CLASSES = 10
+from .preprocess import N_CLASSES
 
 
 def _check(pred, actual) -> tuple[np.ndarray, np.ndarray]:

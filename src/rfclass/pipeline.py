@@ -65,6 +65,14 @@ def _positive_int(value, name: str) -> int:
     return value
 
 
+def _section(data: dict, key: str) -> dict | None:
+    """`data[key]` when it is a JSON object; None when absent or null."""
+    value = data.get(key)
+    if value is not None and not isinstance(value, dict):
+        raise ConfigError(f"{key} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     combo: DatabaseTag
@@ -96,10 +104,14 @@ class PipelineConfig:
             raise ConfigError(f"combo must be a merge combination, got {combo.value}")
 
         sources = None
-        if data.get("sources"):
+        raw_sources = _section(data, "sources")
+        if raw_sources:
             sources = {}
-            for name, spec in data["sources"].items():
-                tag = parse_tag(name)
+            for name, spec in raw_sources.items():
+                try:
+                    tag = parse_tag(name)
+                except ValueError as exc:
+                    raise ConfigError(str(exc)) from None
                 if not tag.is_source:
                     raise ConfigError(f"source entry {name!r} is not a source database")
                 if not isinstance(spec, dict) or "path" not in spec:
@@ -111,8 +123,8 @@ class PipelineConfig:
                     column_map=spec.get("column_map", {}),
                 )
         synth = None
-        if data.get("synth") is not None:
-            raw_synth = data["synth"]
+        raw_synth = _section(data, "synth")
+        if raw_synth is not None:
             synth = SynthConfig(
                 n=int(raw_synth.get("n", 2000)),
                 divergence=float(raw_synth.get("divergence", 1.0)),
@@ -127,8 +139,8 @@ class PipelineConfig:
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"bad hyperparameters: {exc}") from None
         grid = None
-        if data.get("grid") is not None:
-            raw_grid = data["grid"]
+        raw_grid = _section(data, "grid")
+        if raw_grid is not None:
             try:
                 if raw_grid.get("candidates"):
                     grid = SearchGrid(
@@ -146,16 +158,16 @@ class PipelineConfig:
         if hp is not None and grid is not None:
             raise ConfigError("provide either fixed 'hyperparameters' or a 'grid', not both")
 
-        split = data.get("split", {})
+        split = _section(data, "split") or {}
         if not 0 < float(split.get("test_fraction", 0.1)) < 1:
             raise ConfigError("split.test_fraction must lie in (0, 1)")
         if int(split.get("k_folds", 10)) < 2:
             raise ConfigError("split.k_folds must be at least 2")
         overrides = {
             name: (float(lo), float(hi))
-            for name, (lo, hi) in data.get("range_overrides", {}).items()
+            for name, (lo, hi) in (_section(data, "range_overrides") or {}).items()
         }
-        prune = data.get("prune", {})
+        prune = _section(data, "prune") or {}
         # checked here, so a bad value fails before any stage has run
         shap_sample = _positive_int(data.get("shap_sample", 100), "shap_sample")
         patience = data.get("early_stopping_patience")

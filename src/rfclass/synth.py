@@ -242,10 +242,6 @@ def preset(name: str, divergence: float = 1.0) -> DistributionSpec:
     return factory(divergence)
 
 
-def default_spec() -> DistributionSpec:
-    return toris_like()
-
-
 def generate(spec: DistributionSpec, n: int, seed: int) -> Database:
     """Draw n records deterministically from a distribution recipe.
 

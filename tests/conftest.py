@@ -29,8 +29,12 @@ def complete_database(n, seed=0, tag=DatabaseTag.TORIS, n_classes_span=1.0):
     return make_database(records, tag)
 
 
-def random_tree(rng, n_features, max_depth, min_cover=0.5):
-    """Random tree with positive covers; children covers sum to the parent's."""
+def random_tree(rng, n_features, max_depth, min_cover=0.5, zero_cover=0.0):
+    """Random tree whose children covers sum to the parent's.
+
+    Covers are positive unless `zero_cover` > 0, the chance that a split
+    sends all of its cover to one child (no extra draws when it is 0).
+    """
     builder = _TreeBuilder()
 
     def grow(depth, cover):
@@ -40,6 +44,8 @@ def random_tree(rng, n_features, max_depth, min_cover=0.5):
         threshold = float(rng.random())
         node = builder.add_internal(feature, threshold, gain=float(rng.random()), cover=cover)
         frac = 0.2 + 0.6 * rng.random()
+        if zero_cover and rng.random() < zero_cover:
+            frac = float(rng.integers(2))
         left = grow(depth + 1, cover * frac)
         right = grow(depth + 1, cover * (1 - frac))
         builder.attach(node, left, right)

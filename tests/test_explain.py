@@ -3,18 +3,106 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rfclass.booster import Ensemble, Hyperparameters, _TreeBuilder, train
-from rfclass.explain import (Attribution, aggregate_importance, attribute,
+from rfclass.explain import (Attribution, _child_fractions, _node_weights,
+                             aggregate_importance, attribute,
                              exact_shapley_oracle, expected_margin,
                              importance_from_database, tree_shap)
 
 from conftest import complete_database, random_tree
 
 
+def oracle_tree_shap(ensemble, x, class_index, background=None):
+    """(phi, base) by the per-row, per-tree polynomial path recursion of
+    TreeSHAP (Lundberg et al. 2018, Algorithm 2): the reference the batched
+    path kernel must reproduce."""
+    x = np.asarray(x, dtype=float).reshape(-1)
+    phi = [0.0] * ensemble.num_features
+    base = 0.0
+    for tree in ensemble.class_trees(class_index):
+        weights = _node_weights(tree, background)
+        _oracle_recurse(tree, x.tolist(), weights, phi)
+        base += expected_margin(tree, x, frozenset(), weights)
+    return np.array(phi), base
+
+
+def _oracle_recurse(tree, x, weights, phi):
+    """Accumulate one tree's attributions into phi. Each path element is
+    [feature, zero_fraction, one_fraction, permutation weight]."""
+    feature, threshold = tree.feature.tolist(), tree.threshold.tolist()
+    left, right, value = tree.left.tolist(), tree.right.tolist(), tree.value.tolist()
+    left_share, right_share = _child_fractions(tree, weights).tolist()
+
+    def extend(path, pz, po, pf):
+        depth = len(path)
+        path.append([pf, pz, po, 1.0 if depth == 0 else 0.0])
+        for i in range(depth - 1, -1, -1):
+            path[i + 1][3] += po * path[i][3] * (i + 1) / (depth + 1)
+            path[i][3] = pz * path[i][3] * (depth - i) / (depth + 1)
+
+    def unwind(path, index):
+        depth = len(path) - 1
+        po, pz = path[index][2], path[index][1]
+        carry = path[depth][3]
+        for i in range(depth - 1, -1, -1):
+            if po != 0:
+                tmp = path[i][3]
+                path[i][3] = carry * (depth + 1) / ((i + 1) * po)
+                carry = tmp - path[i][3] * pz * (depth - i) / (depth + 1)
+            else:
+                path[i][3] = path[i][3] * (depth + 1) / (pz * (depth - i))
+        for i in range(index, depth):
+            path[i][:3] = path[i + 1][:3]
+        path.pop()
+
+    def unwound_sum(path, index):
+        depth = len(path) - 1
+        po, pz = path[index][2], path[index][1]
+        total = 0.0
+        if po != 0:
+            carry = path[depth][3]
+            for i in range(depth - 1, -1, -1):
+                tmp = carry * (depth + 1) / ((i + 1) * po)
+                total += tmp
+                carry = path[i][3] - tmp * pz * (depth - i) / (depth + 1)
+        else:
+            for i in range(depth - 1, -1, -1):
+                total += path[i][3] * (depth + 1) / (pz * (depth - i))
+        return total
+
+    def recurse(node, parent_path, pz, po, pf):
+        path = [element.copy() for element in parent_path]
+        extend(path, pz, po, pf)
+        if feature[node] < 0:
+            for i in range(1, len(path)):
+                w = unwound_sum(path, i)
+                phi[path[i][0]] += w * (path[i][2] - path[i][1]) * value[node]
+            return
+        f = feature[node]
+        fl, fr = left_share[node], right_share[node]
+        if x[f] < threshold[node]:
+            hot, cold, hot_fraction, cold_fraction = left[node], right[node], fl, fr
+        else:
+            hot, cold, hot_fraction, cold_fraction = right[node], left[node], fr, fl
+        incoming_zero, incoming_one = 1.0, 1.0
+        found = next((i for i, el in enumerate(path) if el[0] == f), None)
+        if found is not None:
+            incoming_zero, incoming_one = path[found][1], path[found][2]
+            unwind(path, found)
+        # both fractions zero: the subtree adds nothing and unwind would divide by 0
+        if incoming_zero * hot_fraction != 0.0 or incoming_one != 0.0:
+            recurse(hot, path, incoming_zero * hot_fraction, incoming_one, f)
+        if incoming_zero * cold_fraction != 0.0:
+            recurse(cold, path, incoming_zero * cold_fraction, 0.0, f)
+
+    recurse(0, [], 1.0, 1.0, -1)
+
+
 def brute_force_shap(ensemble, x, class_index, background=None):
     """Permutation-definition Shapley values of the expectation game."""
-    from rfclass.explain import _node_weights
     m = ensemble.num_features
     trees = ensemble.class_trees(class_index)
     weighted = [(t, _node_weights(t, background)) for t in trees]
@@ -130,6 +218,73 @@ class TestOracleEquivalence:
             x = np.array([x0, 0.5, 0.5])
             phi, _ = tree_shap(ens, x, 0)
             np.testing.assert_allclose(phi, brute_force_shap(ens, x, 0), atol=1e-10)
+
+
+def random_class_ensemble(rng, n_features, rounds, num_class, max_depth, zero_cover):
+    """conftest.random_tree for every class of every round."""
+    hp = Hyperparameters(num_class=num_class, num_rounds=rounds,
+                         min_child_weight=0.0, gamma=0.0)
+    ens = Ensemble(hp=hp, num_features=n_features,
+                   feature_names=tuple(f"f{j}" for j in range(n_features)))
+    ens.trees = [[random_tree(rng, n_features, max_depth, zero_cover=zero_cover)
+                  for _ in range(num_class)] for _ in range(rounds)]
+    return ens
+
+
+def on_thresholds(rng, X, ens, share=0.3):
+    """X with a share of its cells moved onto split thresholds, where ties
+    decide the route (`x < threshold` goes left)."""
+    thresholds = [t for row in ens.trees for tree in row
+                  for t in tree.threshold[tree.feature >= 0]]
+    if thresholds:
+        mask = rng.random(X.shape) < share
+        X[mask] = rng.choice(thresholds, size=int(mask.sum()))
+    return X
+
+
+class TestPathKernel:
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_features=st.integers(1, 5),
+           max_depth=st.integers(1, 6), rounds=st.integers(1, 3),
+           num_class=st.integers(2, 3), n_rows=st.integers(1, 9),
+           n_background=st.integers(0, 5), zero_cover=st.sampled_from([0.0, 0.3]))
+    def test_bit_identical_to_recursion_and_single_row_calls(
+            self, seed, n_features, max_depth, rounds, num_class, n_rows,
+            n_background, zero_cover):
+        # few features repeat splits along a path; a few background rows
+        # leave nodes unreached, so covers and then 0.5 take over
+        rng = np.random.default_rng(seed)
+        ens = random_class_ensemble(rng, n_features, rounds, num_class, max_depth,
+                                    zero_cover)
+        X = on_thresholds(rng, rng.random((n_rows, n_features)), ens)
+        background = None
+        if n_background:
+            background = on_thresholds(rng, rng.random((n_background, n_features)), ens)
+        attr = attribute(ens, X, background)
+        for i in range(n_rows):
+            for c in range(num_class):
+                phi, base = tree_shap(ens, X[i], c, background)
+                assert phi.tobytes() == attr.phi[i, c].tobytes()
+                assert base == attr.base[c]
+                want_phi, want_base = oracle_tree_shap(ens, X[i], c, background)
+                assert phi.tobytes() == want_phi.tobytes()
+                assert base == want_base
+
+    def test_nan_and_inf_route_as_in_prediction(self, rng):
+        X = rng.random((40, 4))
+        y = rng.integers(0, 3, 40)
+        hp = Hyperparameters(max_depth=3, num_class=3, num_rounds=4,
+                             min_child_weight=0.0, gamma=0.0, subsample=1.0)
+        model = train(X, y, hp, seed=5)
+        X[::3, 1] = np.nan
+        X[1::3, 2] = np.inf
+        X[2::3, 0] = -np.inf
+        attr = attribute(model, X)
+        reconstructed = attr.base[None, :] + attr.phi.sum(axis=2)
+        np.testing.assert_allclose(reconstructed, model.margins(X), rtol=0, atol=1e-9)
+        for i in range(0, 40, 7):
+            for c in range(3):
+                assert attr.phi[i, c].tobytes() == oracle_tree_shap(model, X[i], c)[0].tobytes()
 
 
 class TestBackground:

@@ -242,7 +242,17 @@ class TestCli:
         ({"shap_sample": 0}, "shap_sample"),
         ({"early_stopping_patience": "x"}, "early_stopping_patience"),
         ({"synth": None, "sources": {"TORIS": {"key_column": "key"}}}, "needs a 'path'"),
-    ], ids=["shap_sample_zero", "patience_not_integer", "source_without_path"])
+        ({"synth": None, "sources": {"FOO": {"path": "foo.csv"}}}, "unknown database tag"),
+        ({"synth": None, "sources": ["toris.csv"]}, "sources must be a JSON object"),
+        ({"synth": 300}, "synth must be a JSON object"),
+        ({"hyperparameters": None, "grid": [2]}, "grid must be a JSON object"),
+        ({"split": 0.1}, "split must be a JSON object"),
+        ({"prune": 0.5}, "prune must be a JSON object"),
+        ({"range_overrides": [[0, 1]]}, "range_overrides must be a JSON object"),
+    ], ids=["shap_sample_zero", "patience_not_integer", "source_without_path",
+            "unknown_source_tag", "sources_not_object", "synth_not_object",
+            "grid_not_object", "split_not_object", "prune_not_object",
+            "range_overrides_not_object"])
     def test_config_field_error_exits_2_before_any_stage(self, tmp_path, capsys, extra, message):
         config = self._write_config(tmp_path, **extra)
         code = main(["run", "--config", str(config), "--out", str(tmp_path / "run")])
