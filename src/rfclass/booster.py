@@ -310,26 +310,6 @@ def _best_split(X, g, h, G, H, order, cols, hp):
     return int(cols[c]), float(mid[c, pos[c]]), float(score[c])
 
 
-def find_best_split(g: np.ndarray, h: np.ndarray, column: np.ndarray, hp: Hyperparameters):
-    """Best (threshold, gain) for one column, or None when no split qualifies.
-
-    The returned gain is the gamma-penalized split gain (the quantity the
-    trainer maximizes).
-    """
-    g = np.asarray(g, dtype=float)
-    h = np.asarray(h, dtype=float)
-    column = np.asarray(column, dtype=float)
-    if not g.size == h.size == column.size:
-        raise ValueError("g, h and column must be aligned")
-    order = np.argsort(column, kind="stable").reshape(1, -1)
-    found = _best_split(column.reshape(-1, 1), g, h, float(g.sum()), float(h.sum()),
-                        order, np.array([0]), hp)
-    if found is None:
-        return None
-    _, threshold, gain = found
-    return threshold, gain
-
-
 def _presort_columns(X: np.ndarray) -> np.ndarray:
     """(d, n) int32 matrix: row j lists all rows stably sorted by column j."""
     order = np.empty((X.shape[1], X.shape[0]), dtype=np.int32)
@@ -453,7 +433,8 @@ def train(
     subsampling is per-tree Bernoulli; column subsets are drawn per tree and
     re-drawn per depth. With an eval_set and a patience, training stops once
     validation mlogloss has not improved for `patience` rounds and the
-    ensemble is truncated to the best round.
+    ensemble is truncated to the best round; the eval margins are updated
+    tree by tree, so each round walks only its own trees over the eval set.
 
     training_loss holds the training mlogloss before each round plus a
     final entry, so it has num_rounds + 1 values.
@@ -483,6 +464,10 @@ def train(
     ensemble = Ensemble(hp=hp, num_features=d, feature_names=names)
     margins = np.zeros((n, k_classes))
     presorted = _presort_columns(X)
+    early_stopping = eval_set is not None and early_stopping_patience is not None
+    if early_stopping:
+        X_eval = ensemble._as_matrix(eval_set[0])
+        eval_margins = np.zeros((X_eval.shape[0], k_classes))
     best_eval = math.inf
     best_round = 0
     rounds_since_best = 0
@@ -498,13 +483,13 @@ def train(
             cols_by_depth = _sample_columns(rng, d, hp)
             tree = _grow_tree(X, g, h, rows, hp, cols_by_depth, presorted)
             margins[:, k] += tree.predict_margin(X)
+            if early_stopping:
+                eval_margins[:, k] += tree.predict_margin(X_eval)
             round_trees.append(tree)
         ensemble.trees.append(round_trees)
 
-        if eval_set is not None and early_stopping_patience is not None:
-            eval_loss = mlogloss(
-                softmax_margins(ensemble.margins(eval_set[0])), eval_set[1]
-            )
+        if early_stopping:
+            eval_loss = mlogloss(softmax_margins(eval_margins), eval_set[1])
             if eval_loss < best_eval:
                 best_eval = eval_loss
                 best_round = len(ensemble.trees)
@@ -514,7 +499,7 @@ def train(
                 if rounds_since_best >= early_stopping_patience:
                     break
 
-    if eval_set is not None and early_stopping_patience is not None and ensemble.trees:
+    if early_stopping and ensemble.trees:
         del ensemble.trees[best_round:]
         del ensemble.training_loss[best_round:]
         ensemble.best_round = best_round

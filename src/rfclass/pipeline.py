@@ -38,6 +38,10 @@ INDEPENDENT_SOURCE = {
     DatabaseTag.TCA: None,
 }
 
+#: Share of each class of the training set held out as the early-stopping
+#: eval set when `early_stopping_patience` is set.
+EARLY_STOPPING_FRACTION = 0.1
+
 _PRESET_BY_TAG = {
     DatabaseTag.TORIS: "toris",
     DatabaseTag.COMMERCIAL: "commercial",
@@ -63,6 +67,25 @@ def _positive_int(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or value < 1:
         raise ConfigError(f"{name} must be a positive integer, got {value!r}")
     return value
+
+
+def _number(section: dict, key: str, default, kind, name: str):
+    """`kind(section[key])`, or `kind(default)` when the key is absent."""
+    value = section.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be a number, got {value!r}") from None
+
+
+def _range_pair(name: str, bounds) -> tuple[float, float]:
+    if isinstance(bounds, list) and len(bounds) == 2:
+        try:
+            return float(bounds[0]), float(bounds[1])
+        except (TypeError, ValueError):
+            pass
+    raise ConfigError(f"range_overrides entry {name!r} must be a [lo, hi] pair "
+                      f"of numbers, got {bounds!r}")
 
 
 def _section(data: dict, key: str) -> dict | None:
@@ -94,10 +117,12 @@ class PipelineConfig:
     def from_dict(cls, data: dict) -> "PipelineConfig":
         if not isinstance(data, dict):
             raise ConfigError(f"config must be a JSON object, got {type(data).__name__}")
+        if "combo" not in data:
+            raise ConfigError("config requires a 'combo' entry")
+        if not isinstance(data["combo"], str):
+            raise ConfigError(f"combo must be a string, got {data['combo']!r}")
         try:
             combo = parse_tag(data["combo"])
-        except KeyError:
-            raise ConfigError("config requires a 'combo' entry") from None
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         if combo.is_source:
@@ -126,8 +151,8 @@ class PipelineConfig:
         raw_synth = _section(data, "synth")
         if raw_synth is not None:
             synth = SynthConfig(
-                n=int(raw_synth.get("n", 2000)),
-                divergence=float(raw_synth.get("divergence", 1.0)),
+                n=_number(raw_synth, "n", 2000, int, "synth.n"),
+                divergence=_number(raw_synth, "divergence", 1.0, float, "synth.divergence"),
             )
         if (sources is None) == (synth is None):
             raise ConfigError("config needs exactly one of 'sources' or 'synth'")
@@ -159,13 +184,15 @@ class PipelineConfig:
             raise ConfigError("provide either fixed 'hyperparameters' or a 'grid', not both")
 
         split = _section(data, "split") or {}
-        if not 0 < float(split.get("test_fraction", 0.1)) < 1:
+        test_fraction = _number(split, "test_fraction", 0.1, float, "split.test_fraction")
+        if not 0 < test_fraction < 1:
             raise ConfigError("split.test_fraction must lie in (0, 1)")
-        if int(split.get("k_folds", 10)) < 2:
+        k_folds = _number(split, "k_folds", 10, int, "split.k_folds")
+        if k_folds < 2:
             raise ConfigError("split.k_folds must be at least 2")
         overrides = {
-            name: (float(lo), float(hi))
-            for name, (lo, hi) in (_section(data, "range_overrides") or {}).items()
+            name: _range_pair(name, bounds)
+            for name, bounds in (_section(data, "range_overrides") or {}).items()
         }
         prune = _section(data, "prune") or {}
         # checked here, so a bad value fails before any stage has run
@@ -179,8 +206,8 @@ class PipelineConfig:
                 seed=int(data.get("seed", 0)),
                 sources=sources,
                 synth=synth,
-                test_fraction=float(split.get("test_fraction", 0.1)),
-                k_folds=int(split.get("k_folds", 10)),
+                test_fraction=test_fraction,
+                k_folds=k_folds,
                 hyperparameters=hp,
                 grid=grid,
                 feature_threshold=float(prune.get("feature_threshold", 0.70)),
@@ -385,13 +412,16 @@ def run_pipeline(config: PipelineConfig, out_dir: str | Path) -> RunResult:
         raise StageFailure("tune", exc) from exc
 
     try:
-        X_train, y_train = to_matrix(train_t)
+        fit_t = train_t
         eval_set = None
         patience = None
         if config.early_stopping_patience:
-            X_test, y_test = to_matrix(test_t)
-            eval_set = (X_test, y_test)
+            # the stopping round is chosen on training data, never on the test set
+            fit_t, eval_t = stratified_split(train_t, SplitSpec(
+                test_fraction=EARLY_STOPPING_FRACTION, seed=_stage_seed(config.seed, 31)))
+            eval_set = to_matrix(eval_t)
             patience = config.early_stopping_patience
+        X_train, y_train = to_matrix(fit_t)
         model = train(
             X_train, y_train, hp, _stage_seed(config.seed, 30),
             feature_names=train_t.schema.names,

@@ -5,13 +5,25 @@ it scores the Cartesian product of the pair's candidates (everything else
 held at the current values) and adopts the minimizer, earliest candidate on
 ties. Full sweeps repeat until a sweep changes nothing or the sweep budget
 runs out.
+
+No setting is trained twice within one search. A memo maps each scored
+setting to its CV score, so the start setting, each pair's current
+combination and settings revisited in a later sweep are lookups. The
+settings a pair still has to score are grouped by every field except
+`num_rounds`: `train` draws its per-round random numbers independently of
+the round count, so the first r rounds of a longer model are exactly the
+r-round model. Each group trains one model per fold at its largest round
+count and scores every smaller count on a prefix of its trees, and the
+scores are bit-identical to training each count on its own. A pair then
+costs folds x groups trainings instead of folds x candidates; one sweep of
+the default grid falls from about 13.8k to 11.4k boosting rounds per fold.
 """
 
 import itertools
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
-from .booster import Hyperparameters, mlogloss, predict_proba, train
+from .booster import Ensemble, Hyperparameters, mlogloss, predict_proba, train
 from .dataset import Database
 from .preprocess import SplitSpec, stratified_kfold, to_matrix
 
@@ -78,18 +90,52 @@ def default_grid() -> SearchGrid:
     )
 
 
-def cross_validate(train_db: Database, hp: Hyperparameters, k: int, seed: int) -> float:
-    """Mean validation mlogloss over k stratified folds."""
+def cross_validate(train_db: Database, hp: Hyperparameters, k: int, seed: int, *,
+                   rounds: list[int] | None = None) -> float | list[float]:
+    """Mean validation mlogloss over k stratified folds.
+
+    With `rounds`, each fold's model is trained once at `hp.num_rounds` and
+    scored on its first r rounds for every r listed; the result holds one
+    mean per listed r, each equal to a plain call with `num_rounds=r`.
+    """
+    prefixes = [hp.num_rounds] if rounds is None else list(rounds)
+    if any(not 0 <= r <= hp.num_rounds for r in prefixes):
+        raise ValueError(f"prefix round counts must lie in [0, {hp.num_rounds}]")
     X, y = to_matrix(train_db)
     folds = stratified_kfold(train_db, SplitSpec(k_folds=k, seed=seed))
-    losses = []
+    losses = [[] for _ in prefixes]
     for fit_idx, val_idx in folds:
         if val_idx.size == 0:
             continue
         model = train(X[fit_idx], y[fit_idx], hp, seed,
                       feature_names=train_db.schema.names)
-        losses.append(mlogloss(predict_proba(model, X[val_idx]), y[val_idx]))
-    return float(sum(losses) / len(losses))
+        X_val, y_val = X[val_idx], y[val_idx]
+        for fold_losses, r in zip(losses, prefixes):
+            prefix = Ensemble(hp=replace(hp, num_rounds=r), num_features=model.num_features,
+                              feature_names=model.feature_names, trees=model.trees[:r])
+            fold_losses.append(mlogloss(predict_proba(prefix, X_val), y_val))
+    means = [float(sum(fold_losses) / len(fold_losses)) for fold_losses in losses]
+    return means[0] if rounds is None else means
+
+
+def _scores(train_db: Database, candidates: list[Hyperparameters], k: int, seed: int,
+            memo: dict[Hyperparameters, float]) -> list[float]:
+    """CV scores of `candidates` in order, filling `memo` with those not in it.
+
+    Unscored candidates that differ only in `num_rounds` share one
+    `cross_validate` call, trained at their largest round count.
+    """
+    groups: dict[Hyperparameters, set[int]] = {}
+    for hp in candidates:
+        if hp not in memo:
+            groups.setdefault(replace(hp, num_rounds=0), set()).add(hp.num_rounds)
+    for base, counts in groups.items():
+        rounds = sorted(counts)
+        scores = cross_validate(train_db, replace(base, num_rounds=rounds[-1]), k, seed,
+                                rounds=rounds)
+        for r, score in zip(rounds, scores):
+            memo[replace(base, num_rounds=r)] = score
+    return [memo[hp] for hp in candidates]
 
 
 @dataclass(frozen=True)
@@ -113,11 +159,13 @@ def pairwise_grid_search(
 
     Deterministic in (train_db, grid, seed): folds are rebuilt from the same
     seed for every candidate, so scores are comparable across the search.
-    Every adopted value comes from its candidate list.
+    Every adopted value comes from its candidate list. `evaluations` counts
+    the candidates scored, memo lookups included.
     """
     hp = start if start is not None else Hyperparameters()
+    memo: dict[Hyperparameters, float] = {}
     evaluations = 0
-    current_score = cross_validate(train_db, hp, k, seed)
+    [current_score] = _scores(train_db, [hp], k, seed, memo)
     if trace_sink:
         trace_sink({"event": "start", "score": current_score, "hyperparameters": hp.to_dict()})
 
@@ -126,13 +174,12 @@ def pairwise_grid_search(
         sweeps_run = sweep + 1
         changed = False
         for pair in grid.pairs:
-            lists = [grid.candidates[name] for name in pair]
+            combos = list(itertools.product(*(grid.candidates[name] for name in pair)))
+            candidates = [replace(hp, **dict(zip(pair, combo))) for combo in combos]
             best_combo = None
             best_score = None
             scores = []
-            for combo in itertools.product(*lists):
-                candidate = replace(hp, **dict(zip(pair, combo)))
-                score = cross_validate(train_db, candidate, k, seed)
+            for combo, score in zip(combos, _scores(train_db, candidates, k, seed, memo)):
                 evaluations += 1
                 scores.append({"values": list(combo), "score": score})
                 if best_score is None or score < best_score:

@@ -10,8 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from rfclass.booster import (Hyperparameters, find_best_split, leaf_weight,
-                             train)
+from rfclass.booster import Hyperparameters, leaf_weight, train
 from rfclass.explain import exact_shapley_oracle, tree_shap
 from rfclass.metrics import accuracy, macro_f1, neighborhood_accuracy
 from rfclass.pipeline import PipelineConfig, run_pipeline
@@ -21,7 +20,7 @@ from rfclass.preprocess import (SplitSpec, apply_transforms, class_labels,
 from rfclass.synth import generate, toris_like
 
 from conftest import complete_database, random_tree
-from test_booster import random_split_instance, split_oracle
+from test_booster import find_best_split, random_split_instance, split_oracle
 from test_explain import ensemble_of
 from test_preprocess import (db_from_column, erfinv_oracle,
                              impute_column_oracle, transform_db)

@@ -8,8 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rfclass import booster
-from rfclass.booster import (COMBO_PRESETS, Hyperparameters, audit_ensemble,
-                             find_best_split, leaf_weight, load_ensemble,
+from rfclass.booster import (COMBO_PRESETS, Hyperparameters, _best_split,
+                             audit_ensemble, leaf_weight, load_ensemble,
                              mlogloss, predict_class, predict_proba,
                              serialize_ensemble, softmax_margins, train)
 from rfclass.errors import TrainingError
@@ -25,6 +25,26 @@ def hp_with(**kwargs) -> Hyperparameters:
 
 
 # ---------------------------------------------------------------- oracles
+
+def find_best_split(g: np.ndarray, h: np.ndarray, column: np.ndarray, hp: Hyperparameters):
+    """Best (threshold, gain) for one column, or None when no split qualifies.
+
+    Runs the trainer's split kernel on a single column; the returned gain is
+    the gamma-penalized split gain (the quantity the trainer maximizes).
+    """
+    g = np.asarray(g, dtype=float)
+    h = np.asarray(h, dtype=float)
+    column = np.asarray(column, dtype=float)
+    if not g.size == h.size == column.size:
+        raise ValueError("g, h and column must be aligned")
+    order = np.argsort(column, kind="stable").reshape(1, -1)
+    found = _best_split(column.reshape(-1, 1), g, h, float(g.sum()), float(h.sum()),
+                        order, np.array([0]), hp)
+    if found is None:
+        return None
+    _, threshold, gain = found
+    return threshold, gain
+
 
 def split_oracle(g, h, column, hp):
     """Exhaustive scan over all midpoint thresholds with direct summation."""
@@ -418,6 +438,24 @@ class TestTrain:
         assert model.best_round is not None
         assert model.num_rounds_trained == model.best_round
         assert model.num_rounds_trained < 200
+        # the stop follows the patience rule on each prefix's validation loss,
+        # scored through the ensemble's own margins
+        full = train(X, y, hp, seed=5)
+        best, best_round, since = math.inf, 0, 0
+        for r in range(1, 201):
+            prefix = booster.Ensemble(hp=hp, num_features=4, feature_names=full.feature_names,
+                                      trees=full.trees[:r])
+            loss = mlogloss(predict_proba(prefix, X_val), y_val)
+            if loss < best:
+                best, best_round, since = loss, r, 0
+            else:
+                since += 1
+                if since >= 5:
+                    break
+        assert model.best_round == best_round
+        truncated = booster.Ensemble(hp=hp, num_features=4, feature_names=full.feature_names,
+                                     trees=full.trees[:best_round])
+        assert np.array_equal(model.margins(X_val), truncated.margins(X_val))
 
 
 # ---------------------------------------------------------------- predict

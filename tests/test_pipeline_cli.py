@@ -1,7 +1,9 @@
 import json
+from unittest import mock
 
 import pytest
 
+from rfclass import pipeline
 from rfclass.cli import main
 from rfclass.errors import ConfigError
 from rfclass.pipeline import (INDEPENDENT_SOURCE, PipelineConfig, StageFailure,
@@ -14,6 +16,18 @@ FAST_HP = {
     "alpha": 0.1, "lambda": 0.05, "gamma": 0.0, "max_delta_step": 0.2,
     "num_class": 10, "num_rounds": 8,
 }
+
+
+def _prepared(path):
+    """Feature rows of a prepared CSV, in file order."""
+    lines = path.read_text().splitlines()
+    header = lines[0].split(",")
+    cols = [i for i, name in enumerate(header) if name not in ("key", "source", "RF")]
+    return [[float(line.split(",")[i]) for i in cols] for line in lines[1:]]
+
+
+def _row_set(rows):
+    return {tuple(float(v) for v in row) for row in rows}
 
 
 def tiny_config(combo="TC", seed=5, **extra):
@@ -135,6 +149,18 @@ class TestRunPipeline:
         tuned = json.loads((result.run_dir / "hyperparameters.json").read_text())
         assert tuned["max_depth"] in (2, 3)
 
+    def test_early_stopping_holds_out_training_rows(self, tmp_path):
+        with mock.patch.object(pipeline, "train", wraps=pipeline.train) as spy:
+            result = run_pipeline(tiny_config(early_stopping_patience=2), tmp_path / "run")
+        X_fit = spy.call_args.args[0]
+        X_eval, y_eval = spy.call_args.kwargs["eval_set"]
+        assert len(X_eval) > 0 and len(y_eval) == len(X_eval)
+        train_csv = _prepared(result.run_dir / "train.csv")
+        assert _row_set(X_eval).isdisjoint(_row_set(_prepared(result.run_dir / "test.csv")))
+        assert _row_set(X_eval) <= _row_set(train_csv)
+        assert _row_set(X_eval).isdisjoint(_row_set(X_fit))
+        assert len(X_fit) + len(X_eval) == len(train_csv)
+
     def test_file_sources_round_trip(self, tmp_path):
         from rfclass.dataset import serialize_database
         from rfclass.synth import generate, preset
@@ -249,10 +275,20 @@ class TestCli:
         ({"split": 0.1}, "split must be a JSON object"),
         ({"prune": 0.5}, "prune must be a JSON object"),
         ({"range_overrides": [[0, 1]]}, "range_overrides must be a JSON object"),
+        ({"combo": 5}, "combo must be a string"),
+        ({"combo": ["TC"]}, "combo must be a string"),
+        ({"range_overrides": {"gor": 60}}, "must be a [lo, hi] pair"),
+        ({"synth": {"n": "many"}}, "synth.n must be a number"),
+        ({"synth": {"n": 300, "divergence": "far"}}, "synth.divergence must be a number"),
+        ({"split": {"k_folds": "ten"}}, "split.k_folds must be a number"),
+        ({"split": {"test_fraction": "tenth"}}, "split.test_fraction must be a number"),
     ], ids=["shap_sample_zero", "patience_not_integer", "source_without_path",
             "unknown_source_tag", "sources_not_object", "synth_not_object",
             "grid_not_object", "split_not_object", "prune_not_object",
-            "range_overrides_not_object"])
+            "range_overrides_not_object", "combo_number", "combo_list",
+            "range_override_not_pair", "synth_n_not_number",
+            "synth_divergence_not_number", "k_folds_not_number",
+            "test_fraction_not_number"])
     def test_config_field_error_exits_2_before_any_stage(self, tmp_path, capsys, extra, message):
         config = self._write_config(tmp_path, **extra)
         code = main(["run", "--config", str(config), "--out", str(tmp_path / "run")])

@@ -1,11 +1,91 @@
+import itertools
+from dataclasses import replace
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from rfclass.booster import Hyperparameters
-from rfclass.tuner import (SearchGrid, cross_validate, default_grid,
-                           pairwise_grid_search)
+from rfclass import tuner
+from rfclass.booster import Hyperparameters, mlogloss, predict_proba, train
+from rfclass.preprocess import SplitSpec, stratified_kfold, to_matrix
+from rfclass.tuner import (SearchGrid, TuningResult, cross_validate,
+                           default_grid, pairwise_grid_search)
 
 from conftest import make_database, make_record
+
+
+# ---------------------------------------------------------------- oracles
+
+def oracle_cross_validate(train_db, hp, k, seed):
+    """Mean validation mlogloss over k folds, one full training per fold."""
+    X, y = to_matrix(train_db)
+    folds = stratified_kfold(train_db, SplitSpec(k_folds=k, seed=seed))
+    losses = []
+    for fit_idx, val_idx in folds:
+        if val_idx.size == 0:
+            continue
+        model = train(X[fit_idx], y[fit_idx], hp, seed,
+                      feature_names=train_db.schema.names)
+        losses.append(mlogloss(predict_proba(model, X[val_idx]), y[val_idx]))
+    return float(sum(losses) / len(losses))
+
+
+def oracle_pairwise_grid_search(train_db, grid, seed, *, k=10, start=None, trace_sink=None):
+    """The search with no memo and no prefix scoring: every candidate,
+    the start and each pair's current combination included, is trained
+    from scratch in every fold."""
+    hp = start if start is not None else Hyperparameters()
+    evaluations = 0
+    current_score = oracle_cross_validate(train_db, hp, k, seed)
+    if trace_sink:
+        trace_sink({"event": "start", "score": current_score, "hyperparameters": hp.to_dict()})
+
+    sweeps_run = 0
+    for sweep in range(grid.max_sweeps):
+        sweeps_run = sweep + 1
+        changed = False
+        for pair in grid.pairs:
+            lists = [grid.candidates[name] for name in pair]
+            best_combo = None
+            best_score = None
+            scores = []
+            for combo in itertools.product(*lists):
+                candidate = replace(hp, **dict(zip(pair, combo)))
+                score = oracle_cross_validate(train_db, candidate, k, seed)
+                evaluations += 1
+                scores.append({"values": list(combo), "score": score})
+                if best_score is None or score < best_score:
+                    best_score = score
+                    best_combo = combo
+            previous = tuple(getattr(hp, name) for name in pair)
+            hp = replace(hp, **dict(zip(pair, best_combo)))
+            current_score = best_score
+            if tuple(getattr(hp, name) for name in pair) != previous:
+                changed = True
+            if trace_sink:
+                trace_sink({
+                    "event": "pair",
+                    "sweep": sweep,
+                    "pair": list(pair),
+                    "scores": scores,
+                    "adopted": list(best_combo),
+                    "score": best_score,
+                })
+        if not changed:
+            break
+
+    if trace_sink:
+        trace_sink({
+            "event": "done",
+            "score": current_score,
+            "sweeps": sweeps_run,
+            "evaluations": evaluations,
+            "hyperparameters": hp.to_dict(),
+        })
+    return TuningResult(hyperparameters=hp, cv_score=current_score,
+                        sweeps=sweeps_run, evaluations=evaluations)
 
 
 def labeled_database(n, seed, informative=True):
@@ -66,6 +146,20 @@ class TestCrossValidate:
         long = cross_validate(db, fast_hp(num_rounds=30), k=3, seed=0)
         assert long < short
         assert long < 0.05
+
+    def test_prefix_scores_equal_separate_trainings(self):
+        db = labeled_database(40, seed=12)
+        hp = fast_hp(num_rounds=6, subsample=0.7, colsample_bylevel=0.6)
+        rounds = [6, 0, 3, 3, 1]
+        got = cross_validate(db, hp, k=3, seed=2, rounds=rounds)
+        assert got == [oracle_cross_validate(db, replace(hp, num_rounds=r), 3, 2)
+                       for r in rounds]
+        assert cross_validate(db, hp, k=3, seed=2) == got[0]
+
+    def test_prefix_beyond_trained_rounds_rejected(self):
+        db = labeled_database(20, seed=13)
+        with pytest.raises(ValueError, match="prefix round counts"):
+            cross_validate(db, fast_hp(num_rounds=2), k=2, seed=0, rounds=[3])
 
     def test_informative_beats_noise(self):
         good = cross_validate(labeled_database(60, 3), fast_hp(), k=3, seed=1)
@@ -183,3 +277,90 @@ class TestPairwiseGridSearch:
         assert pair_events[0]["pair"] == ["max_depth"]
         assert len(pair_events[0]["scores"]) == 2
         assert pair_events[0]["adopted"][0] in (2, 3)
+
+
+# ------------------------------------------------- memo and prefix scoring
+
+#: values the property draws candidate lists from, per tuned name
+PROPERTY_VALUES = {
+    "max_depth": [1, 2, 3],
+    "learning_rate": [0.1, 0.3],
+    "subsample": [0.6, 0.8, 1.0],
+    "colsample_bytree": [0.5, 1.0],
+    "colsample_bylevel": [0.5, 1.0],
+    "min_child_weight": [0.0, 0.5],
+}
+
+
+def small_database(n, seed):
+    """Random features with three RF classes, so trees split on noise."""
+    rng = np.random.default_rng(seed)
+    return make_database(
+        make_record(f"r{i}", rng.random(11).tolist(), float(rng.choice([0.05, 0.15, 0.25])))
+        for i in range(n))
+
+
+def property_start(max_depth, num_rounds):
+    # row and column fractions below 1, so every round draws from the RNG
+    return fast_hp(max_depth=max_depth, num_rounds=num_rounds, subsample=0.8,
+                   colsample_bytree=0.7, colsample_bylevel=0.7)
+
+
+@st.composite
+def searches(draw):
+    """(database, grid, start, k, seed) for a small search that always tunes
+    num_rounds and max_depth, plus up to two more names, in random pairs."""
+    n = draw(st.integers(8, 30))
+    db = small_database(n, draw(st.integers(0, 2**32 - 1)))
+    others = sorted(set(PROPERTY_VALUES) - {"max_depth"})
+    extra = draw(st.lists(st.sampled_from(others), unique=True, max_size=2))
+    names = draw(st.permutations(["num_rounds", "max_depth", *extra]))
+    pairs, at = [], 0
+    while at < len(names):
+        size = draw(st.integers(1, min(2, len(names) - at)))
+        pairs.append(tuple(names[at:at + size]))
+        at += size
+    candidates = {"num_rounds": draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))}
+    for name in names:
+        if name != "num_rounds":
+            candidates[name] = draw(st.lists(st.sampled_from(PROPERTY_VALUES[name]),
+                                             min_size=1, max_size=3))
+    grid = SearchGrid(candidates=candidates, pairs=tuple(pairs),
+                      max_sweeps=draw(st.integers(1, 2)))
+    start = property_start(draw(st.sampled_from([1, 2, 3])), draw(st.integers(0, 3)))
+    return db, grid, start, draw(st.integers(2, 3)), draw(st.integers(0, 1000))
+
+
+class TestMemoAndPrefixScoring:
+    @settings(max_examples=25, deadline=None)
+    @given(search=searches())
+    @example(search=(
+        small_database(24, 3),
+        SearchGrid(candidates={"num_rounds": [3, 0, 3, 1], "max_depth": [2, 1, 3]},
+                   pairs=(("num_rounds", "max_depth"), ("max_depth",)), max_sweeps=2),
+        property_start(2, 1), 3, 11))
+    def test_bit_identical_to_search_without_memo_or_prefixes(self, search):
+        db, grid, start, k, seed = search
+        got_trace, want_trace = [], []
+        got = pairwise_grid_search(db, grid, seed, k=k, start=start,
+                                   trace_sink=got_trace.append)
+        want = oracle_pairwise_grid_search(db, grid, seed, k=k, start=start,
+                                           trace_sink=want_trace.append)
+        assert got == want
+        assert got_trace == want_trace
+
+    def test_trains_each_fold_model_once(self):
+        db = labeled_database(40, seed=11)
+        grid = SearchGrid(
+            candidates={"learning_rate": [0.1, 0.2], "num_rounds": [2, 4],
+                        "max_depth": [2, 3]},
+            pairs=(("learning_rate", "num_rounds"), ("max_depth",)), max_sweeps=1)
+        start = fast_hp(learning_rate=0.1, num_rounds=2, max_depth=2)
+        with mock.patch.object(tuner, "train", wraps=tuner.train) as counted:
+            result = pairwise_grid_search(db, grid, seed=0, k=3, start=start)
+        # distinct groups: the start; learning rate 0.1 (4 rounds, 2 is the
+        # start) and 0.2 (2 and 4 rounds from one 4-round model); depth 3 at
+        # the adopted round count (depth 2 is the current setting)
+        trained = [call.args[2].num_rounds for call in counted.call_args_list]
+        assert trained == [2] * 3 + [4] * 3 + [4] * 3 + [result.hyperparameters.num_rounds] * 3
+        assert result.evaluations == 6
