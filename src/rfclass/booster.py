@@ -170,15 +170,31 @@ class Tree:
         return self._node_dict(0)
 
     @classmethod
-    def from_dict(cls, root: dict) -> "Tree":
+    def from_dict(cls, root: dict, num_features: int) -> "Tree":
+        """Tree of a `to_dict` document. Raises ValueError for a malformed node,
+        a feature outside [0, num_features) or a non-finite threshold."""
         builder = _TreeBuilder()
 
-        def walk(node: dict) -> int:
+        def field_of(node, key: str):
+            value = node.get(key)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"tree node needs a numeric {key!r}, got {value!r}")
+            return value
+
+        def walk(node) -> int:
+            if not isinstance(node, dict):
+                raise ValueError(f"tree node must be an object, got {type(node).__name__}")
             if "leaf" in node:
-                return builder.add_leaf(node["leaf"], node["cover"])
-            idx = builder.add_internal(node["feature"], node["threshold"],
-                                       node["gain"], node["cover"])
-            builder.attach(idx, walk(node["left"]), walk(node["right"]))
+                return builder.add_leaf(field_of(node, "leaf"), field_of(node, "cover"))
+            feature = field_of(node, "feature")
+            if not isinstance(feature, int) or not 0 <= feature < num_features:
+                raise ValueError(f"tree node feature {feature!r} is outside [0, {num_features})")
+            threshold = field_of(node, "threshold")
+            if not math.isfinite(threshold):
+                raise ValueError(f"tree node threshold {threshold!r} is not finite")
+            idx = builder.add_internal(feature, threshold, field_of(node, "gain"),
+                                       field_of(node, "cover"))
+            builder.attach(idx, walk(node.get("left")), walk(node.get("right")))
             return idx
 
         walk(root)
@@ -584,12 +600,21 @@ def load_ensemble(text: str) -> Ensemble:
         raise ValueError("not an rfclass ensemble document")
     if doc.get("version") != SERIALIZATION_VERSION:
         raise ValueError(f"unsupported ensemble version {doc.get('version')}")
-    ensemble = Ensemble(
-        hp=Hyperparameters.from_dict(doc["hyperparameters"]),
-        num_features=int(doc["num_features"]),
+    try:
+        hp = Hyperparameters.from_dict(doc["hyperparameters"])
+        num_features = int(doc["num_features"])
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed ensemble document: {exc!r}") from None
+    for r, round_trees in enumerate(doc["trees"]):
+        if len(round_trees) != hp.num_class:
+            raise ValueError(f"round {r} holds {len(round_trees)} trees, "
+                             f"expected num_class = {hp.num_class}")
+    return Ensemble(
+        hp=hp,
+        num_features=num_features,
         feature_names=tuple(doc["feature_names"]),
-        trees=[[Tree.from_dict(node) for node in round_trees] for round_trees in doc["trees"]],
+        trees=[[Tree.from_dict(node, num_features) for node in round_trees]
+               for round_trees in doc["trees"]],
         training_loss=list(doc["training_loss"]),
         best_round=doc.get("best_round"),
     )
-    return ensemble

@@ -26,10 +26,9 @@ from .dataset import canonical_schema, deduplicate, merge, parse_database, seria
 from .errors import ConfigError, IngestError, PipelineError, TrainingError
 from .explain import importance_from_database
 from .metrics import EvaluationReport
-from .pipeline import PipelineConfig, StageFailure, load_sources, run_pipeline, _stage_seed
-from .preprocess import (SplitSpec, apply_transforms, filter_ranges,
-                         fit_transforms, impute, prune_missing,
-                         stratified_split, to_matrix)
+from .pipeline import (PipelineConfig, StageFailure, load_sources, preprocess,
+                       run_pipeline, _stage_seed)
+from .preprocess import to_matrix
 from .synth import generate, preset
 from .tuner import default_grid, pairwise_grid_search
 
@@ -63,11 +62,6 @@ def _require(path: str, what: str) -> Path:
     return p
 
 
-def _read_preprocessed(path: Path, tag, schema=None):
-    schema = schema or canonical_schema()
-    return parse_database(path.read_text(), tag, schema)
-
-
 def cmd_synth(args) -> int:
     spec = preset(args.preset, args.divergence)
     db = generate(spec, args.n, args.seed)
@@ -90,19 +84,13 @@ def cmd_preprocess(args) -> int:
     merged_path = _require(args.data, "merged database (run `ingest` first)")
     schema = canonical_schema(config.range_overrides)
     merged = parse_database(merged_path.read_text(), config.combo, schema)
-    pruned = prune_missing(filter_ranges(merged),
-                           config.feature_threshold, config.record_threshold)
-    spec = SplitSpec(test_fraction=config.test_fraction, k_folds=config.k_folds,
-                     seed=_stage_seed(config.seed, 10))
-    train_db, test_db = stratified_split(pruned, spec)
-    train_db, test_db = impute(train_db), impute(test_db)
-    params = fit_transforms(train_db)
+    train_t, test_t, params, _ = preprocess(merged, config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "train.csv").write_text(serialize_database(apply_transforms(train_db, params)))
-    (out / "test.csv").write_text(serialize_database(apply_transforms(test_db, params)))
+    (out / "train.csv").write_text(serialize_database(train_t))
+    (out / "test.csv").write_text(serialize_database(test_t))
     (out / "transform_params.json").write_text(json.dumps(params.to_dict(), sort_keys=True))
-    print(f"preprocessed: train={len(train_db)} test={len(test_db)} -> {out}")
+    print(f"preprocessed: train={len(train_t)} test={len(test_t)} -> {out}")
     return EXIT_OK
 
 

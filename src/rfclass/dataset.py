@@ -1,14 +1,17 @@
 """Reservoir databases: CSV ingestion, provenance tags, merging, de-duplication.
 
-A Database is an immutable, ordered collection of ReservoirRecord rows that
-share one FeatureSchema. Records keep a per-row source tag so merged
-databases remain auditable.
+A Database is columnar and immutable: one read-only (n, d) float64 matrix
+of feature values in schema order, NaN marking a missing cell, beside
+per-row arrays of normalized keys, recovery factors and source tags (so
+merged databases remain auditable). Operations are array operations that
+return new databases. `Database.records` and `Database.from_records`
+convert to and from ReservoirRecord rows, with None for a missing cell.
 """
 
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -133,6 +136,8 @@ def normalize_key(text: str) -> str:
 
 @dataclass(frozen=True)
 class ReservoirRecord:
+    """One row of a Database as plain Python values; None marks a missing cell."""
+
     key: str
     values: tuple[float | None, ...]
     rf: float | None
@@ -141,44 +146,88 @@ class ReservoirRecord:
     def present_count(self) -> int:
         return sum(v is not None for v in self.values)
 
-    def missing_fraction(self) -> float:
-        return 1.0 - self.present_count() / len(self.values)
+
+def _nan_for_none(cells) -> np.ndarray:
+    """Float array of numbers and None (any nesting), NaN for None; raises
+    ValueError for a non-finite number, so NaN only ever means missing."""
+    cells = np.array(cells, dtype=object)
+    missing = np.equal(cells, None)
+    cells[missing] = math.nan
+    values = cells.astype(float)
+    if not np.isfinite(values[~missing]).all():
+        raise ValueError("records hold a non-finite number; None marks a missing value")
+    return values
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Database:
+    """Rows under one schema: an (n, d) `values` matrix, NaN where a cell is
+    missing, and per-row `keys`, `rf` (NaN when missing) and `sources`."""
+
     tag: DatabaseTag
     schema: FeatureSchema
-    records: tuple[ReservoirRecord, ...]
+    values: np.ndarray
+    keys: np.ndarray
+    rf: np.ndarray
+    sources: np.ndarray
 
-    def __len__(self) -> int:
-        return len(self.records)
+    def __post_init__(self):
+        n = self.keys.shape[0]
+        if (self.values.shape != (n, len(self.schema.features))
+                or self.rf.shape != (n,) or self.sources.shape != (n,)):
+            raise ValueError("values, keys, rf and sources disagree on the row count "
+                             "or the schema width")
+        for array in (self.values, self.keys, self.rf, self.sources):
+            array.flags.writeable = False
+
+    @classmethod
+    def from_records(cls, tag: DatabaseTag, schema: FeatureSchema, records) -> "Database":
+        """Columnar database of ReservoirRecord rows (None marks a missing value)."""
+        d = len(schema.features)
+        keys, rows, rf, sources = list(zip(*((r.key, r.values, r.rf, r.source)
+                                             for r in records))) or [()] * 4
+        if any(len(row) != d for row in rows):
+            raise ValueError(f"every record needs {d} values, one per schema feature")
+        return cls(tag, schema, _nan_for_none(rows).reshape(len(rows), d),
+                   np.array(keys, dtype=object), _nan_for_none(rf),
+                   np.array(sources, dtype=object))
+
+    @property
+    def records(self) -> tuple[ReservoirRecord, ...]:
+        """The rows as ReservoirRecords, NaN turned into None."""
+        def cells(array):
+            out = array.astype(object)
+            out[np.isnan(array)] = None
+            return out.tolist()
+
+        return tuple(
+            ReservoirRecord(key, tuple(values), rf, source)
+            for key, values, rf, source in zip(
+                self.keys.tolist(), cells(self.values), cells(self.rf), self.sources.tolist())
+        )
 
     def with_records(self, records) -> "Database":
-        return Database(tag=self.tag, schema=self.schema, records=tuple(records))
+        return Database.from_records(self.tag, self.schema, records)
+
+    def take(self, rows) -> "Database":
+        """The rows an index array or boolean mask selects, in that order."""
+        return replace(self, values=self.values[rows], keys=self.keys[rows],
+                       rf=self.rf[rows], sources=self.sources[rows])
+
+    def select_features(self, indices: list[int]) -> "Database":
+        """Only the feature columns at `indices` (ascending), schema narrowed to match."""
+        schema = self.schema.subset([self.schema.names[i] for i in indices])
+        return replace(self, schema=schema, values=self.values[:, indices])
+
+    def __len__(self) -> int:
+        return self.keys.shape[0]
 
     def feature_matrix(self) -> np.ndarray:
-        """(n_records, n_features) float matrix with NaN marking missing cells."""
-        n, d = len(self.records), len(self.schema.features)
-        out = np.full((n, d), np.nan)
-        for i, rec in enumerate(self.records):
-            for j, v in enumerate(rec.values):
-                if v is not None:
-                    out[i, j] = v
-        return out
-
-    def rf_values(self) -> np.ndarray:
-        return np.array([math.nan if r.rf is None else r.rf for r in self.records])
-
-    def missing_fraction_by_feature(self) -> np.ndarray:
-        if not self.records:
-            return np.zeros(len(self.schema.features))
-        return np.isnan(self.feature_matrix()).mean(axis=0)
+        """(n_records, n_features) read-only float matrix, NaN marking missing cells."""
+        return self.values
 
     def is_complete(self) -> bool:
-        return all(
-            r.rf is not None and r.present_count() == len(r.values) for r in self.records
-        )
+        return not (np.isnan(self.values).any() or np.isnan(self.rf).any())
 
 
 def _parse_cell(token: str, line: int, column: str, missing_tokens: frozenset) -> float | None:
@@ -210,7 +259,7 @@ def parse_database(
     value are dropped. A `source` column, when present, restores per-record
     provenance (required when `tag` is a merged tag); otherwise every record
     is tagged with `tag` itself. Malformed rows raise IngestError naming the
-    line and column.
+    line and column. Each distinct cell token is converted once.
     """
     reader = csv.reader(io.StringIO(csv_text))
     try:
@@ -230,33 +279,52 @@ def parse_database(
     if source_pos is None and not tag.is_source:
         raise IngestError(f"merged tag {tag.value} requires a 'source' column")
 
-    records = []
+    number: dict[str, float] = {}  # cell token -> value, NaN when missing
+    tags: dict[str, DatabaseTag] = {}
+
+    def parse(token: str, line: int, column: str) -> float:
+        value = _parse_cell(token, line, column, missing_tokens)
+        number[token] = math.nan if value is None else value
+        return number[token]
+
+    rf_pos, key_pos = positions[rf_column], positions[key_column]
+    feature_pos = [positions[col] for col in feature_cols]
+    keys, rfs, sources, rows = [], [], [], []
     for row in reader:
         line = reader.line_num
         if not row:
             continue
         if len(row) != len(header):
             raise IngestError(f"line {line}: expected {len(header)} fields, found {len(row)}")
-        rf = _parse_cell(row[positions[rf_column]], line, rf_column, missing_tokens)
-        if rf is None:
+        token = row[rf_pos]
+        rf = number[token] if token in number else parse(token, line, rf_column)
+        if rf != rf:
             continue  # no target value: the row cannot be used at all
         if rf < 0:
             raise IngestError(f"line {line}, column {rf_column!r}: negative recovery factor {rf}")
-        key = normalize_key(row[positions[key_column]])
+        key = normalize_key(row[key_pos])
         if not key:
             raise IngestError(f"line {line}, column {key_column!r}: empty key")
+        source = tag
         if source_pos is not None:
-            source = parse_tag(row[source_pos])
-            if not source.is_source:
-                raise IngestError(f"line {line}, column 'source': {row[source_pos]!r} is not a source tag")
-        else:
-            source = tag
-        values = tuple(
-            _parse_cell(row[positions[col]], line, col, missing_tokens)
-            for col in feature_cols
-        )
-        records.append(ReservoirRecord(key=key, values=values, rf=rf, source=source))
-    return Database(tag=tag, schema=schema, records=tuple(records))
+            token = row[source_pos]
+            if token not in tags:
+                tags[token] = parse_tag(token)
+                if not tags[token].is_source:
+                    raise IngestError(f"line {line}, column 'source': {token!r} is not a source tag")
+            source = tags[token]
+        tokens = [row[p] for p in feature_pos]
+        values = list(map(number.get, tokens))
+        if None in values:  # a token not seen before
+            values = [number[t] if t in number else parse(t, line, col)
+                      for t, col in zip(tokens, feature_cols)]
+        keys.append(key)
+        rfs.append(rf)
+        sources.append(source)
+        rows.append(values)
+    return Database(tag, schema, np.array(rows, dtype=float).reshape(len(rows), len(feature_cols)),
+                    np.array(keys, dtype=object), np.array(rfs, dtype=float),
+                    np.array(sources, dtype=object))
 
 
 def format_real(x: float) -> str:
@@ -266,13 +334,20 @@ def format_real(x: float) -> str:
 
 def serialize_database(db: Database) -> str:
     """Canonical CSV form: key, source, features in schema order, RF."""
+    numbers = np.column_stack([db.values, db.rf])
+    # format_real is a function of a cell's bits, so each distinct bit pattern
+    # is formatted once (-0.0 and 0.0 stay apart); NaN is the empty cell
+    distinct, inverse = np.unique(numbers.view(np.int64), return_inverse=True)
+    text = np.array(["" if x != x else format_real(x) for x in distinct.view(np.float64).tolist()],
+                    dtype=object)
+    table = np.empty((len(db), numbers.shape[1] + 2), dtype=object)
+    table[:, 0] = db.keys
+    table[:, 1] = [source.value for source in db.sources.tolist()]
+    table[:, 2:] = text[inverse.reshape(numbers.shape)]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["key", "source", *db.schema.names, RF_COLUMN])
-    for rec in db.records:
-        cells = ["" if v is None else format_real(v) for v in rec.values]
-        rf_cell = "" if rec.rf is None else format_real(rec.rf)
-        writer.writerow([rec.key, rec.source.value, *cells, rf_cell])
+    writer.writerows(table.tolist())
     return buf.getvalue()
 
 
@@ -297,26 +372,28 @@ def merge(sources: list[Database], combo: DatabaseTag) -> Database:
     for db in sources[1:]:
         if db.schema != schema:
             raise ValueError("cannot merge databases with different schemas")
-    records = tuple(rec for db in sources for rec in db.records)
-    return Database(tag=combo, schema=schema, records=records)
+    return Database(
+        tag=combo, schema=schema,
+        values=np.concatenate([db.values for db in sources]),
+        keys=np.concatenate([db.keys for db in sources]),
+        rf=np.concatenate([db.rf for db in sources]),
+        sources=np.concatenate([db.sources for db in sources]),
+    )
 
 
 def deduplicate(db: Database) -> Database:
     """Keep one record per key: the most complete one.
 
     Ties break by source priority (TORIS, then Commercial, then Atlas), then
-    by input order. Records with unique keys always survive.
+    by input order. Records with unique keys always survive, and survivors
+    keep their input order.
     """
-    groups: dict[str, list[tuple[int, ReservoirRecord]]] = {}
-    for idx, rec in enumerate(db.records):
-        groups.setdefault(rec.key, []).append((idx, rec))
-
-    survivors = []
-    for members in groups.values():
-        best = min(
-            members,
-            key=lambda pair: (-pair[1].present_count(), _SOURCE_PRIORITY[pair[1].source], pair[0]),
-        )
-        survivors.append(best)
-    survivors.sort(key=lambda pair: pair[0])
-    return db.with_records(rec for _, rec in survivors)
+    first_seen: dict[str, int] = {}
+    group = np.array([first_seen.setdefault(k, len(first_seen)) for k in db.keys.tolist()],
+                     dtype=np.int64)
+    present = np.count_nonzero(~np.isnan(db.values), axis=1)
+    priority = np.array([_SOURCE_PRIORITY[s] for s in db.sources.tolist()], dtype=np.int64)
+    # lexsort is stable, so input order settles what the other keys leave tied
+    order = np.lexsort((priority, -present, group))
+    _, first = np.unique(group[order], return_index=True)
+    return db.take(np.sort(order[first]))

@@ -10,7 +10,8 @@ artifacts.
 
 import json
 import platform
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -18,9 +19,8 @@ import scipy
 
 from . import __version__
 from .booster import Hyperparameters, predict_class, serialize_ensemble, train
-from .dataset import (Database, DatabaseTag, ReservoirRecord, canonical_schema,
-                      deduplicate, merge, parse_database, parse_tag,
-                      serialize_database)
+from .dataset import (Database, DatabaseTag, canonical_schema, deduplicate,
+                      merge, parse_database, parse_tag, serialize_database)
 from .errors import ConfigError, PipelineError
 from .explain import importance_from_database
 from .metrics import EvaluationReport, summary_csv
@@ -154,6 +154,8 @@ class PipelineConfig:
                 n=_number(raw_synth, "n", 2000, int, "synth.n"),
                 divergence=_number(raw_synth, "divergence", 1.0, float, "synth.divergence"),
             )
+            if synth.n < 1:
+                raise ConfigError(f"synth.n must be at least 1, got {synth.n}")
         if (sources is None) == (synth is None):
             raise ConfigError("config needs exactly one of 'sources' or 'synth'")
 
@@ -249,6 +251,15 @@ class StageFailure(Exception):
         self.cause = cause
 
 
+@contextmanager
+def _stage(name: str):
+    """Tag any error raised inside the block with the stage's name."""
+    try:
+        yield
+    except Exception as exc:
+        raise StageFailure(name, exc) from exc
+
+
 def _stage_seed(seed: int, index: int) -> int:
     # cheap deterministic derivation; stages never share a stream
     return (seed * 2654435761 + index * 97003) % (2**31 - 1)
@@ -281,34 +292,55 @@ def load_sources(config: PipelineConfig, needed: list[DatabaseTag]) -> dict[Data
             seed = _stage_seed(config.seed, 1 + list(_PRESET_BY_TAG).index(tag))
             db = generate(spec, config.synth.n, seed)
             # generated under the default schema; rebuild under the override one
-            out[tag] = Database(tag=db.tag, schema=schema, records=db.records)
+            out[tag] = replace(db, schema=schema)
     return out
+
+
+def preprocess(merged: Database, config: PipelineConfig):
+    """Range filter, prune, split, impute and transform a merged database.
+
+    Returns the transformed train and test sets, the transform parameters
+    fitted on the training set, and the audit record of preprocess_meta.json.
+    """
+    filtered = filter_ranges(merged)
+    pruned = prune_missing(filtered, config.feature_threshold, config.record_threshold)
+    train_db, test_db = stratified_split(pruned, SplitSpec(
+        test_fraction=config.test_fraction, k_folds=config.k_folds,
+        seed=_stage_seed(config.seed, 10)))
+    imputed_counts = {
+        role: dict(zip(db.schema.names, np.isnan(db.values).sum(axis=0).tolist()))
+        for role, db in (("train", train_db), ("test", test_db))
+    }
+    train_db, test_db = impute(train_db), impute(test_db)
+    params = fit_transforms(train_db)
+    meta = {
+        "records_ingested": len(merged),
+        "records_after_range_filter": len(filtered),
+        "records_after_prune": len(pruned),
+        "dropped_features": [n for n in merged.schema.names if n not in pruned.schema.names],
+        "imputed_cells": imputed_counts,
+        "split": {"train": len(train_db), "test": len(test_db),
+                  "test_fraction": config.test_fraction},
+        "transform_params": params.to_dict(),
+    }
+    return apply_transforms(train_db, params), apply_transforms(test_db, params), params, meta
 
 
 def prepare_independent(
     independent: Database,
-    merged_keys: set[str],
+    merged_keys: np.ndarray,
     surviving: tuple[str, ...],
     params,
 ) -> Database:
-    """Independent-database path: range filter, drop cross-database duplicates,
-    keep the surviving features, complete-case filter, apply train transforms.
-    Never imputes and never refits."""
+    """Independent-database path: range filter, drop cross-database duplicates
+    (rows whose key is in `merged_keys`), keep the surviving features,
+    complete-case filter, apply train transforms. Never imputes and never
+    refits."""
     db = filter_ranges(independent)
-    db = db.with_records(r for r in db.records if r.key not in merged_keys)
-    keep = [i for i, name in enumerate(db.schema.names) if name in set(surviving)]
-    schema = db.schema.subset([db.schema.names[i] for i in keep])
-    records = tuple(
-        ReservoirRecord(
-            key=rec.key,
-            values=tuple(rec.values[i] for i in keep),
-            rf=rec.rf,
-            source=rec.source,
-        )
-        for rec in db.records
-    )
-    db = complete_cases(Database(tag=db.tag, schema=schema, records=records))
-    if not db.records:
+    db = db.take(~np.isin(db.keys, merged_keys))
+    db = db.select_features([i for i, name in enumerate(db.schema.names) if name in surviving])
+    db = complete_cases(db)
+    if not len(db):
         raise PipelineError(
             f"independent database {independent.tag.value} is empty after complete-case filtering"
         )
@@ -338,59 +370,20 @@ def run_pipeline(config: PipelineConfig, out_dir: str | Path) -> RunResult:
     if independent_tag is not None:
         needed.append(independent_tag)
 
-    try:
+    with _stage("ingest"):
         sources = load_sources(config, needed)
-    except Exception as exc:
-        raise StageFailure("ingest", exc) from exc
 
-    try:
+    with _stage("merge"):
         merged = deduplicate(merge([sources[t] for t in config.combo.source_tags], config.combo))
         (run_dir / "merged.csv").write_text(serialize_database(merged))
-    except Exception as exc:
-        raise StageFailure("merge", exc) from exc
 
-    try:
-        n_merged = len(merged)
-        filtered = filter_ranges(merged)
-        pruned = prune_missing(filtered, config.feature_threshold, config.record_threshold)
-        dropped_features = [n for n in merged.schema.names if n not in pruned.schema.names]
-        split_spec = SplitSpec(
-            test_fraction=config.test_fraction,
-            k_folds=config.k_folds,
-            seed=_stage_seed(config.seed, 10),
-        )
-        train_db, test_db = stratified_split(pruned, split_spec)
-        imputed_counts = {
-            role: {
-                name: int(np.isnan(db.feature_matrix()[:, j]).sum())
-                for j, name in enumerate(db.schema.names)
-            }
-            for role, db in (("train", train_db), ("test", test_db))
-        }
-        train_db = impute(train_db)
-        test_db = impute(test_db)
-        params = fit_transforms(train_db)
-        train_t = apply_transforms(train_db, params)
-        test_t = apply_transforms(test_db, params)
+    with _stage("preprocess"):
+        train_t, test_t, params, meta = preprocess(merged, config)
         (run_dir / "train.csv").write_text(serialize_database(train_t))
         (run_dir / "test.csv").write_text(serialize_database(test_t))
-        meta = {
-            "records_ingested": n_merged,
-            "records_after_range_filter": len(filtered),
-            "records_after_prune": len(pruned),
-            "dropped_features": dropped_features,
-            "imputed_cells": imputed_counts,
-            "split": {"train": len(train_db), "test": len(test_db),
-                      "test_fraction": config.test_fraction},
-            "transform_params": params.to_dict(),
-        }
         _dump_json(run_dir / "preprocess_meta.json", meta)
-    except StageFailure:
-        raise
-    except Exception as exc:
-        raise StageFailure("preprocess", exc) from exc
 
-    try:
+    with _stage("tune"):
         if config.grid is not None:
             trace_path = run_dir / "tuning_trace.jsonl"
             with trace_path.open("w") as handle:
@@ -406,12 +399,8 @@ def run_pipeline(config: PipelineConfig, out_dir: str | Path) -> RunResult:
         else:
             hp = Hyperparameters()  # tuning is opt-in via "grid"
         _dump_json(run_dir / "hyperparameters.json", hp.to_dict())
-    except StageFailure:
-        raise
-    except Exception as exc:
-        raise StageFailure("tune", exc) from exc
 
-    try:
+    with _stage("train"):
         fit_t = train_t
         eval_set = None
         patience = None
@@ -429,12 +418,8 @@ def run_pipeline(config: PipelineConfig, out_dir: str | Path) -> RunResult:
         )
         model_path = run_dir / "model.json"
         model_path.write_text(serialize_ensemble(model))
-    except StageFailure:
-        raise
-    except Exception as exc:
-        raise StageFailure("train", exc) from exc
 
-    try:
+    with _stage("evaluate"):
         reports: dict[str, EvaluationReport] = {}
         for role, db in (("train", train_t), ("test", test_t)):
             X, y = to_matrix(db)
@@ -444,9 +429,8 @@ def run_pipeline(config: PipelineConfig, out_dir: str | Path) -> RunResult:
             )
         independent_report = None
         if independent_tag is not None:
-            merged_keys = {r.key for r in merged.records}
             indep = prepare_independent(
-                sources[independent_tag], merged_keys, train_t.schema.names, params
+                sources[independent_tag], merged.keys, train_t.schema.names, params
             )
             (run_dir / "independent.csv").write_text(serialize_database(indep))
             X, y = to_matrix(indep)
@@ -462,21 +446,13 @@ def run_pipeline(config: PipelineConfig, out_dir: str | Path) -> RunResult:
         summary_path.write_text(
             summary_csv(config.combo.value, reports["train"], reports["test"], independent_report)
         )
-    except StageFailure:
-        raise
-    except Exception as exc:
-        raise StageFailure("evaluate", exc) from exc
 
-    try:
+    with _stage("explain"):
         importance = importance_from_database(
             model, train_t, sample=config.shap_sample, seed=_stage_seed(config.seed, 40)
         )
         importance_path = reports_dir / "importance.csv"
         importance_path.write_text(importance.to_csv())
-    except StageFailure:
-        raise
-    except Exception as exc:
-        raise StageFailure("explain", exc) from exc
 
     return RunResult(
         run_dir=run_dir,

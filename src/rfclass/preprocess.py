@@ -3,17 +3,20 @@ RF-ordered windowed modal imputation, Gaussian rank standardization with
 min-max normalization, and stratified splitting / fold generation.
 
 Every operation is a pure function of its inputs; transform parameters are
-fitted on training data only and applied unchanged elsewhere.
+fitted on training data only and applied unchanged elsewhere. All of them
+work on the columnar Database: masks and column transforms over its value
+matrix (NaN marks a missing cell), and imputation as a window scan over
+each RF-sorted column array.
 """
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import erfinv
 
-from .dataset import Database, ReservoirRecord
+from .dataset import Database
 from .errors import FitError, PipelineError
 
 N_CLASSES = 10
@@ -33,10 +36,14 @@ def bin_rf(rf: float) -> int:
 
 
 def class_labels(db: Database) -> np.ndarray:
-    missing = [r.key for r in db.records if r.rf is None]
-    if missing:
-        raise ValueError(f"records without RF cannot be binned: {missing[:3]}")
-    return np.array([bin_rf(r.rf) for r in db.records], dtype=np.int64)
+    """`bin_rf` of every record's RF, as one array operation."""
+    missing = np.isnan(db.rf)
+    if missing.any():
+        raise ValueError(f"records without RF cannot be binned: {db.keys[missing][:3].tolist()}")
+    negative = db.rf[db.rf < 0]
+    if negative.size:
+        bin_rf(float(negative[0]))  # raises bin_rf's error
+    return np.minimum(np.floor(db.rf * 10.0), N_CLASSES - 1).astype(np.int64)
 
 
 def filter_ranges(db: Database) -> Database:
@@ -44,16 +51,10 @@ def filter_ranges(db: Database) -> Database:
 
     Missing values never trigger removal; bounds are inclusive.
     """
-    kept = []
-    for rec in db.records:
-        ok = True
-        for feature, value in zip(db.schema.features, rec.values):
-            if value is not None and not (feature.lower <= value <= feature.upper):
-                ok = False
-                break
-        if ok:
-            kept.append(rec)
-    return db.with_records(kept)
+    lower = np.array([f.lower for f in db.schema.features])
+    upper = np.array([f.upper for f in db.schema.features])
+    outside = (db.values < lower) | (db.values > upper)  # False on NaN
+    return db.take(~outside.any(axis=1))
 
 
 def prune_missing(
@@ -69,20 +70,15 @@ def prune_missing(
     """
     if not 0 < feature_threshold < 1 or not 0 < record_threshold < 1:
         raise ValueError("prune thresholds must lie in (0, 1)")
-    if not db.records:
+    if not len(db):
         return db
-    fractions = db.missing_fraction_by_feature()
-    keep_idx = [i for i, frac in enumerate(fractions) if frac <= feature_threshold]
+    fractions = np.isnan(db.values).mean(axis=0)
+    keep_idx = np.flatnonzero(fractions <= feature_threshold).tolist()
     if not keep_idx:
         raise PipelineError("every feature exceeds the missingness threshold")
-    schema = db.schema.subset([db.schema.names[i] for i in keep_idx])
-    records = []
-    for rec in db.records:
-        values = tuple(rec.values[i] for i in keep_idx)
-        missing = sum(v is None for v in values) / len(values)
-        if missing <= record_threshold:
-            records.append(ReservoirRecord(rec.key, values, rec.rf, rec.source))
-    return Database(tag=db.tag, schema=schema, records=tuple(records))
+    db = db.select_features(keep_idx)
+    missing = np.count_nonzero(np.isnan(db.values), axis=1) / len(keep_idx)
+    return db.take(missing <= record_threshold)
 
 
 def _window_mode(present: list[float]) -> float:
@@ -94,8 +90,8 @@ def _window_mode(present: list[float]) -> float:
     return min(v for v, c in counts.items() if c == top)
 
 
-def _impute_column(values: list[float | None]) -> list[float]:
-    """Fill one RF-ordered column by windowed modes.
+def _impute_column(column: np.ndarray) -> np.ndarray:
+    """Fill one RF-ordered column (NaN = missing) by windowed modes.
 
     Scans disjoint windows of 10 entries. A complete window is skipped. A
     window whose missing share exceeds 10% grows forward one entry at a
@@ -103,32 +99,43 @@ def _impute_column(values: list[float | None]) -> list[float]:
     backward instead. A window spanning the whole column is imputed
     regardless of its share. A tail shorter than 10 entries merges into the
     previous window. Missing entries take the window's modal present value.
+
+    Every entry before the scan position is present (original or filled),
+    so the missing count of a window is that of its part from the scan
+    position on, read off a cumulative count, and runs of complete windows
+    are jumped over in one step.
     """
-    vals = list(values)
+    vals = column.tolist()
     n = len(vals)
+    missing = np.isnan(column)
+    is_hole = missing.tolist()
+    holes = np.flatnonzero(missing).tolist()
+    before = np.concatenate(([0], np.cumsum(missing))).tolist()  # holes before each index
+    h = 0  # holes[h] is the first hole at or after the scan position p
     p = 0
     prev_start = None
-    while p < n:
+    while h < len(holes):
+        skip = (holes[h] - p) // 10  # complete windows ahead
+        if skip:
+            p += 10 * skip
+            prev_start = p - 10
         start, end = p, p + 10
         if end > n:
             start = p if prev_start is None else prev_start
             end = n
-        missing = [i for i in range(start, end) if vals[i] is None]
-        if missing:
-            while 10 * len(missing) > (end - start) and end < n:
-                if vals[end] is None:
-                    missing.append(end)
-                end += 1
-            while 10 * len(missing) > (end - start) and start > 0:
-                start -= 1
-                if vals[start] is None:
-                    missing.append(start)
-            fill = _window_mode([vals[i] for i in range(start, end) if vals[i] is not None])
-            for i in missing:
-                vals[i] = fill
+        count = before[end] - before[p]
+        while 10 * count > (end - start) and end < n:
+            count += is_hole[end]
+            end += 1
+        if 10 * count > (end - start):  # at the column end: grow backward over present entries
+            start = max(0, end - 10 * count)
+        fill = _window_mode([v for v in vals[start:end] if v == v])
+        while h < len(holes) and holes[h] < end:
+            vals[holes[h]] = fill
+            h += 1
         prev_start = start
         p = end
-    return vals
+    return np.array(vals)
 
 
 def impute(db: Database) -> Database:
@@ -139,39 +146,25 @@ def impute(db: Database) -> Database:
     values are never altered. Intended for training/testing partitions only;
     independent databases are complete-case filtered instead.
     """
-    if not db.records:
+    if not len(db):
         return db
-    rf = db.rf_values()
-    if np.isnan(rf).any():
+    if np.isnan(db.rf).any():
         raise ValueError("impute requires every record to carry an RF value")
-    order = np.argsort(rf, kind="stable")
-    n, d = len(db.records), len(db.schema.features)
-
-    columns = []
-    for j in range(d):
-        col = [db.records[i].values[j] for i in order]
-        if all(v is None for v in col):
-            raise PipelineError(
-                f"feature {db.schema.names[j]!r} is entirely missing; prune it first"
-            )
-        columns.append(_impute_column(col))
-
-    filled_rows: list[list[float]] = [[None] * d for _ in range(n)]
-    for j in range(d):
-        for pos, i in enumerate(order):
-            filled_rows[i][j] = columns[j][pos]
-    records = tuple(
-        ReservoirRecord(rec.key, tuple(filled_rows[i]), rec.rf, rec.source)
-        for i, rec in enumerate(db.records)
-    )
-    return db.with_records(records)
+    empty = np.flatnonzero(np.isnan(db.values).all(axis=0))
+    if empty.size:
+        raise PipelineError(
+            f"feature {db.schema.names[empty[0]]!r} is entirely missing; prune it first"
+        )
+    order = np.argsort(db.rf, kind="stable")
+    values = np.empty_like(db.values)
+    for j, column in enumerate(db.values[order].T):
+        values[order, j] = _impute_column(column)
+    return replace(db, values=values)
 
 
 def complete_cases(db: Database) -> Database:
     """Drop every record with a missing feature value or missing RF."""
-    return db.with_records(
-        r for r in db.records if r.rf is not None and r.present_count() == len(r.values)
-    )
+    return db.take(~np.isnan(db.values).any(axis=1) & ~np.isnan(db.rf))
 
 
 @dataclass(frozen=True)
@@ -243,7 +236,7 @@ def fit_transforms(train: Database) -> TransformParams:
     """Fit Gaussian-rank + min-max parameters per feature on training data only."""
     if not train.is_complete():
         raise ValueError("fit_transforms requires a fully imputed training database")
-    matrix = train.feature_matrix()
+    matrix = train.values
     transforms = []
     for j, name in enumerate(train.schema.names):
         uniques, u = _rank_quantiles(matrix[:, j])
@@ -274,15 +267,10 @@ def apply_transforms(db: Database, params: TransformParams) -> Database:
         )
     if not db.is_complete():
         raise ValueError("apply_transforms requires complete data (impute or filter first)")
-    matrix = db.feature_matrix()
-    out = np.empty_like(matrix)
+    values = np.empty_like(db.values)
     for j, t in enumerate(params.transforms):
-        out[:, j] = t.normalized(matrix[:, j])
-    records = tuple(
-        ReservoirRecord(rec.key, tuple(float(v) for v in out[i]), rec.rf, rec.source)
-        for i, rec in enumerate(db.records)
-    )
-    return db.with_records(records)
+        values[:, j] = t.normalized(db.values[:, j])
+    return replace(db, values=values)
 
 
 @dataclass(frozen=True)
@@ -304,7 +292,7 @@ def stratified_split(db: Database, spec: SplitSpec) -> tuple[Database, Database]
     Classes with at least two members contribute at least one test record
     and always keep one training record. Rounding is half-up.
     """
-    if not db.records:
+    if not len(db):
         raise ValueError("cannot split an empty database")
     labels = class_labels(db)
     rng = np.random.default_rng(spec.seed)
@@ -317,10 +305,9 @@ def stratified_split(db: Database, spec: SplitSpec) -> tuple[Database, Database]
         n_test = min(n_test, members.size - 1)
         chosen = rng.permutation(members)[:n_test]
         test_idx.extend(int(i) for i in chosen)
-    test_set = set(test_idx)
-    train_records = [r for i, r in enumerate(db.records) if i not in test_set]
-    test_records = [r for i, r in enumerate(db.records) if i in test_set]
-    return db.with_records(train_records), db.with_records(test_records)
+    is_test = np.zeros(len(db), dtype=bool)
+    is_test[test_idx] = True
+    return db.take(~is_test), db.take(is_test)
 
 
 def stratified_kfold(train: Database, spec: SplitSpec) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -354,4 +341,4 @@ def to_matrix(db: Database) -> tuple[np.ndarray, np.ndarray]:
     """Feature matrix and class-label vector for model training/evaluation."""
     if not db.is_complete():
         raise ValueError("database must be complete before matrix conversion")
-    return db.feature_matrix(), class_labels(db)
+    return db.values, class_labels(db)

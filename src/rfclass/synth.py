@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dataset import Database, DatabaseTag, ReservoirRecord, canonical_schema
+from .dataset import Database, DatabaseTag, canonical_schema
 
 
 @dataclass(frozen=True)
@@ -282,13 +282,11 @@ def generate(spec: DistributionSpec, n: int, seed: int) -> Database:
         rate = spec.features[name].missing_rate
         masks[name] = rng.random(n) < rate if rate > 0 else np.zeros(n, dtype=bool)
 
+    values = np.column_stack([columns[name] for name in schema.names])
+    values[np.column_stack([masks[name] for name in schema.names])] = np.nan
     prefix = spec.tag.value.lower()
-    records = []
-    for i in range(n):
-        values = tuple(
-            None if masks[name][i] else float(columns[name][i]) for name in schema.names
-        )
-        records.append(ReservoirRecord(
-            key=f"{prefix}-{i:05d}", values=values, rf=float(rf[i]), source=spec.tag,
-        ))
-    return Database(tag=spec.tag, schema=schema, records=tuple(records))
+    return Database(
+        tag=spec.tag, schema=schema, values=values,
+        keys=np.array([f"{prefix}-{i:05d}" for i in range(n)], dtype=object),
+        rf=rf, sources=np.full(n, spec.tag, dtype=object),
+    )

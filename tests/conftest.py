@@ -15,7 +15,7 @@ def make_record(key, values, rf, source=DatabaseTag.TORIS):
 
 
 def make_database(records, tag=DatabaseTag.TORIS):
-    return Database(tag=tag, schema=canonical_schema(), records=tuple(records))
+    return Database.from_records(tag, canonical_schema(), records)
 
 
 def complete_database(n, seed=0, tag=DatabaseTag.TORIS, n_classes_span=1.0):

@@ -493,6 +493,23 @@ class TestSerialization:
         assert serialize_ensemble(back) == text
         np.testing.assert_array_equal(model.margins(X), back.margins(X))
 
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), d=st.integers(1, 4),
+           max_depth=st.integers(1, 4), num_class=st.sampled_from([2, 3, 10]),
+           num_rounds=st.integers(0, 4), subsample=st.sampled_from([1.0, 0.7]))
+    def test_reloaded_model_predicts_like_the_original(self, seed, n, d, max_depth, num_class,
+                                                       num_rounds, subsample):
+        data = np.random.default_rng(seed)
+        X = np.round(data.normal(size=(n, d)), 2)
+        y = data.integers(0, num_class, n)
+        model = train(X, y, hp_with(max_depth=max_depth, num_class=num_class,
+                                    num_rounds=num_rounds, subsample=subsample), seed)
+        back = load_ensemble(serialize_ensemble(model))
+        # the training rows sit on the thresholds; the shifted and fresh rows fall between them
+        probe = np.vstack([X, X + 1e-3, np.round(data.normal(size=(10, d)), 1)])
+        assert back.margins(probe).tobytes() == model.margins(probe).tobytes()
+        np.testing.assert_array_equal(predict_class(back, probe), predict_class(model, probe))
+
     def test_rejects_foreign_document(self):
         with pytest.raises(ValueError, match="not an rfclass ensemble"):
             load_ensemble(json.dumps({"format": "other"}))

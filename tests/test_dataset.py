@@ -151,7 +151,7 @@ class TestSerializeRoundTrip:
             make_record("a", [1.0], 0.2, DatabaseTag.TORIS),
             make_record("b", [1.0], 0.3, DatabaseTag.ATLAS),
         ]
-        db = Database(tag=DatabaseTag.TA, schema=SCHEMA, records=tuple(records))
+        db = Database.from_records(DatabaseTag.TA, SCHEMA, records)
         back = parse_database(serialize_database(db), DatabaseTag.TA, SCHEMA)
         assert [r.source for r in back.records] == [DatabaseTag.TORIS, DatabaseTag.ATLAS]
 

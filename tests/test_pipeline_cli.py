@@ -185,6 +185,18 @@ class TestRunPipeline:
         assert result.reports["independent"].tag == "Atlas"
 
 
+def _internal_node(doc):
+    """The first internal root node of a serialized ensemble."""
+    return next(tree for round_trees in doc["trees"] for tree in round_trees if "leaf" not in tree)
+
+
+@pytest.fixture(scope="module")
+def trained_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("trained") / "run"
+    run_pipeline(tiny_config(), out)
+    return out
+
+
 class TestCli:
     def _write_config(self, tmp_path, **extra):
         data = {
@@ -279,6 +291,8 @@ class TestCli:
         ({"combo": ["TC"]}, "combo must be a string"),
         ({"range_overrides": {"gor": 60}}, "must be a [lo, hi] pair"),
         ({"synth": {"n": "many"}}, "synth.n must be a number"),
+        ({"synth": {"n": 0}}, "synth.n must be at least 1"),
+        ({"synth": {"n": -3}}, "synth.n must be at least 1"),
         ({"synth": {"n": 300, "divergence": "far"}}, "synth.divergence must be a number"),
         ({"split": {"k_folds": "ten"}}, "split.k_folds must be a number"),
         ({"split": {"test_fraction": "tenth"}}, "split.test_fraction must be a number"),
@@ -286,7 +300,8 @@ class TestCli:
             "unknown_source_tag", "sources_not_object", "synth_not_object",
             "grid_not_object", "split_not_object", "prune_not_object",
             "range_overrides_not_object", "combo_number", "combo_list",
-            "range_override_not_pair", "synth_n_not_number",
+            "range_override_not_pair", "synth_n_not_number", "synth_n_zero",
+            "synth_n_negative",
             "synth_divergence_not_number", "k_folds_not_number",
             "test_fraction_not_number"])
     def test_config_field_error_exits_2_before_any_stage(self, tmp_path, capsys, extra, message):
@@ -295,6 +310,39 @@ class TestCli:
         assert code == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+    def test_stages_reproduce_run_byte_for_byte(self, tmp_path):
+        config = self._write_config(tmp_path, seed=5,
+                                    hyperparameters=dict(FAST_HP, max_depth=2, num_rounds=5))
+        run, prep = tmp_path / "run", tmp_path / "prep"
+        assert main(["run", "--config", str(config), "--out", str(run)]) == 0
+        assert main(["ingest", "--config", str(config), "--out", str(tmp_path / "merged.csv")]) == 0
+        assert main(["preprocess", "--config", str(config), "--data", str(tmp_path / "merged.csv"),
+                     "--out", str(prep)]) == 0
+        assert main(["train", "--config", str(config), "--train", str(prep / "train.csv"),
+                     "--out", str(tmp_path / "model.json")]) == 0
+        for staged, name in ((tmp_path / "merged.csv", "merged.csv"), (prep / "train.csv", "train.csv"),
+                             (prep / "test.csv", "test.csv"), (tmp_path / "model.json", "model.json")):
+            assert staged.read_bytes() == (run / name).read_bytes(), name
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda doc: _internal_node(doc).update(feature=99), "feature 99 is outside"),
+        (lambda doc: doc["trees"][0].__delitem__(slice(3, None)), "round 0 holds 3 trees"),
+        (lambda doc: _internal_node(doc).pop("feature"), "numeric 'feature'"),
+        (lambda doc: doc["hyperparameters"].update(eta=0.3), "unexpected keyword argument 'eta'"),
+        (lambda doc: doc.pop("num_features"), "KeyError('num_features')"),
+    ], ids=["feature_out_of_range", "round_of_three_trees", "node_without_feature",
+            "unknown_hyperparameter", "no_num_features"])
+    def test_corrupted_model_exits_3(self, trained_run, tmp_path, capsys, corrupt, message):
+        doc = json.loads((trained_run / "model.json").read_text())
+        corrupt(doc)
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        code = main(["evaluate", "--model", str(model), "--data", str(trained_run / "test.csv"),
+                     "--out", str(tmp_path / "report.json")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error [evaluate]") and message in err
 
     def test_top_level_array_config_exits_2(self, tmp_path, capsys):
         path = tmp_path / "config.json"

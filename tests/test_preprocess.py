@@ -345,12 +345,9 @@ class TestApplyTransforms:
         train = complete_database(30, seed=7)
         params = fit_transforms(train)
         schema = train.schema.subset(list(train.schema.names[:-1]))
-        narrowed = Database(
-            tag=train.tag, schema=schema,
-            records=tuple(
-                ReservoirRecord(r.key, r.values[:-1], r.rf, r.source)
-                for r in train.records
-            ),
+        narrowed = Database.from_records(
+            train.tag, schema,
+            (ReservoirRecord(r.key, r.values[:-1], r.rf, r.source) for r in train.records),
         )
         with pytest.raises(ValueError, match="schema mismatch"):
             apply_transforms(narrowed, params)

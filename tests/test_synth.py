@@ -23,7 +23,7 @@ class TestDeterminism:
 
 class TestShapes:
     def test_rf_right_skewed(self):
-        rf = generate(toris_like(), 5000, seed=3).rf_values()
+        rf = generate(toris_like(), 5000, seed=3).rf
         assert rf.mean() > np.median(rf)
 
     def test_missingness_concentration(self):
@@ -37,7 +37,7 @@ class TestShapes:
             rf=spec.rf,
         )
         db = generate(spec, 5000, seed=4)
-        fractions = db.missing_fraction_by_feature()
+        fractions = np.isnan(db.values).mean(axis=0)
         assert (np.abs(fractions - 0.2) < 0.02).all()
 
     def test_all_ten_classes_populated(self):
@@ -46,7 +46,7 @@ class TestShapes:
 
     def test_rf_always_present(self):
         db = generate(commercial_like(), 500, seed=6)
-        assert not np.isnan(db.rf_values()).any()
+        assert not np.isnan(db.rf).any()
 
     def test_values_respect_declared_ranges(self):
         for factory in (toris_like, commercial_like, atlas_like):
@@ -59,7 +59,7 @@ class TestShapes:
                 lo, hi = spec.features[name].clip
                 assert column.min() >= lo and column.max() <= hi, name
             lo, hi = spec.rf.clip
-            rf = db.rf_values()
+            rf = db.rf
             assert rf.min() >= lo and rf.max() <= hi
 
     def test_atlas_narrower_porosity_permeability(self):
