@@ -172,13 +172,13 @@ class Tree:
     @classmethod
     def from_dict(cls, root: dict, num_features: int) -> "Tree":
         """Tree of a `to_dict` document. Raises ValueError for a malformed node,
-        a feature outside [0, num_features) or a non-finite threshold."""
+        a non-finite number or a feature outside [0, num_features)."""
         builder = _TreeBuilder()
 
         def field_of(node, key: str):
             value = node.get(key)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"tree node needs a numeric {key!r}, got {value!r}")
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+                raise ValueError(f"tree node needs a finite numeric {key!r}, got {value!r}")
             return value
 
         def walk(node) -> int:
@@ -189,10 +189,7 @@ class Tree:
             feature = field_of(node, "feature")
             if not isinstance(feature, int) or not 0 <= feature < num_features:
                 raise ValueError(f"tree node feature {feature!r} is outside [0, {num_features})")
-            threshold = field_of(node, "threshold")
-            if not math.isfinite(threshold):
-                raise ValueError(f"tree node threshold {threshold!r} is not finite")
-            idx = builder.add_internal(feature, threshold, field_of(node, "gain"),
+            idx = builder.add_internal(feature, field_of(node, "threshold"), field_of(node, "gain"),
                                        field_of(node, "cover"))
             builder.attach(idx, walk(node.get("left")), walk(node.get("right")))
             return idx
@@ -603,18 +600,21 @@ def load_ensemble(text: str) -> Ensemble:
     try:
         hp = Hyperparameters.from_dict(doc["hyperparameters"])
         num_features = int(doc["num_features"])
+        trees = []
+        for r, round_trees in enumerate(doc["trees"]):
+            if not isinstance(round_trees, list):
+                raise ValueError(f"round {r} must be a list of trees, got {type(round_trees).__name__}")
+            if len(round_trees) != hp.num_class:
+                raise ValueError(f"round {r} holds {len(round_trees)} trees, "
+                                 f"expected num_class = {hp.num_class}")
+            trees.append([Tree.from_dict(node, num_features) for node in round_trees])
+        return Ensemble(
+            hp=hp,
+            num_features=num_features,
+            feature_names=tuple(doc["feature_names"]),
+            trees=trees,
+            training_loss=list(doc["training_loss"]),
+            best_round=doc.get("best_round"),
+        )
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed ensemble document: {exc!r}") from None
-    for r, round_trees in enumerate(doc["trees"]):
-        if len(round_trees) != hp.num_class:
-            raise ValueError(f"round {r} holds {len(round_trees)} trees, "
-                             f"expected num_class = {hp.num_class}")
-    return Ensemble(
-        hp=hp,
-        num_features=num_features,
-        feature_names=tuple(doc["feature_names"]),
-        trees=[[Tree.from_dict(node, num_features) for node in round_trees]
-               for round_trees in doc["trees"]],
-        training_loss=list(doc["training_loss"]),
-        best_round=doc.get("best_round"),
-    )

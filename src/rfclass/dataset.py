@@ -177,8 +177,10 @@ class Database:
                 or self.rf.shape != (n,) or self.sources.shape != (n,)):
             raise ValueError("values, keys, rf and sources disagree on the row count "
                              "or the schema width")
-        for array in (self.values, self.keys, self.rf, self.sources):
-            array.flags.writeable = False
+        for name in ("values", "keys", "rf", "sources"):
+            view = getattr(self, name).view()  # shares the data; the caller's array stays writable
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
 
     @classmethod
     def from_records(cls, tag: DatabaseTag, schema: FeatureSchema, records) -> "Database":
@@ -194,7 +196,8 @@ class Database:
 
     @property
     def records(self) -> tuple[ReservoirRecord, ...]:
-        """The rows as ReservoirRecords, NaN turned into None."""
+        """The rows as ReservoirRecords, NaN turned into None. Each access
+        builds every record anew (O(n·d)): read it once, not per row."""
         def cells(array):
             out = array.astype(object)
             out[np.isnan(array)] = None
@@ -230,10 +233,11 @@ class Database:
         return not (np.isnan(self.values).any() or np.isnan(self.rf).any())
 
 
-def _parse_cell(token: str, line: int, column: str, missing_tokens: frozenset) -> float | None:
+def _parse_cell(token: str, line: int, column: str, missing_tokens: frozenset) -> float:
+    """The cell's number, NaN for a missing token."""
     stripped = token.strip()
     if stripped.lower() in missing_tokens:
-        return None
+        return math.nan
     try:
         value = float(stripped)
     except ValueError:
@@ -259,7 +263,7 @@ def parse_database(
     value are dropped. A `source` column, when present, restores per-record
     provenance (required when `tag` is a merged tag); otherwise every record
     is tagged with `tag` itself. Malformed rows raise IngestError naming the
-    line and column. Each distinct cell token is converted once.
+    line and column.
     """
     reader = csv.reader(io.StringIO(csv_text))
     try:
@@ -279,14 +283,7 @@ def parse_database(
     if source_pos is None and not tag.is_source:
         raise IngestError(f"merged tag {tag.value} requires a 'source' column")
 
-    number: dict[str, float] = {}  # cell token -> value, NaN when missing
-    tags: dict[str, DatabaseTag] = {}
-
-    def parse(token: str, line: int, column: str) -> float:
-        value = _parse_cell(token, line, column, missing_tokens)
-        number[token] = math.nan if value is None else value
-        return number[token]
-
+    tags: dict[str, DatabaseTag] = {}  # source token -> tag, parsed once
     rf_pos, key_pos = positions[rf_column], positions[key_column]
     feature_pos = [positions[col] for col in feature_cols]
     keys, rfs, sources, rows = [], [], [], []
@@ -296,8 +293,7 @@ def parse_database(
             continue
         if len(row) != len(header):
             raise IngestError(f"line {line}: expected {len(header)} fields, found {len(row)}")
-        token = row[rf_pos]
-        rf = number[token] if token in number else parse(token, line, rf_column)
+        rf = _parse_cell(row[rf_pos], line, rf_column, missing_tokens)
         if rf != rf:
             continue  # no target value: the row cannot be used at all
         if rf < 0:
@@ -313,15 +309,11 @@ def parse_database(
                 if not tags[token].is_source:
                     raise IngestError(f"line {line}, column 'source': {token!r} is not a source tag")
             source = tags[token]
-        tokens = [row[p] for p in feature_pos]
-        values = list(map(number.get, tokens))
-        if None in values:  # a token not seen before
-            values = [number[t] if t in number else parse(t, line, col)
-                      for t, col in zip(tokens, feature_cols)]
         keys.append(key)
         rfs.append(rf)
         sources.append(source)
-        rows.append(values)
+        rows.append([_parse_cell(row[p], line, col, missing_tokens)
+                     for p, col in zip(feature_pos, feature_cols)])
     return Database(tag, schema, np.array(rows, dtype=float).reshape(len(rows), len(feature_cols)),
                     np.array(keys, dtype=object), np.array(rfs, dtype=float),
                     np.array(sources, dtype=object))
@@ -334,20 +326,12 @@ def format_real(x: float) -> str:
 
 def serialize_database(db: Database) -> str:
     """Canonical CSV form: key, source, features in schema order, RF."""
-    numbers = np.column_stack([db.values, db.rf])
-    # format_real is a function of a cell's bits, so each distinct bit pattern
-    # is formatted once (-0.0 and 0.0 stay apart); NaN is the empty cell
-    distinct, inverse = np.unique(numbers.view(np.int64), return_inverse=True)
-    text = np.array(["" if x != x else format_real(x) for x in distinct.view(np.float64).tolist()],
-                    dtype=object)
-    table = np.empty((len(db), numbers.shape[1] + 2), dtype=object)
-    table[:, 0] = db.keys
-    table[:, 1] = [source.value for source in db.sources.tolist()]
-    table[:, 2:] = text[inverse.reshape(numbers.shape)]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["key", "source", *db.schema.names, RF_COLUMN])
-    writer.writerows(table.tolist())
+    numbers = np.column_stack([db.values, db.rf]).tolist()
+    for key, source, cells in zip(db.keys.tolist(), db.sources.tolist(), numbers):
+        writer.writerow([key, source.value, *("" if x != x else format_real(x) for x in cells)])
     return buf.getvalue()
 
 

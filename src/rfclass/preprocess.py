@@ -40,9 +40,8 @@ def class_labels(db: Database) -> np.ndarray:
     missing = np.isnan(db.rf)
     if missing.any():
         raise ValueError(f"records without RF cannot be binned: {db.keys[missing][:3].tolist()}")
-    negative = db.rf[db.rf < 0]
-    if negative.size:
-        bin_rf(float(negative[0]))  # raises bin_rf's error
+    if (db.rf < 0).any():
+        raise ValueError(f"recovery factor must be non-negative, got {db.rf[db.rf < 0][0]}")
     return np.minimum(np.floor(db.rf * 10.0), N_CLASSES - 1).astype(np.int64)
 
 

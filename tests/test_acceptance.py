@@ -169,7 +169,8 @@ def test_criterion_05_imputation_oracle():
         order = np.argsort(np.array(rfs), kind="stable")
         expected_sorted = impute_column_oracle([column[i] for i in order])
         expected = dict(zip(order.tolist(), expected_sorted))
-        got = [out.records[i].values[0] for i in range(n)]
+        records = out.records
+        got = [records[i].values[0] for i in range(n)]
         assert got == [expected[i] for i in range(n)], f"column {trial}"
     report(5, "windowed-mode imputer matches the straight-line oracle "
               "exactly on 200 randomized columns",

@@ -208,3 +208,12 @@ def test_records_round_trip_and_reject_non_finite():
     bad = ReservoirRecord("x", (float("nan"),) + (1.0,) * 10, 0.3, DatabaseTag.TORIS)
     with pytest.raises(ValueError, match="non-finite"):
         Database.from_records(DatabaseTag.TORIS, SCHEMA, [bad])
+
+
+def test_database_arrays_are_read_only_views_of_the_callers():
+    db = random_database(4, 12, 5, 0.02)
+    values = db.values.copy()
+    built = Database(db.tag, db.schema, values, db.keys, db.rf, db.sources)
+    assert not built.values.flags.writeable and not built.feature_matrix().flags.writeable
+    assert values.flags.writeable  # the caller's own array is not frozen
+    assert np.shares_memory(built.values, values)

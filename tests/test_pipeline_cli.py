@@ -1,4 +1,5 @@
 import json
+import math
 from unittest import mock
 
 import pytest
@@ -331,8 +332,13 @@ class TestCli:
         (lambda doc: _internal_node(doc).pop("feature"), "numeric 'feature'"),
         (lambda doc: doc["hyperparameters"].update(eta=0.3), "unexpected keyword argument 'eta'"),
         (lambda doc: doc.pop("num_features"), "KeyError('num_features')"),
+        (lambda doc: doc.pop("trees"), "KeyError('trees')"),
+        (lambda doc: doc["trees"].__setitem__(0, 7), "round 0 must be a list of trees, got int"),
+        (lambda doc: _internal_node(doc).update(threshold=math.inf), "finite numeric 'threshold'"),
+        (lambda doc: _internal_node(doc)["left"].update(leaf=math.nan), "finite numeric 'leaf'"),
     ], ids=["feature_out_of_range", "round_of_three_trees", "node_without_feature",
-            "unknown_hyperparameter", "no_num_features"])
+            "unknown_hyperparameter", "no_num_features", "no_trees", "round_not_list",
+            "infinite_threshold", "nan_leaf"])
     def test_corrupted_model_exits_3(self, trained_run, tmp_path, capsys, corrupt, message):
         doc = json.loads((trained_run / "model.json").read_text())
         corrupt(doc)

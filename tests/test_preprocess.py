@@ -188,10 +188,10 @@ class TestImpute:
     def test_hand_traced_window(self):
         column = [1.0, 1.0, 2.0, None, 3.0, 1.0, 1.0, 2.0, 2.0, 1.0]
         rfs = [i / 100 for i in range(10)]  # already RF-ordered
-        out = impute(db_from_column(column, rfs))
-        assert out.records[3].values[0] == 1.0  # window mode
+        records = impute(db_from_column(column, rfs)).records
+        assert records[3].values[0] == 1.0  # window mode
         for i in (0, 1, 2, 4, 5, 6, 7, 8, 9):
-            assert out.records[i].values[0] == column[i]
+            assert records[i].values[0] == column[i]
 
     def test_window_grows_to_twenty(self):
         # two missing of ten -> grow until 2/20 = 10%; mode over the 20 entries
@@ -250,7 +250,8 @@ class TestImpute:
             sorted_col = [column[i] for i in order]
             expected_sorted = impute_column_oracle(sorted_col)
             expected = dict(zip(order.tolist(), expected_sorted))
-            got = [out.records[i].values[0] for i in range(n)]
+            records = out.records
+            got = [records[i].values[0] for i in range(n)]
             assert got == [expected[i] for i in range(n)], f"trial {trial}"
 
     def test_requires_rf(self):
