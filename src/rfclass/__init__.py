@@ -8,10 +8,9 @@ end to end on synthetic reservoir databases.
 
 __version__ = "0.1.0"
 
-from .booster import (COMBO_PRESETS, Ensemble, Hyperparameters, Tree,
-                      leaf_weight, load_ensemble, mlogloss, predict_class,
-                      predict_proba, serialize_ensemble, softmax_margins,
-                      train)
+from .booster import (Ensemble, Hyperparameters, Tree, leaf_weight,
+                      load_ensemble, mlogloss, predict_class, predict_proba,
+                      serialize_ensemble, softmax_margins, train)
 from .dataset import (Database, DatabaseTag, Feature, FeatureSchema,
                       ReservoirRecord, canonical_schema, deduplicate, merge,
                       normalize_key, parse_database, serialize_database)

@@ -85,24 +85,6 @@ class Hyperparameters:
         return cls(**data)
 
 
-#: Tuned settings per database combination (round count is a default; the
-#: published set does not fix one).
-COMBO_PRESETS = {
-    "TC": Hyperparameters(max_depth=2, min_child_weight=6, learning_rate=0.1,
-                          subsample=0.9, colsample_bytree=0.9, colsample_bylevel=0.9,
-                          alpha=0.2, lambda_=0.01, gamma=0.01, max_delta_step=0.1),
-    "TA": Hyperparameters(max_depth=4, min_child_weight=3, learning_rate=0.05,
-                          subsample=0.8, colsample_bytree=1.0, colsample_bylevel=1.0,
-                          alpha=0.8, lambda_=0.06, gamma=0.01, max_delta_step=0.1),
-    "CA": Hyperparameters(max_depth=4, min_child_weight=2, learning_rate=0.05,
-                          subsample=0.9, colsample_bytree=1.0, colsample_bylevel=1.0,
-                          alpha=0.3, lambda_=0.04, gamma=0.01, max_delta_step=0.2),
-    "TCA": Hyperparameters(max_depth=5, min_child_weight=2, learning_rate=0.05,
-                           subsample=0.9, colsample_bytree=1.0, colsample_bylevel=1.0,
-                           alpha=0.9, lambda_=0.03, gamma=0.01, max_delta_step=0.2),
-}
-
-
 @dataclass
 class Tree:
     """One regression tree stored as parallel node arrays (preorder).

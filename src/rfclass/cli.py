@@ -1,14 +1,17 @@
 """Command-line entry point.
 
-Subcommands mirror the workflow stages and each one runs in isolation given
-the previous stage's on-disk artifacts:
+Each stage subcommand loads the config, reads the previous stage's on-disk
+artifacts, makes one call to the stage function `run_pipeline` also calls
+(`rfclass.pipeline`), and writes the result to `--out`. Its output equals
+the matching file of a run directory byte for byte.
 
     synth       generate a synthetic source database CSV
     ingest      parse + merge + de-duplicate into merged.csv
-    preprocess  filter/prune/split/impute/transform to train.csv + test.csv
-    tune        pairwise grid search on a preprocessed training CSV
+    preprocess  filter/prune/split/impute/transform into train.csv, test.csv,
+                preprocess_meta.json and (given the held-out source) independent.csv
+    tune        hyperparameters.json (and the tuning trace) from train.csv
     train       fit the boosted ensemble to model.json
-    evaluate    score a saved model against a preprocessed CSV
+    evaluate    score a saved model on one role's prepared CSV
     explain     importance summary for a saved model
     run         the whole workflow into a run directory
 
@@ -21,16 +24,12 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .booster import Hyperparameters, load_ensemble, predict_class, serialize_ensemble, train
-from .dataset import canonical_schema, deduplicate, merge, parse_database, serialize_database
+from .booster import Hyperparameters, load_ensemble, serialize_ensemble
+from .dataset import serialize_database
 from .errors import ConfigError, IngestError, PipelineError, TrainingError
-from .explain import importance_from_database
-from .metrics import EvaluationReport
-from .pipeline import (PipelineConfig, StageFailure, load_sources, preprocess,
-                       run_pipeline, _stage_seed)
-from .preprocess import to_matrix
+from .pipeline import (PipelineConfig, StageFailure, _dump_json, evaluate, explain, fit,
+                       held_out, ingest, preprocess, read_prepared, run_pipeline, tune)
 from .synth import generate, preset
-from .tuner import default_grid, pairwise_grid_search
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -52,7 +51,11 @@ def _load_config(path: str) -> PipelineConfig:
     config_path = Path(path)
     if not config_path.exists():
         raise ConfigError(f"config file not found: {config_path}")
-    return PipelineConfig.from_json(config_path.read_text())
+    try:
+        text = config_path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {config_path}: {exc}") from None
+    return PipelineConfig.from_json(text)
 
 
 def _require(path: str, what: str) -> Path:
@@ -60,6 +63,18 @@ def _require(path: str, what: str) -> Path:
     if not p.exists():
         raise PipelineError(f"missing {what}: expected file {p}")
     return p
+
+
+def _read(path: str, what: str, config: PipelineConfig):
+    return read_prepared(_require(path, what), config)
+
+
+def _read_for(model, path: str, config: PipelineConfig):
+    """The prepared CSV at `path`, checked against the model's features."""
+    db = _read(path, "prepared CSV (run `preprocess` first)", config)
+    if db.schema.names != model.feature_names:
+        raise PipelineError(f"features of {path} do not match the model's features")
+    return db
 
 
 def cmd_synth(args) -> int:
@@ -71,73 +86,44 @@ def cmd_synth(args) -> int:
 
 
 def cmd_ingest(args) -> int:
-    config = _load_config(args.config)
-    sources = load_sources(config, list(config.combo.source_tags))
-    merged = deduplicate(merge([sources[t] for t in config.combo.source_tags], config.combo))
+    merged = ingest(_load_config(args.config))
     Path(args.out).write_text(serialize_database(merged))
-    print(f"merged {config.combo.value}: {len(merged)} records -> {args.out}")
+    print(f"merged {merged.tag.value}: {len(merged)} records -> {args.out}")
     return EXIT_OK
 
 
 def cmd_preprocess(args) -> int:
     config = _load_config(args.config)
-    merged_path = _require(args.data, "merged database (run `ingest` first)")
-    schema = canonical_schema(config.range_overrides)
-    merged = parse_database(merged_path.read_text(), config.combo, schema)
-    train_t, test_t, params, _ = preprocess(merged, config)
+    merged = _read(args.data, "merged database (run `ingest` first)", config)
+    prepared = preprocess(merged, config, held_out(config, required=False))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "train.csv").write_text(serialize_database(train_t))
-    (out / "test.csv").write_text(serialize_database(test_t))
-    (out / "transform_params.json").write_text(json.dumps(params.to_dict(), sort_keys=True))
-    print(f"preprocessed: train={len(train_t)} test={len(test_t)} -> {out}")
+    prepared.write(out)
+    print(f"preprocessed: train={len(prepared.train)} test={len(prepared.test)} -> {out}")
+    if prepared.independent is None:
+        print(f"no held-out database in the config for {config.combo.value}: "
+              f"independent.csv not written")
     return EXIT_OK
-
-
-def _parse_train_csv(path: Path):
-    text = path.read_text()
-    header = text.splitlines()[0].split(",")
-    names = [h for h in header if h not in ("key", "source", "RF")]
-    schema = canonical_schema().subset(names)
-    if len(schema.names) != len(names):  # non-canonical feature set
-        raise PipelineError(f"unrecognized feature columns in {path}")
-    from .dataset import DatabaseTag
-    return parse_database(text, DatabaseTag.TCA, schema)
 
 
 def cmd_tune(args) -> int:
     config = _load_config(args.config)
-    train_path = _require(args.train, "preprocessed training CSV (run `preprocess` first)")
-    train_db = _parse_train_csv(train_path)
-    grid = config.grid if config.grid is not None else default_grid()
-    sink = None
-    handle = None
-    if args.trace:
-        handle = Path(args.trace).open("w")
-        sink = lambda entry: handle.write(json.dumps(entry, sort_keys=True) + "\n")
-    try:
-        result = pairwise_grid_search(train_db, grid, _stage_seed(config.seed, 20),
-                                      k=config.k_folds, trace_sink=sink)
-    finally:
-        if handle:
-            handle.close()
-    Path(args.out).write_text(json.dumps(result.hyperparameters.to_dict(), sort_keys=True))
-    print(f"tuned: cv mlogloss {result.cv_score:.6f} after {result.evaluations} evaluations")
+    train_db = _read(args.train, "training CSV (run `preprocess` first)", config)
+    hp = tune(train_db, config, Path(args.trace) if args.trace else None)
+    _dump_json(Path(args.out), hp.to_dict())
+    print(f"hyperparameters -> {args.out}")
     return EXIT_OK
 
 
 def cmd_train(args) -> int:
     config = _load_config(args.config)
-    train_path = _require(args.train, "preprocessed training CSV (run `preprocess` first)")
-    train_db = _parse_train_csv(train_path)
+    train_db = _read(args.train, "training CSV (run `preprocess` first)", config)
     if args.hp:
-        hp = Hyperparameters.from_dict(json.loads(_require(args.hp, "hyperparameters JSON").read_text()))
-    elif config.hyperparameters is not None:
-        hp = config.hyperparameters
+        hp_text = _require(args.hp, "hyperparameters JSON").read_text()
+        hp = Hyperparameters.from_dict(json.loads(hp_text))
     else:
-        raise ConfigError("no hyperparameters: pass --hp or set them in the config")
-    X, y = to_matrix(train_db)
-    model = train(X, y, hp, _stage_seed(config.seed, 30), feature_names=train_db.schema.names)
+        hp = tune(train_db, config)
+    model = fit(train_db, hp, config)
     Path(args.out).write_text(serialize_ensemble(model))
     print(f"trained {model.num_rounds_trained} rounds -> {args.out}")
     return EXIT_OK
@@ -148,28 +134,19 @@ def _load_model(path: str):
 
 
 def cmd_evaluate(args) -> int:
+    config = _load_config(args.config)
     model = _load_model(args.model)
-    data_path = _require(args.data, "preprocessed evaluation CSV")
-    db = _parse_train_csv(data_path)
-    if db.schema.names != model.feature_names:
-        raise PipelineError("evaluation CSV features do not match the model's features")
-    X, y = to_matrix(db)
-    report = EvaluationReport.from_predictions(
-        args.role, db.tag.value, predict_class(model, X), y, model.hp.num_class
-    )
-    Path(args.out).write_text(json.dumps(report.to_dict(), sort_keys=True))
+    report = evaluate(model, _read_for(model, args.data, config), args.role, config)
+    _dump_json(Path(args.out), report.to_dict())
     print(f"{args.role}: accuracy {report.accuracy:.4f} "
           f"({report.neighborhood_accuracy:.4f}), f1 {report.macro_f1:.4f}")
     return EXIT_OK
 
 
 def cmd_explain(args) -> int:
+    config = _load_config(args.config)
     model = _load_model(args.model)
-    data_path = _require(args.data, "preprocessed CSV")
-    db = _parse_train_csv(data_path)
-    if db.schema.names != model.feature_names:
-        raise PipelineError("CSV features do not match the model's features")
-    summary = importance_from_database(model, db, sample=args.sample, seed=args.seed)
+    summary = explain(model, _read_for(model, args.data, config), config)
     Path(args.out).write_text(summary.to_csv())
     print("importance ranking:", ", ".join(summary.ranking[:4]), "...")
     return EXIT_OK
@@ -196,6 +173,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Recovery-factor class estimation workflow",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    stage = argparse.ArgumentParser(add_help=False)
+    stage.add_argument("--config", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic source database CSV")
     p.add_argument("--preset", choices=["toris", "commercial", "atlas"], required=True)
@@ -205,48 +184,41 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("ingest", help="parse, merge and de-duplicate the combo sources")
-    p.add_argument("--config", required=True)
+    p = sub.add_parser("ingest", parents=[stage], help="merge and de-duplicate the sources")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("preprocess", help="prepare train/test CSVs from a merged CSV")
-    p.add_argument("--config", required=True)
+    p = sub.add_parser("preprocess", parents=[stage], help="prepare the sets of merged.csv")
     p.add_argument("--data", required=True, help="merged.csv from `ingest`")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_preprocess)
 
-    p = sub.add_parser("tune", help="pairwise hyperparameter search")
-    p.add_argument("--config", required=True)
+    p = sub.add_parser("tune", parents=[stage], help="pairwise hyperparameter search")
     p.add_argument("--train", required=True, help="train.csv from `preprocess`")
     p.add_argument("--out", required=True, help="tuned hyperparameters JSON")
     p.add_argument("--trace", help="tuning trace JSONL path")
     p.set_defaults(func=cmd_tune)
 
-    p = sub.add_parser("train", help="fit the boosted ensemble")
-    p.add_argument("--config", required=True)
+    p = sub.add_parser("train", parents=[stage], help="fit the boosted ensemble")
     p.add_argument("--train", required=True, help="train.csv from `preprocess`")
     p.add_argument("--hp", help="hyperparameters JSON from `tune`")
     p.add_argument("--out", required=True, help="model JSON path")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("evaluate", help="score a saved model on a preprocessed CSV")
+    p = sub.add_parser("evaluate", parents=[stage], help="score a saved model on one role")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--role", default="test")
+    p.add_argument("--role", choices=["train", "test", "independent"], default="test")
     p.add_argument("--out", required=True, help="report JSON path")
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("explain", help="importance summary for a saved model")
+    p = sub.add_parser("explain", parents=[stage], help="importance summary for a saved model")
     p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--sample", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--data", required=True, help="train.csv from `preprocess`")
     p.add_argument("--out", required=True, help="importance CSV path")
     p.set_defaults(func=cmd_explain)
 
-    p = sub.add_parser("run", help="full workflow into a run directory")
-    p.add_argument("--config", required=True)
+    p = sub.add_parser("run", parents=[stage], help="full workflow into a run directory")
     p.add_argument("--seed", type=int, help="override the config seed")
     p.add_argument("--out", required=True, help="run directory")
     p.set_defaults(func=cmd_run)
@@ -262,7 +234,7 @@ def main(argv: list[str] | None = None) -> int:
     except StageFailure as exc:
         print(f"error {exc}", file=sys.stderr)
         return _exit_code(exc)
-    except (ConfigError, IngestError, PipelineError, TrainingError, ValueError) as exc:
+    except (ConfigError, IngestError, PipelineError, TrainingError, ValueError, OSError) as exc:
         print(f"error [{args.command}] {exc}", file=sys.stderr)
         return _exit_code(exc)
 

@@ -1,11 +1,13 @@
-"""End-to-end workflow: ingest -> merge -> preprocess -> tune -> train ->
-evaluate (train/test/independent) -> explain -> report.
+"""End-to-end workflow, one function per stage: ingest -> preprocess ->
+tune -> train (`fit`) -> evaluate (one role per call) -> explain.
 
-A run writes a self-describing directory: config snapshot with versions,
+`run_pipeline` calls the stages in order, passing results in memory, and
+writes a self-describing directory: config snapshot with versions,
 preprocessed datasets with an audit sidecar, tuning trace, serialized
 model, per-role evaluation reports, importance summary, and a one-row
-summary table. Two runs with equal config and seed produce byte-identical
-artifacts.
+summary table. Each `rfclass` subcommand calls the same stage function on
+the files it reads, so its outputs equal the run directory's files. Two
+runs with equal config and seed produce byte-identical artifacts.
 """
 
 import json
@@ -13,16 +15,17 @@ import platform
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import scipy
 
 from . import __version__
-from .booster import Hyperparameters, predict_class, serialize_ensemble, train
+from .booster import Ensemble, Hyperparameters, predict_class, serialize_ensemble, train
 from .dataset import (Database, DatabaseTag, canonical_schema, deduplicate,
                       merge, parse_database, parse_tag, serialize_database)
 from .errors import ConfigError, PipelineError
-from .explain import importance_from_database
+from .explain import ImportanceSummary, importance_from_database
 from .metrics import EvaluationReport, summary_csv
 from .preprocess import (SplitSpec, apply_transforms, complete_cases,
                          filter_ranges, fit_transforms, impute, prune_missing,
@@ -269,11 +272,11 @@ def _dump_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
 
 
-def load_sources(config: PipelineConfig, needed: list[DatabaseTag]) -> dict[DatabaseTag, Database]:
-    """Parse or generate each needed source database."""
+def load_sources(config: PipelineConfig, tags) -> list[Database]:
+    """Parse or generate each source database in `tags`, in that order."""
     schema = canonical_schema(config.range_overrides)
-    out = {}
-    for tag in needed:
+    out = []
+    for tag in tags:
         if config.sources is not None:
             if tag not in config.sources:
                 raise PipelineError(f"combo {config.combo.value} needs source {tag.value}, "
@@ -282,25 +285,67 @@ def load_sources(config: PipelineConfig, needed: list[DatabaseTag]) -> dict[Data
             path = Path(src.path)
             if not path.exists():
                 raise PipelineError(f"missing input file for {tag.value}: {path}")
-            out[tag] = parse_database(
+            out.append(parse_database(
                 path.read_text(), tag, schema,
                 key_column=src.key_column, rf_column=src.rf_column,
                 column_map=src.column_map,
-            )
+            ))
         else:
             spec = preset(_PRESET_BY_TAG[tag], config.synth.divergence)
             seed = _stage_seed(config.seed, 1 + list(_PRESET_BY_TAG).index(tag))
-            db = generate(spec, config.synth.n, seed)
             # generated under the default schema; rebuild under the override one
-            out[tag] = replace(db, schema=schema)
+            out.append(replace(generate(spec, config.synth.n, seed), schema=schema))
     return out
 
 
-def preprocess(merged: Database, config: PipelineConfig):
-    """Range filter, prune, split, impute and transform a merged database.
+def read_prepared(path: Path, config: PipelineConfig) -> Database:
+    """Parse a CSV a stage wrote (merged, train, test or independent set),
+    under the config's schema restricted to the file's feature columns."""
+    text = path.read_text()
+    names = [h.strip() for h in text.partition("\n")[0].split(",")
+             if h.strip() not in ("key", "source", "RF")]
+    schema = canonical_schema(config.range_overrides).subset(names)
+    if len(schema.names) != len(names):  # non-canonical feature set
+        raise PipelineError(f"unrecognized feature columns in {path}")
+    return parse_database(text, config.combo, schema)
 
-    Returns the transformed train and test sets, the transform parameters
-    fitted on the training set, and the audit record of preprocess_meta.json.
+
+def ingest(config: PipelineConfig) -> Database:
+    """Load the combination's source databases, merge them and drop repeated keys."""
+    return deduplicate(merge(load_sources(config, config.combo.source_tags), config.combo))
+
+
+def held_out(config: PipelineConfig, required: bool = True) -> Database | None:
+    """The database the combination holds out, None for TCA. Unless
+    `required`, also None when the config's `sources` do not list it."""
+    tag = INDEPENDENT_SOURCE[config.combo]
+    if tag is None or (not required and config.sources is not None and tag not in config.sources):
+        return None
+    return load_sources(config, [tag])[0]
+
+
+class Prepared(NamedTuple):
+    train: Database
+    test: Database
+    independent: Database | None
+    meta: dict
+
+    def write(self, out: Path) -> None:
+        """train.csv, test.csv, independent.csv (when prepared) and preprocess_meta.json."""
+        for name, db in (("train", self.train), ("test", self.test),
+                         ("independent", self.independent)):
+            if db is not None:
+                (out / f"{name}.csv").write_text(serialize_database(db))
+        _dump_json(out / "preprocess_meta.json", self.meta)
+
+
+def preprocess(merged: Database, config: PipelineConfig,
+               independent: Database | None = None) -> Prepared:
+    """Range filter, prune, split, impute and transform a merged database,
+    and prepare the held-out `independent` database when one is given.
+
+    Transform parameters are fitted on the training set; `meta` is the audit
+    record of preprocess_meta.json.
     """
     filtered = filter_ranges(merged)
     pruned = prune_missing(filtered, config.feature_threshold, config.record_threshold)
@@ -323,37 +368,71 @@ def preprocess(merged: Database, config: PipelineConfig):
                   "test_fraction": config.test_fraction},
         "transform_params": params.to_dict(),
     }
-    return apply_transforms(train_db, params), apply_transforms(test_db, params), params, meta
+    if independent is not None:
+        # drop keys already merged, keep the surviving features, then complete
+        # cases only: the held-out set is never imputed and nothing is refitted
+        db = filter_ranges(independent)
+        db = db.take(~np.isin(db.keys, merged.keys))
+        db = complete_cases(db.select_features(
+            [i for i, name in enumerate(db.schema.names) if name in pruned.schema.names]))
+        if not len(db):
+            raise PipelineError(f"independent database {independent.tag.value} "
+                                f"is empty after complete-case filtering")
+        independent = apply_transforms(db, params)
+    return Prepared(apply_transforms(train_db, params), apply_transforms(test_db, params),
+                    independent, meta)
 
 
-def prepare_independent(
-    independent: Database,
-    merged_keys: np.ndarray,
-    surviving: tuple[str, ...],
-    params,
-) -> Database:
-    """Independent-database path: range filter, drop cross-database duplicates
-    (rows whose key is in `merged_keys`), keep the surviving features,
-    complete-case filter, apply train transforms. Never imputes and never
-    refits."""
-    db = filter_ranges(independent)
-    db = db.take(~np.isin(db.keys, merged_keys))
-    db = db.select_features([i for i, name in enumerate(db.schema.names) if name in surviving])
-    db = complete_cases(db)
-    if not len(db):
-        raise PipelineError(
-            f"independent database {independent.tag.value} is empty after complete-case filtering"
-        )
-    return apply_transforms(db, params)
+def tune(train_t: Database, config: PipelineConfig,
+         trace_path: Path | None = None) -> Hyperparameters:
+    """The pairwise search's pick when the config has a `grid` (its trace
+    written to `trace_path`), else the fixed `hyperparameters` or the defaults."""
+    if config.grid is None:
+        return config.hyperparameters or Hyperparameters()
+    trace: list[dict] = []
+    result = pairwise_grid_search(train_t, config.grid, _stage_seed(config.seed, 20),
+                                  k=config.k_folds, trace_sink=trace.append)
+    if trace_path is not None:
+        trace_path.write_text("".join(json.dumps(e, sort_keys=True) + "\n" for e in trace))
+    return result.hyperparameters
+
+
+def fit(train_t: Database, hp: Hyperparameters, config: PipelineConfig) -> Ensemble:
+    """Train the ensemble. With `early_stopping_patience`, a stratified slice
+    of the training set picks the stopping round, never the test set."""
+    fit_t, eval_set, patience = train_t, None, config.early_stopping_patience
+    if patience:
+        fit_t, eval_t = stratified_split(train_t, SplitSpec(
+            test_fraction=EARLY_STOPPING_FRACTION, seed=_stage_seed(config.seed, 31)))
+        eval_set = to_matrix(eval_t)
+    X, y = to_matrix(fit_t)
+    return train(X, y, hp, _stage_seed(config.seed, 30), feature_names=train_t.schema.names,
+                 eval_set=eval_set, early_stopping_patience=patience)
+
+
+def evaluate(model: Ensemble, db: Database, role: str,
+             config: PipelineConfig) -> EvaluationReport:
+    """Score one role's prepared set, tagged with the combination, or for
+    `independent` with the held-out database."""
+    tag = INDEPENDENT_SOURCE[config.combo] if role == "independent" else config.combo
+    if tag is None:
+        raise ConfigError(f"combo {config.combo.value} holds no database out")
+    X, y = to_matrix(db)
+    return EvaluationReport.from_predictions(role, tag.value, predict_class(model, X), y,
+                                             model.hp.num_class)
+
+
+def explain(model: Ensemble, train_t: Database, config: PipelineConfig) -> ImportanceSummary:
+    """Importance summary over `shap_sample` rows drawn from the training set."""
+    return importance_from_database(model, train_t, sample=config.shap_sample,
+                                    seed=_stage_seed(config.seed, 40))
 
 
 def run_pipeline(config: PipelineConfig, out_dir: str | Path) -> RunResult:
     run_dir = Path(out_dir)
-    run_dir.mkdir(parents=True, exist_ok=True)
     reports_dir = run_dir / "reports"
-    reports_dir.mkdir(exist_ok=True)
-
-    snapshot = {
+    reports_dir.mkdir(parents=True, exist_ok=True)
+    _dump_json(run_dir / "config_snapshot.json", {
         "config": config.raw,
         "seed": config.seed,
         "versions": {
@@ -362,95 +441,39 @@ def run_pipeline(config: PipelineConfig, out_dir: str | Path) -> RunResult:
             "scipy": scipy.__version__,
             "python": platform.python_version(),
         },
-    }
-    _dump_json(run_dir / "config_snapshot.json", snapshot)
-
-    independent_tag = INDEPENDENT_SOURCE[config.combo]
-    needed = list(config.combo.source_tags)
-    if independent_tag is not None:
-        needed.append(independent_tag)
+    })
 
     with _stage("ingest"):
-        sources = load_sources(config, needed)
-
-    with _stage("merge"):
-        merged = deduplicate(merge([sources[t] for t in config.combo.source_tags], config.combo))
+        merged = ingest(config)
+        independent = held_out(config)
         (run_dir / "merged.csv").write_text(serialize_database(merged))
 
     with _stage("preprocess"):
-        train_t, test_t, params, meta = preprocess(merged, config)
-        (run_dir / "train.csv").write_text(serialize_database(train_t))
-        (run_dir / "test.csv").write_text(serialize_database(test_t))
-        _dump_json(run_dir / "preprocess_meta.json", meta)
+        prepared = preprocess(merged, config, independent)
+        prepared.write(run_dir)
 
     with _stage("tune"):
-        if config.grid is not None:
-            trace_path = run_dir / "tuning_trace.jsonl"
-            with trace_path.open("w") as handle:
-                def sink(entry: dict) -> None:
-                    handle.write(json.dumps(entry, sort_keys=True) + "\n")
-                result = pairwise_grid_search(
-                    train_t, config.grid, _stage_seed(config.seed, 20),
-                    k=config.k_folds, trace_sink=sink,
-                )
-            hp = result.hyperparameters
-        elif config.hyperparameters is not None:
-            hp = config.hyperparameters
-        else:
-            hp = Hyperparameters()  # tuning is opt-in via "grid"
+        hp = tune(prepared.train, config, run_dir / "tuning_trace.jsonl")
         _dump_json(run_dir / "hyperparameters.json", hp.to_dict())
 
     with _stage("train"):
-        fit_t = train_t
-        eval_set = None
-        patience = None
-        if config.early_stopping_patience:
-            # the stopping round is chosen on training data, never on the test set
-            fit_t, eval_t = stratified_split(train_t, SplitSpec(
-                test_fraction=EARLY_STOPPING_FRACTION, seed=_stage_seed(config.seed, 31)))
-            eval_set = to_matrix(eval_t)
-            patience = config.early_stopping_patience
-        X_train, y_train = to_matrix(fit_t)
-        model = train(
-            X_train, y_train, hp, _stage_seed(config.seed, 30),
-            feature_names=train_t.schema.names,
-            eval_set=eval_set, early_stopping_patience=patience,
-        )
+        model = fit(prepared.train, hp, config)
         model_path = run_dir / "model.json"
         model_path.write_text(serialize_ensemble(model))
 
     with _stage("evaluate"):
-        reports: dict[str, EvaluationReport] = {}
-        for role, db in (("train", train_t), ("test", test_t)):
-            X, y = to_matrix(db)
-            pred = predict_class(model, X)
-            reports[role] = EvaluationReport.from_predictions(
-                role, config.combo.value, pred, y, hp.num_class
-            )
-        independent_report = None
-        if independent_tag is not None:
-            indep = prepare_independent(
-                sources[independent_tag], merged.keys, train_t.schema.names, params
-            )
-            (run_dir / "independent.csv").write_text(serialize_database(indep))
-            X, y = to_matrix(indep)
-            pred = predict_class(model, X)
-            independent_report = EvaluationReport.from_predictions(
-                "independent", independent_tag.value, pred, y, hp.num_class
-            )
-            reports["independent"] = independent_report
+        roles = (("train", prepared.train), ("test", prepared.test),
+                 ("independent", prepared.independent))
+        reports = {role: evaluate(model, db, role, config) for role, db in roles if db is not None}
         for role, report in reports.items():
             _dump_json(reports_dir / f"{role}.json", report.to_dict())
             (reports_dir / f"bubbles_{role}.csv").write_text(report.bubbles_csv())
         summary_path = reports_dir / "summary.csv"
-        summary_path.write_text(
-            summary_csv(config.combo.value, reports["train"], reports["test"], independent_report)
-        )
+        summary_path.write_text(summary_csv(config.combo.value, reports["train"], reports["test"],
+                                            reports.get("independent")))
 
     with _stage("explain"):
-        importance = importance_from_database(
-            model, train_t, sample=config.shap_sample, seed=_stage_seed(config.seed, 40)
-        )
+        importance = explain(model, prepared.train, config)
         importance_path = reports_dir / "importance.csv"
         importance_path.write_text(importance.to_csv())
 

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rfclass import booster
-from rfclass.booster import (COMBO_PRESETS, Hyperparameters, _best_split,
+from rfclass.booster import (Hyperparameters, _best_split,
                              audit_ensemble, leaf_weight, load_ensemble,
                              mlogloss, predict_class, predict_proba,
                              serialize_ensemble, softmax_margins, train)
@@ -324,7 +324,10 @@ class TestTrain:
 
     def test_two_clusters_with_tc_preset(self):
         X, y = two_clusters()
-        hp = Hyperparameters.from_dict({**COMBO_PRESETS["TC"].to_dict(), "num_rounds": 50})
+        # the settings the paper reports for TC, at 50 rounds
+        hp = Hyperparameters(max_depth=2, min_child_weight=6, learning_rate=0.1, subsample=0.9,
+                             colsample_bytree=0.9, colsample_bylevel=0.9, alpha=0.2,
+                             lambda_=0.01, gamma=0.01, max_delta_step=0.1, num_rounds=50)
         model = train(X, y, hp, seed=1)
         acc = float(np.mean(predict_class(model, X) == y))
         assert acc >= 0.95
@@ -336,7 +339,10 @@ class TestTrain:
             max_depth=2, learning_rate=0.1, n_estimators=50, random_state=0
         ).fit(X, y)
         ref_acc = reference.score(X, y)
-        hp = Hyperparameters.from_dict({**COMBO_PRESETS["TC"].to_dict(), "num_rounds": 50})
+        # the settings the paper reports for TC, at 50 rounds
+        hp = Hyperparameters(max_depth=2, min_child_weight=6, learning_rate=0.1, subsample=0.9,
+                             colsample_bytree=0.9, colsample_bylevel=0.9, alpha=0.2,
+                             lambda_=0.01, gamma=0.01, max_delta_step=0.1, num_rounds=50)
         model = train(X, y, hp, seed=1)
         acc = float(np.mean(predict_class(model, X) == y))
         assert ref_acc >= 0.95
@@ -536,14 +542,3 @@ class TestHyperparameters:
         data = hp.to_dict()
         assert data["lambda"] == 0.25
         assert Hyperparameters.from_dict(data) == hp
-
-    def test_combo_presets_published_values(self):
-        tc = COMBO_PRESETS["TC"]
-        assert (tc.max_depth, tc.min_child_weight, tc.learning_rate) == (2, 6, 0.1)
-        assert (tc.subsample, tc.colsample_bytree, tc.colsample_bylevel) == (0.9, 0.9, 0.9)
-        assert (tc.alpha, tc.lambda_, tc.gamma, tc.max_delta_step) == (0.2, 0.01, 0.01, 0.1)
-        tca = COMBO_PRESETS["TCA"]
-        assert (tca.max_depth, tca.min_child_weight, tca.learning_rate) == (5, 2, 0.05)
-        assert all(p.num_class == 10 for p in COMBO_PRESETS.values())
-        assert all(p.objective == "multi:softmax" for p in COMBO_PRESETS.values())
-        assert all(p.eval_metric == "mlogloss" for p in COMBO_PRESETS.values())

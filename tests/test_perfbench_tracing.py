@@ -1,7 +1,8 @@
-"""The benchmark traces rfclass by wrapping module and class attributes by
-name (`perfbench/tracing.py`). Renaming or removing one of them would break
-`perfbench/run.py --trace 1` with a KeyError; this test makes it fail the
-suite instead."""
+"""The benchmark drives rfclass through its CLI and public functions and
+traces it by wrapping module and class attributes by name (`perfbench/`).
+Renaming a traced name, or breaking a flag or stage the workloads' set-up
+uses, would break the next benchmark run; these tests make it fail the suite
+instead."""
 
 import os
 import subprocess
@@ -17,11 +18,36 @@ with tracing.instrumented(tracing.Tracer()):
 print("targets: ok")
 """
 
+TINY_WORKLOADS = """
+import sys
+from pathlib import Path
+import run
+for name in run.WORKLOAD_NAMES:
+    m, wl = run.run(name, seed=7, seconds=0.0, trace=False, work=Path(sys.argv[1]) / name,
+                    sizes="tiny")
+    result, lines = run.summarize(name, 7, False, m, wl, run.metric_units(False))
+    print(name, result["correct"], result["failed"], *lines[-3:], sep=" | ")
+"""
 
-def test_every_traced_name_exists():
+
+def _perfbench(script: str, *args: str) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(ROOT / "src"), str(ROOT / "perfbench")]))
-    proc = subprocess.run([sys.executable, "-c", INSTALL_AND_RESTORE], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, "-c", script, *args], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_every_traced_name_exists():
+    proc = _perfbench(INSTALL_AND_RESTORE)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "targets: ok"
+
+
+def test_every_workload_runs_correct_at_tiny_size(tmp_path):
+    proc = _perfbench(TINY_WORKLOADS, str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split(" | ") for line in proc.stdout.splitlines()]
+    assert [row[0] for row in rows] == ["pipeline_tc", "tune_tc", "explain_tc",
+                                        "ingest_tca_large"]
+    for name, correct, failed, *detail in rows:
+        assert correct == "True" and failed == "0", (name, detail)

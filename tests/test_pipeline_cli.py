@@ -246,13 +246,13 @@ class TestCli:
         assert main(["train", "--config", str(config),
                      "--train", str(prep / "train.csv"),
                      "--hp", str(hp_path), "--out", str(model)]) == 0
-        assert main(["evaluate", "--model", str(model),
+        assert main(["evaluate", "--config", str(config), "--model", str(model),
                      "--data", str(prep / "test.csv"),
                      "--role", "test", "--out", str(report)]) == 0
         data = json.loads(report.read_text())
         assert data["role"] == "test" and data["sample_count"] > 0
-        assert main(["explain", "--model", str(model),
-                     "--data", str(prep / "train.csv"), "--sample", "8",
+        assert main(["explain", "--config", str(config), "--model", str(model),
+                     "--data", str(prep / "train.csv"),
                      "--out", str(importance)]) == 0
         assert importance.read_text().startswith("feature,class_0")
 
@@ -312,19 +312,80 @@ class TestCli:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
-    def test_stages_reproduce_run_byte_for_byte(self, tmp_path):
-        config = self._write_config(tmp_path, seed=5,
-                                    hyperparameters=dict(FAST_HP, max_depth=2, num_rounds=5))
-        run, prep = tmp_path / "run", tmp_path / "prep"
-        assert main(["run", "--config", str(config), "--out", str(run)]) == 0
-        assert main(["ingest", "--config", str(config), "--out", str(tmp_path / "merged.csv")]) == 0
-        assert main(["preprocess", "--config", str(config), "--data", str(tmp_path / "merged.csv"),
+    @pytest.mark.parametrize("extra", [
+        {},
+        {"early_stopping_patience": 2},
+        {"hyperparameters": None, "split": {"test_fraction": 0.1, "k_folds": 3},
+         "grid": {"candidates": {"max_depth": [2, 3]}, "pairs": [["max_depth"]],
+                  "max_sweeps": 1}},
+    ], ids=["fixed", "early_stopping", "grid"])
+    def test_stages_reproduce_run_byte_for_byte(self, tmp_path, extra):
+        hp = dict(FAST_HP, max_depth=2, num_rounds=5)
+        config = str(self._write_config(tmp_path, seed=5, **{"hyperparameters": hp, **extra}))
+        run, stages = tmp_path / "run", tmp_path / "stages"
+        prep, model = stages / "prep", str(stages / "model.json")
+        assert main(["run", "--config", config, "--out", str(run)]) == 0
+        stages.mkdir()
+        chain = [
+            ["ingest", "--out", str(stages / "merged.csv")],
+            ["preprocess", "--data", str(stages / "merged.csv"), "--out", str(prep)],
+            ["train", "--train", str(prep / "train.csv"), "--out", model],
+            ["evaluate", "--model", model, "--data", str(prep / "test.csv"),
+             "--out", str(stages / "test.json")],
+            ["evaluate", "--model", model, "--data", str(prep / "independent.csv"),
+             "--role", "independent", "--out", str(stages / "independent.json")],
+            ["explain", "--model", model, "--data", str(prep / "train.csv"),
+             "--out", str(stages / "importance.csv")],
+        ]
+        pairs = [("merged.csv", "merged.csv"), ("prep/train.csv", "train.csv"),
+                 ("prep/test.csv", "test.csv"), ("prep/independent.csv", "independent.csv"),
+                 ("prep/preprocess_meta.json", "preprocess_meta.json"),
+                 ("model.json", "model.json"), ("test.json", "reports/test.json"),
+                 ("independent.json", "reports/independent.json"),
+                 ("importance.csv", "reports/importance.csv")]
+        if "grid" in extra:
+            chain.insert(2, ["tune", "--train", str(prep / "train.csv"),
+                             "--out", str(stages / "hp.json"),
+                             "--trace", str(stages / "trace.jsonl")])
+            chain[3] += ["--hp", str(stages / "hp.json")]
+            pairs += [("hp.json", "hyperparameters.json"), ("trace.jsonl", "tuning_trace.jsonl")]
+        for command, *rest in chain:
+            assert main([command, "--config", config, *rest]) == 0, command
+        for staged, name in pairs:
+            assert (stages / staged).read_bytes() == (run / name).read_bytes(), name
+
+    def test_preprocess_without_held_out_source(self, tmp_path, capsys):
+        from rfclass.dataset import serialize_database
+        from rfclass.synth import generate, preset
+        sources = {}
+        for index, name in enumerate(("TORIS", "Commercial")):
+            path = tmp_path / f"{name}.csv"
+            path.write_text(serialize_database(generate(preset(name.lower()), 200, seed=index)))
+            sources[name] = {"path": str(path)}
+        config = self._write_config(tmp_path, synth=None, sources=sources)
+        merged, prep = tmp_path / "merged.csv", tmp_path / "prep"
+        assert main(["ingest", "--config", str(config), "--out", str(merged)]) == 0
+        assert main(["preprocess", "--config", str(config), "--data", str(merged),
                      "--out", str(prep)]) == 0
-        assert main(["train", "--config", str(config), "--train", str(prep / "train.csv"),
-                     "--out", str(tmp_path / "model.json")]) == 0
-        for staged, name in ((tmp_path / "merged.csv", "merged.csv"), (prep / "train.csv", "train.csv"),
-                             (prep / "test.csv", "test.csv"), (tmp_path / "model.json", "model.json")):
-            assert staged.read_bytes() == (run / name).read_bytes(), name
+        for name in ("train.csv", "test.csv", "preprocess_meta.json"):
+            assert (prep / name).exists(), name
+        assert not (prep / "independent.csv").exists()
+        assert "independent.csv not written" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, code", [
+        (["ingest", "--out", "{tmp}/absent/merged.csv"], 3),
+        (["run", "--out", "{tmp}/file"], 3),
+        (["run", "--out", "{tmp}/run", "--config", "{tmp}"], 2),  # the last --config wins
+        (["run", "--out", "{tmp}/run", "--config", "{tmp}/file"], 2),
+    ], ids=["ingest_out_in_missing_dir", "run_out_is_file", "config_is_directory",
+            "config_not_utf8"])
+    def test_bad_path_is_diagnosed_without_traceback(self, tmp_path, capfd, argv, code):
+        config = self._write_config(tmp_path)
+        (tmp_path / "file").write_bytes(b"\xff\xfe{")
+        command, *rest = [arg.format(tmp=tmp_path) for arg in argv]
+        assert main([command, "--config", str(config), *rest]) == code
+        err = capfd.readouterr().err
+        assert err.startswith("error [") and "Traceback" not in err
 
     @pytest.mark.parametrize("corrupt, message", [
         (lambda doc: _internal_node(doc).update(feature=99), "feature 99 is outside"),
@@ -344,11 +405,21 @@ class TestCli:
         corrupt(doc)
         model = tmp_path / "model.json"
         model.write_text(json.dumps(doc))
-        code = main(["evaluate", "--model", str(model), "--data", str(trained_run / "test.csv"),
+        code = main(["evaluate", "--config", str(self._write_config(tmp_path)),
+                     "--model", str(model), "--data", str(trained_run / "test.csv"),
                      "--out", str(tmp_path / "report.json")])
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith("error [evaluate]") and message in err
+
+    def test_independent_role_without_held_out_database_exits_2(self, trained_run, tmp_path,
+                                                                 capsys):
+        config = self._write_config(tmp_path, combo="TCA")
+        code = main(["evaluate", "--config", str(config), "--model", str(trained_run / "model.json"),
+                     "--data", str(trained_run / "test.csv"), "--role", "independent",
+                     "--out", str(tmp_path / "report.json")])
+        assert code == 2
+        assert "holds no database out" in capsys.readouterr().err
 
     def test_top_level_array_config_exits_2(self, tmp_path, capsys):
         path = tmp_path / "config.json"
