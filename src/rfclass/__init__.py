@@ -17,8 +17,7 @@ from .dataset import (Database, DatabaseTag, Feature, FeatureSchema,
 from .errors import (ConfigError, FitError, IngestError, PipelineError,
                      RfclassError, TrainingError)
 from .explain import (Attribution, ImportanceSummary, aggregate_importance,
-                      attribute, exact_shapley_oracle, expected_margin,
-                      tree_shap)
+                      attribute, tree_shap)
 from .metrics import (EvaluationReport, accuracy, confusion_bubbles, macro_f1,
                       neighborhood_accuracy, summary_csv)
 from .pipeline import INDEPENDENT_SOURCE, PipelineConfig, RunResult, run_pipeline

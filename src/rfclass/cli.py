@@ -24,11 +24,12 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .booster import Hyperparameters, load_ensemble, serialize_ensemble
+from .booster import load_ensemble, serialize_ensemble
 from .dataset import serialize_database
 from .errors import ConfigError, IngestError, PipelineError, TrainingError
 from .pipeline import (PipelineConfig, StageFailure, _dump_json, evaluate, explain, fit,
-                       held_out, ingest, preprocess, read_prepared, run_pipeline, tune)
+                       held_out, ingest, preprocess, read_hyperparameters, read_prepared,
+                       run_pipeline, tune)
 from .synth import generate, preset
 
 EXIT_OK = 0
@@ -120,7 +121,7 @@ def cmd_train(args) -> int:
     train_db = _read(args.train, "training CSV (run `preprocess` first)", config)
     if args.hp:
         hp_text = _require(args.hp, "hyperparameters JSON").read_text()
-        hp = Hyperparameters.from_dict(json.loads(hp_text))
+        hp = read_hyperparameters(json.loads(hp_text))
     else:
         hp = tune(train_db, config)
     model = fit(train_db, hp, config)

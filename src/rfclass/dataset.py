@@ -233,10 +233,10 @@ class Database:
         return not (np.isnan(self.values).any() or np.isnan(self.rf).any())
 
 
-def _parse_cell(token: str, line: int, column: str, missing_tokens: frozenset) -> float:
+def _parse_cell(token: str, line: int, column: str) -> float:
     """The cell's number, NaN for a missing token."""
     stripped = token.strip()
-    if stripped.lower() in missing_tokens:
+    if stripped.lower() in MISSING_TOKENS:
         return math.nan
     try:
         value = float(stripped)
@@ -255,7 +255,6 @@ def parse_database(
     key_column: str = "key",
     rf_column: str = RF_COLUMN,
     column_map: dict[str, str] | None = None,
-    missing_tokens: frozenset = MISSING_TOKENS,
 ) -> Database:
     """Parse one CSV into a Database.
 
@@ -293,7 +292,7 @@ def parse_database(
             continue
         if len(row) != len(header):
             raise IngestError(f"line {line}: expected {len(header)} fields, found {len(row)}")
-        rf = _parse_cell(row[rf_pos], line, rf_column, missing_tokens)
+        rf = _parse_cell(row[rf_pos], line, rf_column)
         if rf != rf:
             continue  # no target value: the row cannot be used at all
         if rf < 0:
@@ -312,7 +311,7 @@ def parse_database(
         keys.append(key)
         rfs.append(rf)
         sources.append(source)
-        rows.append([_parse_cell(row[p], line, col, missing_tokens)
+        rows.append([_parse_cell(row[p], line, col)
                      for p, col in zip(feature_pos, feature_cols)])
     return Database(tag, schema, np.array(rows, dtype=float).reshape(len(rows), len(feature_cols)),
                     np.array(keys, dtype=object), np.array(rfs, dtype=float),
@@ -324,15 +323,30 @@ def format_real(x: float) -> str:
     return format(float(x), ".17g")
 
 
+#: Rows serialized at a time, each block into its own string. Converting a
+#: whole 45k-row database to Python floats at once, and growing one buffer
+#: to the full text, held about 20 MB beside the text, and the process's
+#: peak memory varied by as much again from run to run with where the
+#: allocator placed those blocks.
+SERIALIZE_BLOCK = 1024
+
+
 def serialize_database(db: Database) -> str:
     """Canonical CSV form: key, source, features in schema order, RF."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["key", "source", *db.schema.names, RF_COLUMN])
-    numbers = np.column_stack([db.values, db.rf]).tolist()
-    for key, source, cells in zip(db.keys.tolist(), db.sources.tolist(), numbers):
-        writer.writerow([key, source.value, *("" if x != x else format_real(x) for x in cells)])
-    return buf.getvalue()
+    csv.writer(buf, lineterminator="\n").writerow(["key", "source", *db.schema.names, RF_COLUMN])
+    parts = [buf.getvalue()]
+    numbers = np.column_stack([db.values, db.rf])
+    for start in range(0, len(db), SERIALIZE_BLOCK):
+        block = slice(start, start + SERIALIZE_BLOCK)
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        for key, source, cells in zip(db.keys[block].tolist(), db.sources[block].tolist(),
+                                      numbers[block].tolist()):
+            writer.writerow([key, source.value,
+                             *("" if x != x else format_real(x) for x in cells)])
+        parts.append(buf.getvalue())
+    return "".join(parts)
 
 
 def merge(sources: list[Database], combo: DatabaseTag) -> Database:

@@ -2,10 +2,8 @@
 
 The game is the cover-weighted conditional expectation of the class margin:
 a feature outside the coalition descends both children of its splits
-weighted by their cover share (or background row share). Attributions are
-on margins (pre-softmax), so base value plus contributions equals the class
-margin. `exact_shapley_oracle` evaluates the same game by subset
-enumeration, an independent check of the fast path.
+weighted by their training cover share. Attributions are on margins
+(pre-softmax), so base value plus contributions equals the class margin.
 
 `attribute` and `tree_shap` share one path kernel: the polynomial path
 recursion of TreeSHAP (Lundberg et al. 2018), run for many rows and
@@ -20,7 +18,7 @@ each split, UNWIND at each revisit and the UNWOUND SUM of each element at
 the leaf as NumPy arrays, with the recursion's operations in its order. It
 adds the results onto phi in the order the recursion visits the leaves (hot
 child first) with one `np.bincount` per block, and sums the base value
-bottom-up as `expected_margin` does, so the output equals the per-row
+bottom-up, left child's term first, so the output equals the per-row
 recursion bit for bit. Time is O(rows * paths * D^2) for paths of at most D
 splits; working memory is a few (D, ROW_BLOCK, paths) arrays and a
 (ROW_BLOCK, leaves, D) ordering buffer, whatever the row count. No table
@@ -29,8 +27,6 @@ over hot/cold feature patterns is built, so deep trees cost D^2, not 2^D.
 
 import csv
 import io
-import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,64 +35,16 @@ from .booster import Ensemble, Tree
 from .dataset import Database
 
 
-def _child_fractions(tree: Tree, weights: np.ndarray) -> np.ndarray:
-    """(2, nodes) weight shares of each node's left and right child.
+def _child_fractions(tree: Tree) -> np.ndarray:
+    """(2, nodes) training-cover shares of each node's left and right child.
 
-    Shares follow the node weights; at a node of weight 0 they follow the
-    training covers, and at a node of cover 0 too each child gets 0.5.
-    Leaves get 0.5 and never use it.
+    At a node of cover 0 each child gets 0.5. Leaves get 0.5 and never use it.
     """
     children = np.maximum(np.stack([tree.left, tree.right]), 0)
     shares = np.full(children.shape, 0.5)
-    for source in (tree.cover, weights):  # the later rule wins where it applies
-        known = source > 0
-        shares[:, known] = source[children[:, known]] / source[known]
+    known = tree.cover > 0
+    shares[:, known] = tree.cover[children[:, known]] / tree.cover[known]
     return shares
-
-
-def _background_weights(tree: Tree, background: np.ndarray) -> np.ndarray:
-    """Per-node counts of background rows routed through the tree."""
-    counts = np.zeros(tree.n_nodes())
-
-    def push(node: int, rows: np.ndarray) -> None:
-        counts[node] = rows.size
-        if tree.is_leaf(node):
-            return
-        mask = background[rows, int(tree.feature[node])] < tree.threshold[node]
-        push(int(tree.left[node]), rows[mask])
-        push(int(tree.right[node]), rows[~mask])
-
-    push(0, np.arange(background.shape[0]))
-    return counts
-
-
-def _node_weights(tree: Tree, background: np.ndarray | None) -> np.ndarray:
-    if background is None:
-        return tree.cover
-    return _background_weights(tree, background)
-
-
-def expected_margin(tree: Tree, x: np.ndarray, coalition: frozenset,
-                    weights: np.ndarray) -> float:
-    """Conditional expectation of the tree output given the coalition's values.
-
-    Splits on coalition features follow x; other splits average both
-    children by their weight share.
-    """
-
-    shares = _child_fractions(tree, weights)
-
-    def walk(node: int) -> float:
-        if tree.is_leaf(node):
-            return float(tree.value[node])
-        f = int(tree.feature[node])
-        if f in coalition:
-            child = tree.left[node] if x[f] < tree.threshold[node] else tree.right[node]
-            return walk(int(child))
-        return (shares[0, node] * walk(int(tree.left[node]))
-                + shares[1, node] * walk(int(tree.right[node])))
-
-    return walk(0)
 
 
 #: Rows attributed together. On a 600-tree model two rows kept the peak
@@ -261,11 +209,7 @@ def _forest(trees: list[Tree]) -> Tree:
                 right=link("right"), value=cat("value"), cover=cat("cover"), gain=cat("gain"))
 
 
-def _paths(
-    ensemble: Ensemble,
-    background: np.ndarray | None,
-    classes: list[int],
-) -> tuple[list[_PathGroup], np.ndarray, int]:
+def _paths(ensemble: Ensemble, classes: list[int]) -> tuple[list[_PathGroup], np.ndarray, int]:
     """Path groups of the listed classes' trees, the base value of each
     class, and the number of leaves."""
     listed = [(slot, tree) for slot, c in enumerate(classes) for tree in ensemble.class_trees(c)]
@@ -275,8 +219,7 @@ def _paths(
     sizes = [tree.n_nodes() for tree in trees]
     forest = _forest(trees)
     slot_of_node = np.repeat([slot for slot, _ in listed], sizes)
-    shares = _child_fractions(
-        forest, np.concatenate([_node_weights(tree, background) for tree in trees]))
+    shares = _child_fractions(forest)
 
     # parent, side, share and sibling of every child node
     n = forest.n_nodes()
@@ -299,8 +242,8 @@ def _paths(
     depth = np.zeros(n, dtype=np.int64)
     for d, level in enumerate(levels):
         depth[level] = d
-    # bottom up: the empty coalition's expectation, summed as expected_margin
-    # sums it, and the number of leaves under each node
+    # bottom up: the empty coalition's expectation (left child's term first)
+    # and the number of leaves under each node
     expected = forest.value.copy()
     n_leaves = (forest.feature < 0).astype(np.int64)
     for level in reversed(levels):
@@ -336,18 +279,14 @@ def _paths(
     return groups, base, leaves.size
 
 
-def _path_shap(
-    ensemble: Ensemble,
-    X: np.ndarray,
-    background: np.ndarray | None,
-    classes: list[int],
-) -> tuple[np.ndarray, np.ndarray]:
+def _path_shap(ensemble: Ensemble, X: np.ndarray,
+               classes: list[int]) -> tuple[np.ndarray, np.ndarray]:
     """phi (rows, len(classes), features) and base (len(classes),).
 
     A row's results do not depend on the other rows or classes asked for,
     so one row of one class reproduces its slice of a full call bit for bit.
     """
-    groups, base, n_leaves = _paths(ensemble, background, classes)
+    groups, base, n_leaves = _paths(ensemble, classes)
     phi = np.zeros((X.shape[0], len(classes), ensemble.num_features))
     width = len(classes) * ensemble.num_features
     slots = max((group.target.shape[0] for group in groups), default=0)
@@ -374,18 +313,12 @@ def _path_shap(
     return phi, base
 
 
-def tree_shap(
-    ensemble: Ensemble,
-    x: np.ndarray,
-    class_index: int,
-    background: np.ndarray | None = None,
-) -> tuple[np.ndarray, float]:
+def tree_shap(ensemble: Ensemble, x: np.ndarray,
+              class_index: int) -> tuple[np.ndarray, float]:
     """Per-feature attributions and base value for one row's class margin.
 
-    Node weights come from the training covers recorded at fit time unless a
-    background matrix is supplied, in which case background row counts take
-    their place (nodes no background row reaches fall back to covers). An
-    untrained ensemble yields all-zero attributions with a zero base value.
+    Node weights are the training covers recorded at fit time. An untrained
+    ensemble yields all-zero attributions with a zero base value.
     The result equals the row's slice of `attribute` bit for bit.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
@@ -393,56 +326,8 @@ def tree_shap(
         raise ValueError(f"expected {ensemble.num_features} features, got {x.size}")
     if not 0 <= class_index < ensemble.hp.num_class:
         raise ValueError(f"class_index out of range: {class_index}")
-    phi, base = _path_shap(ensemble, x[None, :], background, [class_index])
+    phi, base = _path_shap(ensemble, x[None, :], [class_index])
     return phi[0, 0], float(base[0])
-
-
-MAX_ORACLE_FEATURES = 12
-
-
-def exact_shapley_oracle(
-    ensemble: Ensemble,
-    x: np.ndarray,
-    background: np.ndarray | None,
-    class_index: int,
-) -> np.ndarray:
-    """Classic Shapley values of the cover-weighted expectation game.
-
-    Enumerates coalitions per tree over the features that tree actually
-    uses (unused features are null players). Refuses ensembles wider than
-    MAX_ORACLE_FEATURES.
-    """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    m = ensemble.num_features
-    if m > MAX_ORACLE_FEATURES:
-        raise ValueError(
-            f"oracle enumeration limited to {MAX_ORACLE_FEATURES} features, got {m}"
-        )
-    if x.size != m:
-        raise ValueError(f"expected {m} features, got {x.size}")
-    phi = np.zeros(m)
-    for tree in ensemble.class_trees(class_index):
-        weights = _node_weights(tree, background)
-        used = sorted(tree.used_features())
-        if not used:
-            continue
-        values: dict[frozenset, float] = {}
-        for r in range(len(used) + 1):
-            for combo in itertools.combinations(used, r):
-                coalition = frozenset(combo)
-                values[coalition] = expected_margin(tree, x, coalition, weights)
-        n_used = len(used)
-        for f in used:
-            others = [u for u in used if u != f]
-            for r in range(len(others) + 1):
-                coeff = (
-                    math.factorial(r) * math.factorial(n_used - r - 1)
-                    / math.factorial(n_used)
-                )
-                for combo in itertools.combinations(others, r):
-                    coalition = frozenset(combo)
-                    phi[f] += coeff * (values[coalition | {f}] - values[coalition])
-    return phi
 
 
 @dataclass(frozen=True)
@@ -454,18 +339,14 @@ class Attribution:
     feature_names: tuple[str, ...]
 
 
-def attribute(
-    ensemble: Ensemble,
-    X: np.ndarray,
-    background: np.ndarray | None = None,
-) -> Attribution:
+def attribute(ensemble: Ensemble, X: np.ndarray) -> Attribution:
     """TreeSHAP over every row and class of a matrix, through the path kernel."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError("attribute expects a non-empty 2-D matrix")
     if X.shape[1] != ensemble.num_features:
         raise ValueError(f"expected {ensemble.num_features} features, got {X.shape[1]}")
-    phi, base = _path_shap(ensemble, X, background, list(range(ensemble.hp.num_class)))
+    phi, base = _path_shap(ensemble, X, list(range(ensemble.hp.num_class)))
     return Attribution(phi=phi, base=base, feature_names=ensemble.feature_names)
 
 

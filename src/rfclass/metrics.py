@@ -107,19 +107,6 @@ class EvaluationReport:
             "bubbles": [list(b) for b in self.bubbles],
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "EvaluationReport":
-        return cls(
-            role=data["role"],
-            tag=data["tag"],
-            sample_count=int(data["sample_count"]),
-            accuracy=float(data["accuracy"]),
-            neighborhood_accuracy=float(data["neighborhood_accuracy"]),
-            total_accuracy=float(data["total_accuracy"]),
-            macro_f1=float(data["macro_f1"]),
-            bubbles=tuple(tuple(b) for b in data["bubbles"]),
-        )
-
     def bubbles_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

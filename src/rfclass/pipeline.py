@@ -27,7 +27,7 @@ from .dataset import (Database, DatabaseTag, canonical_schema, deduplicate,
 from .errors import ConfigError, PipelineError
 from .explain import ImportanceSummary, importance_from_database
 from .metrics import EvaluationReport, summary_csv
-from .preprocess import (SplitSpec, apply_transforms, complete_cases,
+from .preprocess import (N_CLASSES, SplitSpec, apply_transforms, complete_cases,
                          filter_ranges, fit_transforms, impute, prune_missing,
                          stratified_split, to_matrix)
 from .synth import generate, preset
@@ -89,6 +89,16 @@ def _range_pair(name: str, bounds) -> tuple[float, float]:
             pass
     raise ConfigError(f"range_overrides entry {name!r} must be a [lo, hi] pair "
                       f"of numbers, got {bounds!r}")
+
+
+def read_hyperparameters(data) -> Hyperparameters:
+    """Hyperparameters from a config's section or a `tune` output. The
+    labels are the N_CLASSES tenths of RF, so num_class must match them."""
+    hp = Hyperparameters.from_dict(data)
+    if hp.num_class != N_CLASSES:
+        raise ConfigError(f"num_class must be {N_CLASSES}, one class per tenth of RF, "
+                          f"got {hp.num_class}")
+    return hp
 
 
 def _section(data: dict, key: str) -> dict | None:
@@ -165,8 +175,8 @@ class PipelineConfig:
         hp = None
         if data.get("hyperparameters") is not None:
             try:
-                hp = Hyperparameters.from_dict(data["hyperparameters"])
-            except (TypeError, ValueError) as exc:
+                hp = read_hyperparameters(data["hyperparameters"])
+            except ValueError as exc:
                 raise ConfigError(f"bad hyperparameters: {exc}") from None
         grid = None
         raw_grid = _section(data, "grid")

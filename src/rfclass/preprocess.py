@@ -205,20 +205,6 @@ class TransformParams:
             },
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "TransformParams":
-        names = tuple(data["features"])
-        transforms = tuple(
-            FeatureTransform(
-                values=np.array(spec["values"], dtype=float),
-                u=np.array(spec["u"], dtype=float),
-                z_min=float(spec["z_min"]),
-                z_max=float(spec["z_max"]),
-            )
-            for spec in data["features"].values()
-        )
-        return cls(feature_names=names, transforms=transforms, fitted_on=data["fitted_on"])
-
 
 def _rank_quantiles(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sorted unique values and their tie-averaged rank quantiles u=(r+0.5)/N."""

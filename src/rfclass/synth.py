@@ -62,12 +62,12 @@ class FeatureDistribution:
 class RFLink:
     """Noisy monotone map from latent quality to the recovery factor.
 
-    quality is a weighted sum of standardized (log-scaled where flagged)
-    feature values; rf = median * exp(spread * (quality + noise)), rounded
-    and clipped, which yields a right-skewed marginal. Standardization uses
-    the generated sample's own mean/std per feature unless explicit
-    constants are supplied, so the link knobs stay meaningful under any
-    feature-space divergence.
+    quality is a weighted sum of standardized feature values, the size and
+    flow features of _LOG_FEATURES taken as logs; rf = median * exp(spread *
+    (quality + noise)), rounded and clipped, which yields a right-skewed
+    marginal. Standardization uses the generated sample's own mean/std per
+    feature, so the link knobs stay meaningful under any feature-space
+    divergence.
     """
 
     median: float = 0.33
@@ -76,8 +76,6 @@ class RFLink:
     weights: dict[str, float] = field(default_factory=lambda: {
         "reserves": 0.35, "area": 0.25, "thickness": 0.20, "permeability": 0.20,
     })
-    log_features: frozenset = frozenset({"reserves", "area", "thickness", "permeability"})
-    standardize: dict[str, tuple[float, float]] | None = None
     clip: tuple[float, float] = (0.02, 1.44)
     decimals: int = 4
 
@@ -166,7 +164,6 @@ def toris_like(divergence: float = 1.0) -> DistributionSpec:
             spread=0.50,
             noise_sigma=0.72,
             weights=_blend_weights(divergence, {"temperature": 0.15}),
-            log_features=_LOG_FEATURES,
             clip=(0.02, 1.44),
         ),
     )
@@ -193,7 +190,6 @@ def commercial_like(divergence: float = 1.0) -> DistributionSpec:
                 "reserves": -0.15, "area": -0.08, "thickness": -0.10,
                 "permeability": -0.10, "porosity": 0.14, "api_gravity": 0.10,
             }),
-            log_features=_LOG_FEATURES,
             clip=(0.02, 1.44),
         ),
     )
@@ -221,7 +217,6 @@ def atlas_like(divergence: float = 1.0) -> DistributionSpec:
                 "reserves": -0.20, "area": 0.05, "thickness": -0.14,
                 "permeability": -0.14, "porosity": 0.12, "water_saturation": -0.10,
             }),
-            log_features=_LOG_FEATURES,
             clip=(0.01, 2.32),
         ),
     )
@@ -262,12 +257,9 @@ def generate(spec: DistributionSpec, n: int, seed: int) -> Database:
     norm = math.sqrt(sum(w * w for w in spec.rf.weights.values()))
     for name, weight in spec.rf.weights.items():
         values = columns[name]
-        if name in spec.rf.log_features:
+        if name in _LOG_FEATURES:
             values = np.log(np.maximum(values, 1e-12))
-        if spec.rf.standardize is not None and name in spec.rf.standardize:
-            mu, sigma = spec.rf.standardize[name]
-        else:
-            mu, sigma = float(values.mean()), float(values.std())
+        mu, sigma = float(values.mean()), float(values.std())
         if sigma <= 0:
             raise ValueError(f"feature {name!r} is constant; it cannot drive the RF link")
         quality += weight * (values - mu) / sigma

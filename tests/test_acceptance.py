@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from rfclass.booster import Hyperparameters, leaf_weight, train
-from rfclass.explain import exact_shapley_oracle, tree_shap
+from rfclass.explain import tree_shap
 from rfclass.metrics import accuracy, macro_f1, neighborhood_accuracy
 from rfclass.pipeline import PipelineConfig, run_pipeline
 from rfclass.preprocess import (SplitSpec, apply_transforms, class_labels,
@@ -21,7 +21,7 @@ from rfclass.synth import generate, toris_like
 
 from conftest import complete_database, random_tree
 from test_booster import find_best_split, random_split_instance, split_oracle
-from test_explain import ensemble_of
+from test_explain import ensemble_of, exact_shapley_oracle
 from test_preprocess import (db_from_column, erfinv_oracle,
                              impute_column_oracle, transform_db)
 
@@ -124,7 +124,7 @@ def test_criterion_04_shap_correctness():
         ens = ensemble_of(trees, n_features, num_class=3)
         x = rng.random(n_features)
         phi, _ = tree_shap(ens, x, 0)
-        oracle = exact_shapley_oracle(ens, x, None, 0)
+        oracle = exact_shapley_oracle(ens, x, 0)
         np.testing.assert_allclose(phi, oracle, atol=1e-6,
                                    err_msg=f"ensemble {trial}")
 

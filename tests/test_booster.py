@@ -407,6 +407,21 @@ class TestTrain:
             predict_class(base, X), predict_class(dup, np.hstack([X, X[:, [0]]]))
         )
 
+    @pytest.mark.parametrize("block", [1, 250, 400])
+    def test_column_blocks_do_not_change_the_model(self, block):
+        # block 1 scores one column at a time; 250 and 400 split the root's
+        # five columns into blocks of two and four, and smaller nodes into
+        # fewer blocks; heavy ties and a duplicated column test the
+        # tie-breaking across blocks
+        data = np.random.default_rng(5)
+        X = np.round(data.normal(size=(120, 4)), 1)
+        X = np.hstack([X, X[:, [0]]])
+        y = data.integers(0, 3, 120)
+        hp = hp_with(max_depth=4, num_class=3, num_rounds=3, subsample=0.8)
+        whole = serialize_ensemble(train(X, y, hp, seed=6))
+        with mock.patch.object(booster, "SPLIT_BLOCK", block):
+            assert serialize_ensemble(train(X, y, hp, seed=6)) == whole
+
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 60), d=st.integers(1, 5),
            decimals=st.sampled_from([1, 2]), max_depth=st.integers(1, 5),

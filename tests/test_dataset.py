@@ -1,5 +1,6 @@
 import pytest
 
+from rfclass import dataset
 from rfclass.dataset import (Database, DatabaseTag, Feature, canonical_schema,
                              deduplicate, format_real, merge, normalize_key,
                              parse_database, serialize_database)
@@ -141,6 +142,16 @@ class TestSerializeRoundTrip:
         text = serialize_database(db)
         back = parse_database(text, db.tag, db.schema)
         assert back.records == db.records
+
+    def test_row_blocks_do_not_change_the_text(self, rng, monkeypatch):
+        records = [make_record(f"r{i}", [None if rng.random() < 0.2 else float(rng.normal())
+                                         for _ in NAMES], float(rng.random()))
+                   for i in range(23)]
+        db = make_database(records)
+        whole = serialize_database(db)
+        monkeypatch.setattr(dataset, "SERIALIZE_BLOCK", 5)
+        assert serialize_database(db) == whole
+        assert whole.count("\n") == len(records) + 1
 
     def test_format_real_round_trips(self, rng):
         for x in [1 / 3, 1e-300, 5.0e11, 0.1, -0.0, 2.32, *rng.normal(size=20).tolist()]:

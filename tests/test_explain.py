@@ -7,15 +7,77 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rfclass.booster import Ensemble, Hyperparameters, _TreeBuilder, train
-from rfclass.explain import (Attribution, _child_fractions, _node_weights,
+from rfclass.explain import (Attribution, _child_fractions,
                              aggregate_importance, attribute,
-                             exact_shapley_oracle, expected_margin,
                              importance_from_database, tree_shap)
 
 from conftest import complete_database, random_tree
 
 
-def oracle_tree_shap(ensemble, x, class_index, background=None):
+def expected_margin(tree, x, coalition):
+    """Conditional expectation of the tree output given the coalition's values.
+
+    Splits on coalition features follow x; other splits average both
+    children by their training-cover share.
+    """
+    shares = _child_fractions(tree)
+
+    def walk(node):
+        if tree.is_leaf(node):
+            return float(tree.value[node])
+        f = int(tree.feature[node])
+        if f in coalition:
+            child = tree.left[node] if x[f] < tree.threshold[node] else tree.right[node]
+            return walk(int(child))
+        return (shares[0, node] * walk(int(tree.left[node]))
+                + shares[1, node] * walk(int(tree.right[node])))
+
+    return walk(0)
+
+
+MAX_ORACLE_FEATURES = 12
+
+
+def exact_shapley_oracle(ensemble, x, class_index):
+    """Classic Shapley values of the cover-weighted expectation game.
+
+    Enumerates coalitions per tree over the features that tree actually
+    uses (unused features are null players). Refuses ensembles wider than
+    MAX_ORACLE_FEATURES.
+    """
+    x = np.asarray(x, dtype=float).reshape(-1)
+    m = ensemble.num_features
+    if m > MAX_ORACLE_FEATURES:
+        raise ValueError(
+            f"oracle enumeration limited to {MAX_ORACLE_FEATURES} features, got {m}"
+        )
+    if x.size != m:
+        raise ValueError(f"expected {m} features, got {x.size}")
+    phi = np.zeros(m)
+    for tree in ensemble.class_trees(class_index):
+        used = sorted({int(f) for f in tree.feature if f >= 0})
+        if not used:
+            continue
+        values = {}
+        for r in range(len(used) + 1):
+            for combo in itertools.combinations(used, r):
+                coalition = frozenset(combo)
+                values[coalition] = expected_margin(tree, x, coalition)
+        n_used = len(used)
+        for f in used:
+            others = [u for u in used if u != f]
+            for r in range(len(others) + 1):
+                coeff = (
+                    math.factorial(r) * math.factorial(n_used - r - 1)
+                    / math.factorial(n_used)
+                )
+                for combo in itertools.combinations(others, r):
+                    coalition = frozenset(combo)
+                    phi[f] += coeff * (values[coalition | {f}] - values[coalition])
+    return phi
+
+
+def oracle_tree_shap(ensemble, x, class_index):
     """(phi, base) by the per-row, per-tree polynomial path recursion of
     TreeSHAP (Lundberg et al. 2018, Algorithm 2): the reference the batched
     path kernel must reproduce."""
@@ -23,18 +85,17 @@ def oracle_tree_shap(ensemble, x, class_index, background=None):
     phi = [0.0] * ensemble.num_features
     base = 0.0
     for tree in ensemble.class_trees(class_index):
-        weights = _node_weights(tree, background)
-        _oracle_recurse(tree, x.tolist(), weights, phi)
-        base += expected_margin(tree, x, frozenset(), weights)
+        _oracle_recurse(tree, x.tolist(), phi)
+        base += expected_margin(tree, x, frozenset())
     return np.array(phi), base
 
 
-def _oracle_recurse(tree, x, weights, phi):
+def _oracle_recurse(tree, x, phi):
     """Accumulate one tree's attributions into phi. Each path element is
     [feature, zero_fraction, one_fraction, permutation weight]."""
     feature, threshold = tree.feature.tolist(), tree.threshold.tolist()
     left, right, value = tree.left.tolist(), tree.right.tolist(), tree.value.tolist()
-    left_share, right_share = _child_fractions(tree, weights).tolist()
+    left_share, right_share = _child_fractions(tree).tolist()
 
     def extend(path, pz, po, pf):
         depth = len(path)
@@ -101,14 +162,13 @@ def _oracle_recurse(tree, x, weights, phi):
     recurse(0, [], 1.0, 1.0, -1)
 
 
-def brute_force_shap(ensemble, x, class_index, background=None):
+def brute_force_shap(ensemble, x, class_index):
     """Permutation-definition Shapley values of the expectation game."""
     m = ensemble.num_features
     trees = ensemble.class_trees(class_index)
-    weighted = [(t, _node_weights(t, background)) for t in trees]
 
     def value(coalition):
-        return sum(expected_margin(t, x, frozenset(coalition), w) for t, w in weighted)
+        return sum(expected_margin(t, x, frozenset(coalition)) for t in trees)
 
     phi = np.zeros(m)
     for perm in itertools.permutations(range(m)):
@@ -192,7 +252,7 @@ class TestOracleEquivalence:
                                   max_depth=int(rng.integers(1, 4)))
             x = rng.random(n_features)
             phi, _ = tree_shap(ens, x, 0)
-            oracle = exact_shapley_oracle(ens, x, None, 0)
+            oracle = exact_shapley_oracle(ens, x, 0)
             np.testing.assert_allclose(phi, oracle, atol=1e-6,
                                        err_msg=f"trial {trial}")
 
@@ -247,26 +307,22 @@ class TestPathKernel:
     @given(seed=st.integers(0, 2**32 - 1), n_features=st.integers(1, 5),
            max_depth=st.integers(1, 6), rounds=st.integers(1, 3),
            num_class=st.integers(2, 3), n_rows=st.integers(1, 9),
-           n_background=st.integers(0, 5), zero_cover=st.sampled_from([0.0, 0.3]))
+           zero_cover=st.sampled_from([0.0, 0.3]))
     def test_bit_identical_to_recursion_and_single_row_calls(
-            self, seed, n_features, max_depth, rounds, num_class, n_rows,
-            n_background, zero_cover):
-        # few features repeat splits along a path; a few background rows
-        # leave nodes unreached, so covers and then 0.5 take over
+            self, seed, n_features, max_depth, rounds, num_class, n_rows, zero_cover):
+        # few features repeat splits along a path; zero-cover nodes take
+        # the 0.5 shares
         rng = np.random.default_rng(seed)
         ens = random_class_ensemble(rng, n_features, rounds, num_class, max_depth,
                                     zero_cover)
         X = on_thresholds(rng, rng.random((n_rows, n_features)), ens)
-        background = None
-        if n_background:
-            background = on_thresholds(rng, rng.random((n_background, n_features)), ens)
-        attr = attribute(ens, X, background)
+        attr = attribute(ens, X)
         for i in range(n_rows):
             for c in range(num_class):
-                phi, base = tree_shap(ens, X[i], c, background)
+                phi, base = tree_shap(ens, X[i], c)
                 assert phi.tobytes() == attr.phi[i, c].tobytes()
                 assert base == attr.base[c]
-                want_phi, want_base = oracle_tree_shap(ens, X[i], c, background)
+                want_phi, want_base = oracle_tree_shap(ens, X[i], c)
                 assert phi.tobytes() == want_phi.tobytes()
                 assert base == want_base
 
@@ -285,34 +341,6 @@ class TestPathKernel:
         for i in range(0, 40, 7):
             for c in range(3):
                 assert attr.phi[i, c].tobytes() == oracle_tree_shap(model, X[i], c)[0].tobytes()
-
-
-class TestBackground:
-    def test_single_feature_game(self, rng):
-        ens = ensemble_of([stump(0, 0.5, 2.0, -2.0, 1.0, 1.0)], n_features=1)
-        background = rng.random((40, 1))
-        x = np.array([0.2])
-        phi = exact_shapley_oracle(ens, x, background, 0)
-        margin = float(ens.margins(x)[0, 0])
-        bg_mean = float(ens.margins(background)[:, 0].mean())
-        assert phi[0] == pytest.approx(margin - bg_mean, abs=1e-9)
-
-    def test_efficiency_against_background_mean(self, rng):
-        ens = random_ensemble(rng, 5, n_trees=3, max_depth=3)
-        background = rng.random((30, 5))
-        x = rng.random(5)
-        phi = exact_shapley_oracle(ens, x, background, 0)
-        margin = float(ens.margins(x)[0, 0])
-        bg_mean = float(ens.margins(background)[:, 0].mean())
-        assert phi.sum() == pytest.approx(margin - bg_mean, abs=1e-9)
-
-    def test_tree_shap_agrees_with_background_oracle(self, rng):
-        ens = random_ensemble(rng, 4, n_trees=2, max_depth=3)
-        background = rng.random((25, 4))
-        x = rng.random(4)
-        phi, _ = tree_shap(ens, x, 0, background=background)
-        oracle = exact_shapley_oracle(ens, x, background, 0)
-        np.testing.assert_allclose(phi, oracle, atol=1e-6)
 
 
 class TestEdgeCases:
@@ -338,7 +366,7 @@ class TestEdgeCases:
                         feature_names=tuple(f"f{j}" for j in range(13)),
                         trees=ens.trees)
         with pytest.raises(ValueError, match="12"):
-            exact_shapley_oracle(wide, np.zeros(13), None, 0)
+            exact_shapley_oracle(wide, np.zeros(13), 0)
 
     def test_bad_class_index(self, rng):
         ens = random_ensemble(rng, 3)

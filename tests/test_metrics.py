@@ -130,12 +130,6 @@ class TestEvaluationReport:
         assert report.total_accuracy <= 1.0
         assert sum(c for _, _, c in report.bubbles) == 300
 
-    def test_dict_round_trip(self, rng):
-        pred = rng.integers(0, 10, 50)
-        actual = rng.integers(0, 10, 50)
-        report = EvaluationReport.from_predictions("train", "TA", pred, actual)
-        assert EvaluationReport.from_dict(report.to_dict()) == report
-
     def test_bubbles_csv_header(self):
         report = EvaluationReport.from_predictions("test", "TC", [1], [1])
         lines = report.bubbles_csv().splitlines()

@@ -297,6 +297,8 @@ class TestCli:
         ({"synth": {"n": 300, "divergence": "far"}}, "synth.divergence must be a number"),
         ({"split": {"k_folds": "ten"}}, "split.k_folds must be a number"),
         ({"split": {"test_fraction": "tenth"}}, "split.test_fraction must be a number"),
+        ({"hyperparameters": dict(FAST_HP, num_class=12)}, "num_class must be 10"),
+        ({"hyperparameters": dict(FAST_HP, num_class=5)}, "num_class must be 10"),
     ], ids=["shap_sample_zero", "patience_not_integer", "source_without_path",
             "unknown_source_tag", "sources_not_object", "synth_not_object",
             "grid_not_object", "split_not_object", "prune_not_object",
@@ -304,7 +306,7 @@ class TestCli:
             "range_override_not_pair", "synth_n_not_number", "synth_n_zero",
             "synth_n_negative",
             "synth_divergence_not_number", "k_folds_not_number",
-            "test_fraction_not_number"])
+            "test_fraction_not_number", "num_class_12", "num_class_5"])
     def test_config_field_error_exits_2_before_any_stage(self, tmp_path, capsys, extra, message):
         config = self._write_config(tmp_path, **extra)
         code = main(["run", "--config", str(config), "--out", str(tmp_path / "run")])
@@ -377,12 +379,26 @@ class TestCli:
         (["run", "--out", "{tmp}/file"], 3),
         (["run", "--out", "{tmp}/run", "--config", "{tmp}"], 2),  # the last --config wins
         (["run", "--out", "{tmp}/run", "--config", "{tmp}/file"], 2),
+        (["train", "--train", "{run}/train.csv", "--hp", "{tmp}/eta.json",
+          "--out", "{tmp}/model.json"], 3),
+        (["train", "--train", "{run}/train.csv", "--hp", "{tmp}/list.json",
+          "--out", "{tmp}/model.json"], 3),
+        (["train", "--train", "{run}/train.csv", "--hp", "{tmp}/deep.json",
+          "--out", "{tmp}/model.json"], 3),
+        (["train", "--train", "{run}/train.csv", "--hp", "{tmp}/twelve.json",
+          "--out", "{tmp}/model.json"], 2),
     ], ids=["ingest_out_in_missing_dir", "run_out_is_file", "config_is_directory",
-            "config_not_utf8"])
-    def test_bad_path_is_diagnosed_without_traceback(self, tmp_path, capfd, argv, code):
+            "config_not_utf8", "hp_unknown_key", "hp_not_object", "hp_value_not_number",
+            "hp_num_class_12"])
+    def test_bad_path_is_diagnosed_without_traceback(self, trained_run, tmp_path, capfd,
+                                                      argv, code):
         config = self._write_config(tmp_path)
         (tmp_path / "file").write_bytes(b"\xff\xfe{")
-        command, *rest = [arg.format(tmp=tmp_path) for arg in argv]
+        (tmp_path / "eta.json").write_text('{"eta": 0.3}')
+        (tmp_path / "list.json").write_text("[1, 2]")
+        (tmp_path / "deep.json").write_text('{"max_depth": "deep"}')
+        (tmp_path / "twelve.json").write_text(json.dumps(dict(FAST_HP, num_class=12)))
+        command, *rest = [arg.format(tmp=tmp_path, run=trained_run) for arg in argv]
         assert main([command, "--config", str(config), *rest]) == code
         err = capfd.readouterr().err
         assert err.startswith("error [") and "Traceback" not in err
@@ -391,7 +407,7 @@ class TestCli:
         (lambda doc: _internal_node(doc).update(feature=99), "feature 99 is outside"),
         (lambda doc: doc["trees"][0].__delitem__(slice(3, None)), "round 0 holds 3 trees"),
         (lambda doc: _internal_node(doc).pop("feature"), "numeric 'feature'"),
-        (lambda doc: doc["hyperparameters"].update(eta=0.3), "unexpected keyword argument 'eta'"),
+        (lambda doc: doc["hyperparameters"].update(eta=0.3), "unknown hyperparameter 'eta'"),
         (lambda doc: doc.pop("num_features"), "KeyError('num_features')"),
         (lambda doc: doc.pop("trees"), "KeyError('trees')"),
         (lambda doc: doc["trees"].__setitem__(0, 7), "round 0 must be a list of trees, got int"),

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from rfclass.dataset import canonical_schema
 from rfclass.errors import FitError, PipelineError
-from rfclass.preprocess import (SplitSpec, TransformParams, apply_transforms,
+from rfclass.preprocess import (SplitSpec, apply_transforms,
                                 bin_rf, class_labels, complete_cases,
                                 filter_ranges, fit_transforms, impute,
                                 prune_missing, stratified_kfold,
@@ -298,14 +298,6 @@ class TestFitTransforms:
         t = params.transforms[0]
         assert t.z_min == -t.z_max
         assert float(t.normalized(3.0)) == 0.5
-
-    def test_params_round_trip(self):
-        params = fit_transforms(transform_db([1.0, 2.0, 3.0, 4.0]))
-        back = TransformParams.from_dict(params.to_dict())
-        assert back.feature_names == params.feature_names
-        for a, b in zip(back.transforms, params.transforms):
-            np.testing.assert_array_equal(a.values, b.values)
-            assert (a.z_min, a.z_max) == (b.z_min, b.z_max)
 
 
 class TestApplyTransforms:
