@@ -24,6 +24,9 @@ from .errors import TrainingError
 
 PROB_CLIP = 1e-15
 
+#: Every model's objective and metric: `to_dict` writes them, `from_dict` accepts no other.
+FIXED_SETTINGS = {"objective": "multi:softmax", "eval_metric": "mlogloss"}
+
 
 @dataclass(frozen=True)
 class Hyperparameters:
@@ -39,8 +42,6 @@ class Hyperparameters:
     max_delta_step: float = 0.2
     num_class: int = 10
     num_rounds: int = 200
-    objective: str = "multi:softmax"
-    eval_metric: str = "mlogloss"
 
     def __post_init__(self):
         if self.max_depth < 1:
@@ -51,7 +52,7 @@ class Hyperparameters:
         if not 0 < self.learning_rate <= 1:
             raise ValueError("learning_rate must lie in (0, 1]")
         for name in ("alpha", "lambda_", "gamma", "max_delta_step", "min_child_weight"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:  # NaN too
                 raise ValueError(f"{name} must be non-negative")
         if self.num_class < 2:
             raise ValueError("num_class must be at least 2")
@@ -59,38 +60,30 @@ class Hyperparameters:
             raise ValueError("num_rounds must be non-negative")
 
     def to_dict(self) -> dict:
-        out = {
-            "max_depth": self.max_depth,
-            "min_child_weight": self.min_child_weight,
-            "learning_rate": self.learning_rate,
-            "subsample": self.subsample,
-            "colsample_bytree": self.colsample_bytree,
-            "colsample_bylevel": self.colsample_bylevel,
-            "alpha": self.alpha,
-            "lambda": self.lambda_,
-            "gamma": self.gamma,
-            "max_delta_step": self.max_delta_step,
-            "num_class": self.num_class,
-            "num_rounds": self.num_rounds,
-            "objective": self.objective,
-            "eval_metric": self.eval_metric,
-        }
-        return out
+        out = {f.name.rstrip("_"): getattr(self, f.name) for f in fields(self)}  # "lambda"
+        return {**out, **FIXED_SETTINGS}
 
     @classmethod
     def from_dict(cls, data: dict) -> "Hyperparameters":
         if not isinstance(data, dict):
             raise ValueError(f"hyperparameters must be a JSON object, got {type(data).__name__}")
         data = dict(data)
+        for key, fixed in FIXED_SETTINGS.items():
+            value = data.pop(key, fixed)
+            if value != fixed:
+                raise ValueError(f"{key} must be {fixed!r}, got {value!r}")
         if "lambda" in data:
             data["lambda_"] = data.pop("lambda")
         unknown = sorted(set(data) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"unknown hyperparameter {', '.join(map(repr, unknown))}")
-        try:
-            return cls(**data)
-        except TypeError as exc:  # a value of the wrong type
-            raise ValueError(f"bad hyperparameter value: {exc}") from None
+        counts = {f.name for f in fields(cls) if f.type is int}
+        for name, value in data.items():
+            kind = int if name in counts else (int, float)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(f"hyperparameter {name!r} must be a "
+                                 f"{'JSON integer' if kind is int else 'number'}, got {value!r}")
+        return cls(**data)
 
 
 @dataclass

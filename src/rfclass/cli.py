@@ -30,6 +30,7 @@ from .errors import ConfigError, IngestError, PipelineError, TrainingError
 from .pipeline import (PipelineConfig, StageFailure, _dump_json, evaluate, explain, fit,
                        held_out, ingest, preprocess, read_hyperparameters, read_prepared,
                        run_pipeline, tune)
+from .preprocess import N_CLASSES
 from .synth import generate, preset
 
 EXIT_OK = 0
@@ -131,7 +132,12 @@ def cmd_train(args) -> int:
 
 
 def _load_model(path: str):
-    return load_ensemble(_require(path, "model JSON (run `train` first)").read_text())
+    """The saved model at `path`; it must label the N_CLASSES tenths of RF."""
+    model = load_ensemble(_require(path, "model JSON (run `train` first)").read_text())
+    if model.hp.num_class != N_CLASSES:
+        raise PipelineError(f"{path} is a {model.hp.num_class}-class model; "
+                            f"rfclass models have num_class {N_CLASSES}, one per tenth of RF")
+    return model
 
 
 def cmd_evaluate(args) -> int:

@@ -36,23 +36,23 @@ def neighborhood_accuracy(pred, actual) -> float:
     return float(np.mean(np.abs(pred - actual) == 1))
 
 
-def macro_f1(pred, actual, n_classes: int = N_CLASSES) -> float:
+def macro_f1(pred, actual) -> float:
     """Per-class f1 averaged over the fixed class count.
 
     Classes absent from both pred and actual contribute zero, which keeps
-    the denominator at `n_classes` regardless of which classes appear.
+    the denominator at `N_CLASSES` regardless of which classes appear.
     """
     pred, actual = _check(pred, actual)
-    if pred.max() >= n_classes or actual.max() >= n_classes:
-        raise ValueError(f"labels must be below n_classes={n_classes}")
+    if pred.max() >= N_CLASSES or actual.max() >= N_CLASSES:
+        raise ValueError(f"labels must be below N_CLASSES={N_CLASSES}")
     total = 0.0
-    for c in range(n_classes):
+    for c in range(N_CLASSES):
         tp = float(np.sum((pred == c) & (actual == c)))
         fp = float(np.sum((pred == c) & (actual != c)))
         fn = float(np.sum((pred != c) & (actual == c)))
         denom = 2 * tp + fp + fn
         total += 2 * tp / denom if denom > 0 else 0.0
-    return total / n_classes
+    return total / N_CLASSES
 
 
 def confusion_bubbles(pred, actual) -> dict[tuple[int, int], int]:
@@ -76,8 +76,7 @@ class EvaluationReport:
     bubbles: tuple[tuple[int, int, int], ...]  # (predicted, actual, count)
 
     @classmethod
-    def from_predictions(cls, role: str, tag: str, pred, actual,
-                         n_classes: int = N_CLASSES) -> "EvaluationReport":
+    def from_predictions(cls, role: str, tag: str, pred, actual) -> "EvaluationReport":
         pred, actual = _check(pred, actual)
         acc = accuracy(pred, actual)
         neigh = neighborhood_accuracy(pred, actual)
@@ -91,7 +90,7 @@ class EvaluationReport:
             accuracy=acc,
             neighborhood_accuracy=neigh,
             total_accuracy=acc + neigh,
-            macro_f1=macro_f1(pred, actual, n_classes),
+            macro_f1=macro_f1(pred, actual),
             bubbles=bubbles,
         )
 

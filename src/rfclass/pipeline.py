@@ -12,8 +12,9 @@ runs with equal config and seed produce byte-identical artifacts.
 
 import json
 import platform
+import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -22,14 +23,14 @@ import scipy
 
 from . import __version__
 from .booster import Ensemble, Hyperparameters, predict_class, serialize_ensemble, train
-from .dataset import (Database, DatabaseTag, canonical_schema, deduplicate,
+from .dataset import (Database, DatabaseTag, FeatureSchema, canonical_schema, deduplicate,
                       merge, parse_database, parse_tag, serialize_database)
 from .errors import ConfigError, PipelineError
 from .explain import ImportanceSummary, importance_from_database
 from .metrics import EvaluationReport, summary_csv
-from .preprocess import (N_CLASSES, SplitSpec, apply_transforms, complete_cases,
-                         filter_ranges, fit_transforms, impute, prune_missing,
-                         stratified_split, to_matrix)
+from .preprocess import (N_CLASSES, SplitSpec, apply_transforms, check_prune_thresholds,
+                         complete_cases, filter_ranges, fit_transforms, impute,
+                         prune_missing, stratified_split, to_matrix)
 from .synth import generate, preset
 from .tuner import SearchGrid, default_grid, pairwise_grid_search
 
@@ -59,36 +60,55 @@ class SourceConfig:
     rf_column: str = "RF"
     column_map: dict[str, str] = field(default_factory=dict)
 
+    def __post_init__(self):
+        if not all(isinstance(v, str) for v in (self.path, self.key_column, self.rf_column)):
+            raise ValueError("path, key_column and rf_column must be strings")
+        if not isinstance(self.column_map, dict) or not all(
+                isinstance(v, str) for v in self.column_map.values()):
+            raise ValueError(f"column_map must map feature names to column names, "
+                             f"got {self.column_map!r}")
+
 
 @dataclass(frozen=True)
 class SynthConfig:
     n: int = 2000
     divergence: float = 1.0
 
+    def __post_init__(self):
+        for name in _PRESET_BY_TAG.values():  # a divergence a preset rejects
+            preset(name, self.divergence)
 
-def _positive_int(value, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+
+def _integer(value, name: str, minimum: int | None = None) -> int:
+    """A JSON integer, at least `minimum` when one is given."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be a number written as a JSON integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{name} must be at least {minimum}, got {value}")
     return value
 
 
-def _number(section: dict, key: str, default, kind, name: str):
-    """`kind(section[key])`, or `kind(default)` when the key is absent."""
-    value = section.get(key, default)
+def _real(value, name: str) -> float:
+    """A JSON number that a float holds."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _range_pair(name: str, bounds) -> tuple[float, ...]:
+    if not isinstance(bounds, list) or len(bounds) != 2:
+        raise ConfigError(f"range_overrides entry {name!r} must be a [lo, hi] pair "
+                          f"of numbers, got {bounds!r}")
+    return tuple(_real(b, f"range_overrides entry {name!r}") for b in bounds)
+
+
+def _build(section: str, make, *args, **kwargs):
+    """`make(*args, **kwargs)`; a bad value's error becomes a ConfigError naming `section`."""
     try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{name} must be a number, got {value!r}") from None
-
-
-def _range_pair(name: str, bounds) -> tuple[float, float]:
-    if isinstance(bounds, list) and len(bounds) == 2:
-        try:
-            return float(bounds[0]), float(bounds[1])
-        except (TypeError, ValueError):
-            pass
-    raise ConfigError(f"range_overrides entry {name!r} must be a [lo, hi] pair "
-                      f"of numbers, got {bounds!r}")
+        return make(*args, **kwargs)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"bad {section}: {exc}") from None
 
 
 def read_hyperparameters(data) -> Hyperparameters:
@@ -111,33 +131,33 @@ def _section(data: dict, key: str) -> dict | None:
 
 @dataclass(frozen=True)
 class PipelineConfig:
+    """A run's settings; `schema` holds the range overrides, and stages set `split.seed`."""
+
     combo: DatabaseTag
+    schema: FeatureSchema
     seed: int = 0
     sources: dict[DatabaseTag, SourceConfig] | None = None
     synth: SynthConfig | None = None
-    test_fraction: float = 0.1
-    k_folds: int = 10
+    split: SplitSpec = SplitSpec()
     hyperparameters: Hyperparameters | None = None
     grid: SearchGrid | None = None
     feature_threshold: float = 0.70
     record_threshold: float = 0.55
-    range_overrides: dict[str, tuple[float, float]] = field(default_factory=dict)
     shap_sample: int = 100
     early_stopping_patience: int | None = None
     raw: dict = field(default_factory=dict, compare=False)
 
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineConfig":
+        """The config of a JSON document. Only JSON types are checked here; the
+        settings' constructors check ranges, so a bad value fails before any stage."""
         if not isinstance(data, dict):
             raise ConfigError(f"config must be a JSON object, got {type(data).__name__}")
         if "combo" not in data:
             raise ConfigError("config requires a 'combo' entry")
         if not isinstance(data["combo"], str):
             raise ConfigError(f"combo must be a string, got {data['combo']!r}")
-        try:
-            combo = parse_tag(data["combo"])
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        combo = _build("combo", parse_tag, data["combo"])
         if combo.is_source:
             raise ConfigError(f"combo must be a merge combination, got {combo.value}")
 
@@ -146,94 +166,63 @@ class PipelineConfig:
         if raw_sources:
             sources = {}
             for name, spec in raw_sources.items():
-                try:
-                    tag = parse_tag(name)
-                except ValueError as exc:
-                    raise ConfigError(str(exc)) from None
+                tag = _build("sources", parse_tag, name)
                 if not tag.is_source:
                     raise ConfigError(f"source entry {name!r} is not a source database")
                 if not isinstance(spec, dict) or "path" not in spec:
                     raise ConfigError(f"source entry {name!r} needs a 'path'")
-                sources[tag] = SourceConfig(
-                    path=spec["path"],
-                    key_column=spec.get("key_column", "key"),
-                    rf_column=spec.get("rf_column", "RF"),
-                    column_map=spec.get("column_map", {}),
-                )
+                sources[tag] = _build(f"source entry {name!r}", SourceConfig, **{
+                    f.name: spec[f.name] for f in fields(SourceConfig) if f.name in spec})
         synth = None
         raw_synth = _section(data, "synth")
         if raw_synth is not None:
-            synth = SynthConfig(
-                n=_number(raw_synth, "n", 2000, int, "synth.n"),
-                divergence=_number(raw_synth, "divergence", 1.0, float, "synth.divergence"),
-            )
-            if synth.n < 1:
-                raise ConfigError(f"synth.n must be at least 1, got {synth.n}")
+            synth = _build("synth", SynthConfig,
+                           n=_integer(raw_synth.get("n", 2000), "synth.n", 1),
+                           divergence=_real(raw_synth.get("divergence", 1.0), "synth.divergence"))
         if (sources is None) == (synth is None):
             raise ConfigError("config needs exactly one of 'sources' or 'synth'")
 
         hp = None
         if data.get("hyperparameters") is not None:
-            try:
-                hp = read_hyperparameters(data["hyperparameters"])
-            except ValueError as exc:
-                raise ConfigError(f"bad hyperparameters: {exc}") from None
+            hp = _build("hyperparameters", read_hyperparameters, data["hyperparameters"])
         grid = None
         raw_grid = _section(data, "grid")
-        if raw_grid is not None:
-            try:
-                if raw_grid.get("candidates"):
-                    grid = SearchGrid(
-                        candidates=raw_grid.get("candidates", {}),
-                        pairs=tuple(tuple(p) for p in raw_grid.get("pairs", ())),
-                        max_sweeps=int(raw_grid.get("max_sweeps", 3)),
-                    )
-                else:  # "grid": {} asks for the default search space
-                    grid = default_grid()
-                    if "max_sweeps" in raw_grid:
-                        grid = SearchGrid(candidates=grid.candidates, pairs=grid.pairs,
-                                          max_sweeps=int(raw_grid["max_sweeps"]))
-            except ValueError as exc:
-                raise ConfigError(f"bad grid: {exc}") from None
+        if raw_grid is not None:  # "grid": {} asks for the default search space
+            default = default_grid()
+            grid = _build("grid", SearchGrid,
+                          candidates=raw_grid.get("candidates", default.candidates),
+                          pairs=raw_grid.get("pairs", default.pairs),
+                          max_sweeps=_integer(raw_grid.get("max_sweeps", 3), "grid.max_sweeps"))
         if hp is not None and grid is not None:
             raise ConfigError("provide either fixed 'hyperparameters' or a 'grid', not both")
 
         split = _section(data, "split") or {}
-        test_fraction = _number(split, "test_fraction", 0.1, float, "split.test_fraction")
-        if not 0 < test_fraction < 1:
-            raise ConfigError("split.test_fraction must lie in (0, 1)")
-        k_folds = _number(split, "k_folds", 10, int, "split.k_folds")
-        if k_folds < 2:
-            raise ConfigError("split.k_folds must be at least 2")
-        overrides = {
-            name: _range_pair(name, bounds)
-            for name, bounds in (_section(data, "range_overrides") or {}).items()
-        }
         prune = _section(data, "prune") or {}
-        # checked here, so a bad value fails before any stage has run
-        shap_sample = _positive_int(data.get("shap_sample", 100), "shap_sample")
+        thresholds = (_real(prune.get("feature_threshold", 0.70), "prune.feature_threshold"),
+                      _real(prune.get("record_threshold", 0.55), "prune.record_threshold"))
+        _build("prune", check_prune_thresholds, *thresholds)
+        overrides = {name: _range_pair(name, bounds)
+                     for name, bounds in (_section(data, "range_overrides") or {}).items()}
         patience = data.get("early_stopping_patience")
-        if patience is not None:
-            _positive_int(patience, "early_stopping_patience")
-        try:
-            return cls(
-                combo=combo,
-                seed=int(data.get("seed", 0)),
-                sources=sources,
-                synth=synth,
-                test_fraction=test_fraction,
-                k_folds=k_folds,
-                hyperparameters=hp,
-                grid=grid,
-                feature_threshold=float(prune.get("feature_threshold", 0.70)),
-                record_threshold=float(prune.get("record_threshold", 0.55)),
-                range_overrides=overrides,
-                shap_sample=shap_sample,
-                early_stopping_patience=patience,
-                raw=data,
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        return cls(
+            combo=combo,
+            schema=_build("range_overrides", canonical_schema, overrides),
+            seed=_integer(data.get("seed", 0), "seed"),
+            sources=sources,
+            synth=synth,
+            split=_build("split", SplitSpec,
+                         test_fraction=_real(split.get("test_fraction", 0.1),
+                                             "split.test_fraction"),
+                         k_folds=_integer(split.get("k_folds", 10), "split.k_folds")),
+            hyperparameters=hp,
+            grid=grid,
+            feature_threshold=thresholds[0],
+            record_threshold=thresholds[1],
+            shap_sample=_integer(data.get("shap_sample", 100), "shap_sample", 1),
+            early_stopping_patience=None if patience is None else _integer(
+                patience, "early_stopping_patience", 1),
+            raw=data,
+        )
 
     @classmethod
     def from_json(cls, text: str) -> "PipelineConfig":
@@ -284,7 +273,6 @@ def _dump_json(path: Path, payload) -> None:
 
 def load_sources(config: PipelineConfig, tags) -> list[Database]:
     """Parse or generate each source database in `tags`, in that order."""
-    schema = canonical_schema(config.range_overrides)
     out = []
     for tag in tags:
         if config.sources is not None:
@@ -296,7 +284,7 @@ def load_sources(config: PipelineConfig, tags) -> list[Database]:
             if not path.exists():
                 raise PipelineError(f"missing input file for {tag.value}: {path}")
             out.append(parse_database(
-                path.read_text(), tag, schema,
+                path.read_text(), tag, config.schema,
                 key_column=src.key_column, rf_column=src.rf_column,
                 column_map=src.column_map,
             ))
@@ -304,7 +292,7 @@ def load_sources(config: PipelineConfig, tags) -> list[Database]:
             spec = preset(_PRESET_BY_TAG[tag], config.synth.divergence)
             seed = _stage_seed(config.seed, 1 + list(_PRESET_BY_TAG).index(tag))
             # generated under the default schema; rebuild under the override one
-            out.append(replace(generate(spec, config.synth.n, seed), schema=schema))
+            out.append(replace(generate(spec, config.synth.n, seed), schema=config.schema))
     return out
 
 
@@ -314,7 +302,7 @@ def read_prepared(path: Path, config: PipelineConfig) -> Database:
     text = path.read_text()
     names = [h.strip() for h in text.partition("\n")[0].split(",")
              if h.strip() not in ("key", "source", "RF")]
-    schema = canonical_schema(config.range_overrides).subset(names)
+    schema = config.schema.subset(names)
     if len(schema.names) != len(names):  # non-canonical feature set
         raise PipelineError(f"unrecognized feature columns in {path}")
     return parse_database(text, config.combo, schema)
@@ -359,9 +347,8 @@ def preprocess(merged: Database, config: PipelineConfig,
     """
     filtered = filter_ranges(merged)
     pruned = prune_missing(filtered, config.feature_threshold, config.record_threshold)
-    train_db, test_db = stratified_split(pruned, SplitSpec(
-        test_fraction=config.test_fraction, k_folds=config.k_folds,
-        seed=_stage_seed(config.seed, 10)))
+    train_db, test_db = stratified_split(
+        pruned, replace(config.split, seed=_stage_seed(config.seed, 10)))
     imputed_counts = {
         role: dict(zip(db.schema.names, np.isnan(db.values).sum(axis=0).tolist()))
         for role, db in (("train", train_db), ("test", test_db))
@@ -375,7 +362,7 @@ def preprocess(merged: Database, config: PipelineConfig,
         "dropped_features": [n for n in merged.schema.names if n not in pruned.schema.names],
         "imputed_cells": imputed_counts,
         "split": {"train": len(train_db), "test": len(test_db),
-                  "test_fraction": config.test_fraction},
+                  "test_fraction": config.split.test_fraction},
         "transform_params": params.to_dict(),
     }
     if independent is not None:
@@ -401,7 +388,7 @@ def tune(train_t: Database, config: PipelineConfig,
         return config.hyperparameters or Hyperparameters()
     trace: list[dict] = []
     result = pairwise_grid_search(train_t, config.grid, _stage_seed(config.seed, 20),
-                                  k=config.k_folds, trace_sink=trace.append)
+                                  k=config.split.k_folds, trace_sink=trace.append)
     if trace_path is not None:
         trace_path.write_text("".join(json.dumps(e, sort_keys=True) + "\n" for e in trace))
     return result.hyperparameters
@@ -428,8 +415,7 @@ def evaluate(model: Ensemble, db: Database, role: str,
     if tag is None:
         raise ConfigError(f"combo {config.combo.value} holds no database out")
     X, y = to_matrix(db)
-    return EvaluationReport.from_predictions(role, tag.value, predict_class(model, X), y,
-                                             model.hp.num_class)
+    return EvaluationReport.from_predictions(role, tag.value, predict_class(model, X), y)
 
 
 def explain(model: Ensemble, train_t: Database, config: PipelineConfig) -> ImportanceSummary:

@@ -56,6 +56,12 @@ def filter_ranges(db: Database) -> Database:
     return db.take(~outside.any(axis=1))
 
 
+def check_prune_thresholds(feature_threshold: float, record_threshold: float) -> None:
+    """The thresholds `prune_missing` accepts: both lie in (0, 1)."""
+    if not 0 < feature_threshold < 1 or not 0 < record_threshold < 1:
+        raise ValueError("prune thresholds must lie in (0, 1)")
+
+
 def prune_missing(
     db: Database,
     feature_threshold: float = 0.70,
@@ -67,8 +73,7 @@ def prune_missing(
     `feature_threshold`; afterwards a record goes when its missing fraction
     over the surviving features strictly exceeds `record_threshold`.
     """
-    if not 0 < feature_threshold < 1 or not 0 < record_threshold < 1:
-        raise ValueError("prune thresholds must lie in (0, 1)")
+    check_prune_thresholds(feature_threshold, record_threshold)
     if not len(db):
         return db
     fractions = np.isnan(db.values).mean(axis=0)

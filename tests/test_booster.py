@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import fields
 from unittest import mock
 
 import numpy as np
@@ -557,3 +558,25 @@ class TestHyperparameters:
         data = hp.to_dict()
         assert data["lambda"] == 0.25
         assert Hyperparameters.from_dict(data) == hp
+
+    @settings(max_examples=100, deadline=None)
+    @given(max_depth=st.integers(1, 12), min_child_weight=st.floats(0, 10),
+           learning_rate=st.floats(0, 1, exclude_min=True),
+           subsample=st.floats(0, 1, exclude_min=True),
+           colsample_bytree=st.floats(0, 1, exclude_min=True),
+           colsample_bylevel=st.floats(0, 1, exclude_min=True),
+           alpha=st.floats(0, 5), lambda_=st.floats(0, 5), gamma=st.floats(0, 5),
+           max_delta_step=st.floats(0, 5), num_class=st.integers(2, 12),
+           num_rounds=st.integers(0, 500))
+    def test_dict_round_trip(self, **settings_):
+        hp = Hyperparameters(**settings_)
+        data = hp.to_dict()
+        assert Hyperparameters.from_dict(data) == hp
+        assert (data["objective"], data["eval_metric"]) == ("multi:softmax", "mlogloss")
+
+    def test_objective_and_metric_are_fixed(self):
+        assert len(fields(Hyperparameters)) == 12
+        assert Hyperparameters.from_dict({"objective": "multi:softmax"}) == Hyperparameters()
+        for key, value in (("objective", "reg:squarederror"), ("eval_metric", "merror")):
+            with pytest.raises(ValueError, match=f"{key} must be"):
+                Hyperparameters.from_dict({key: value})

@@ -1,8 +1,13 @@
+import copy
+import functools
 import json
 import math
+import operator
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rfclass import pipeline
 from rfclass.cli import main
@@ -29,6 +34,39 @@ def _prepared(path):
 
 def _row_set(rows):
     return {tuple(float(v) for v in row) for row in rows}
+
+
+#: Valid configs that between them set every config key.
+VALID_CONFIGS = [
+    {"combo": "TC", "seed": 3, "synth": {"n": 50, "divergence": 1.5},
+     "split": {"test_fraction": 0.2, "k_folds": 3}, "hyperparameters": dict(FAST_HP),
+     "prune": {"feature_threshold": 0.7, "record_threshold": 0.55},
+     "range_overrides": {"gor": [0, 60], "bo": [1.0, 2.5]}, "shap_sample": 5,
+     "early_stopping_patience": 2},
+    {"combo": "TCA", "sources": {
+        "TORIS": {"path": "toris.csv", "key_column": "name", "rf_column": "rf",
+                  "column_map": {"gor": "GOR", "bo": "Bo"}},
+        "Commercial": {"path": "commercial.csv"}, "Atlas": {"path": "atlas.csv"}},
+     "grid": {"candidates": {"max_depth": [2, 3], "learning_rate": [0.1, 0.2],
+                             "lambda_": [0.01]},
+              "pairs": [["max_depth", "learning_rate"], ["lambda_"]], "max_sweeps": 2}},
+    {"combo": "CA", "synth": {}, "grid": {"max_sweeps": 1}},
+]
+
+JSON_VALUES = st.sampled_from([None, True, False, 0, -1, 7, 0.5, "TC", "x", [], [1], [[1]],
+                               {}, {"a": 1}])
+EXTREME_NUMBERS = st.one_of(
+    st.integers(), st.floats(),
+    st.sampled_from([-1, 0, 1, 2, 1.0, 1.5, -0.5, 10**400, -10**400, 2**63, 1e308]))
+
+
+def _locations(doc, path=()):
+    """The path of every value inside `doc`, nested ones included."""
+    if not isinstance(doc, (dict, list)):
+        return
+    for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+        yield path + (key,)
+        yield from _locations(value, path + (key,))
 
 
 def tiny_config(combo="TC", seed=5, **extra):
@@ -70,6 +108,13 @@ class TestConfigValidation:
                          "pairs": [["max_depth"]]},
             })
 
+    @pytest.mark.parametrize("grid", [{"pairs": [["max_depth"]]}, {"candidates": {}},
+                                      {"candidates": 0, "pairs": 5}],
+                             ids=["pairs_only", "empty_candidates", "falsy_candidates"])
+    def test_grid_entries_never_fall_back_to_the_default_grid(self, grid):
+        with pytest.raises(ConfigError, match="bad grid"):
+            PipelineConfig.from_dict({"combo": "TC", "synth": {}, "grid": grid})
+
     def test_bad_hyperparameters(self):
         with pytest.raises(ConfigError, match="bad hyperparameters"):
             PipelineConfig.from_dict({
@@ -80,6 +125,25 @@ class TestConfigValidation:
     def test_bad_json(self):
         with pytest.raises(ConfigError, match="valid JSON"):
             PipelineConfig.from_json("{nope")
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_mutated_configs_raise_only_config_errors(self, data):
+        doc = copy.deepcopy(data.draw(st.sampled_from(VALID_CONFIGS)))
+        for _ in range(data.draw(st.integers(1, 3))):
+            *path, key = data.draw(st.sampled_from(list(_locations(doc))))
+            parent = functools.reduce(operator.getitem, path, doc)
+            mutation = data.draw(st.sampled_from(["drop", "retype", "out_of_range"]))
+            if mutation == "drop":
+                del parent[key]
+            else:
+                value = data.draw(JSON_VALUES if mutation == "retype" else EXTREME_NUMBERS)
+                parent[key] = copy.deepcopy(value)  # the sampled values are shared
+        try:
+            config = PipelineConfig.from_dict(json.loads(json.dumps(doc)))
+        except ConfigError:
+            return
+        assert isinstance(config, PipelineConfig)
 
     def test_independent_mapping(self):
         assert INDEPENDENT_SOURCE[DatabaseTag.TC] is DatabaseTag.ATLAS
@@ -191,6 +255,13 @@ def _internal_node(doc):
     return next(tree for round_trees in doc["trees"] for tree in round_trees if "leaf" not in tree)
 
 
+def _twelve_classes(doc):
+    """Make a serialized ensemble a well-formed 12-class model."""
+    doc["hyperparameters"]["num_class"] = 12
+    for round_trees in doc["trees"]:
+        round_trees.extend(round_trees[:2])
+
+
 @pytest.fixture(scope="module")
 def trained_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("trained") / "run"
@@ -295,18 +366,49 @@ class TestCli:
         ({"synth": {"n": 0}}, "synth.n must be at least 1"),
         ({"synth": {"n": -3}}, "synth.n must be at least 1"),
         ({"synth": {"n": 300, "divergence": "far"}}, "synth.divergence must be a number"),
+        ({"synth": {"n": 300, "divergence": 1e6}}, "bad synth: median and spread must be positive"),
         ({"split": {"k_folds": "ten"}}, "split.k_folds must be a number"),
         ({"split": {"test_fraction": "tenth"}}, "split.test_fraction must be a number"),
         ({"hyperparameters": dict(FAST_HP, num_class=12)}, "num_class must be 10"),
         ({"hyperparameters": dict(FAST_HP, num_class=5)}, "num_class must be 10"),
+        ({"prune": {"feature_threshold": 1.5}}, "prune thresholds must lie in (0, 1)"),
+        ({"prune": {"record_threshold": 0}}, "prune thresholds must lie in (0, 1)"),
+        ({"range_overrides": {"depth": [0, 1]}}, "unknown feature"),
+        ({"range_overrides": {"gor": [60, 0]}}, "lower bound must be below upper bound"),
+        ({"hyperparameters": None,
+          "grid": {"candidates": {"max_depth": 3}, "pairs": [["max_depth"]]}},
+         "candidates must map names to lists"),
+        ({"hyperparameters": None,
+          "grid": {"candidates": {"max_depth": ["deep"]}, "pairs": [["max_depth"]]}},
+         "'max_depth' must be a JSON integer"),
+        ({"hyperparameters": None,
+          "grid": {"candidates": {"max_depth": [2]}, "pairs": 5}},
+         "pairs must be lists of names"),
+        ({"hyperparameters": None, "grid": {"candidates": [1]}},
+         "candidates must map names to lists"),
+        ({"seed": 1.7}, "seed must be a number written as a JSON integer"),
+        ({"split": {"k_folds": 3.9}}, "split.k_folds must be a number written as a JSON integer"),
+        ({"synth": {"n": 120.9}}, "synth.n must be a number written as a JSON integer"),
+        ({"synth": None, "sources": {"TORIS": {"path": "toris.csv", "column_map": [1]}}},
+         "column_map must map feature names to column names"),
+        ({"hyperparameters": dict(FAST_HP, objective="reg:squarederror")},
+         "objective must be 'multi:softmax'"),
+        ({"hyperparameters": dict(FAST_HP, num_rounds=2.5)}, "'num_rounds' must be a JSON integer"),
+        ({"hyperparameters": dict(FAST_HP, alpha=math.nan)}, "alpha must be non-negative"),
     ], ids=["shap_sample_zero", "patience_not_integer", "source_without_path",
             "unknown_source_tag", "sources_not_object", "synth_not_object",
             "grid_not_object", "split_not_object", "prune_not_object",
             "range_overrides_not_object", "combo_number", "combo_list",
             "range_override_not_pair", "synth_n_not_number", "synth_n_zero",
             "synth_n_negative",
-            "synth_divergence_not_number", "k_folds_not_number",
-            "test_fraction_not_number", "num_class_12", "num_class_5"])
+            "synth_divergence_not_number", "synth_divergence_too_large", "k_folds_not_number",
+            "test_fraction_not_number", "num_class_12", "num_class_5",
+            "feature_threshold_above_one", "record_threshold_zero",
+            "range_override_unknown_feature", "range_override_inverted",
+            "grid_candidates_not_list", "grid_candidate_not_number", "grid_pairs_number",
+            "grid_candidates_list", "seed_fraction", "k_folds_fraction", "synth_n_fraction",
+            "column_map_not_object", "objective_not_softmax", "num_rounds_fraction",
+            "alpha_nan"])
     def test_config_field_error_exits_2_before_any_stage(self, tmp_path, capsys, extra, message):
         config = self._write_config(tmp_path, **extra)
         code = main(["run", "--config", str(config), "--out", str(tmp_path / "run")])
@@ -413,9 +515,10 @@ class TestCli:
         (lambda doc: doc["trees"].__setitem__(0, 7), "round 0 must be a list of trees, got int"),
         (lambda doc: _internal_node(doc).update(threshold=math.inf), "finite numeric 'threshold'"),
         (lambda doc: _internal_node(doc)["left"].update(leaf=math.nan), "finite numeric 'leaf'"),
+        (_twelve_classes, "is a 12-class model"),
     ], ids=["feature_out_of_range", "round_of_three_trees", "node_without_feature",
             "unknown_hyperparameter", "no_num_features", "no_trees", "round_not_list",
-            "infinite_threshold", "nan_leaf"])
+            "infinite_threshold", "nan_leaf", "twelve_classes"])
     def test_corrupted_model_exits_3(self, trained_run, tmp_path, capsys, corrupt, message):
         doc = json.loads((trained_run / "model.json").read_text())
         corrupt(doc)
