@@ -25,7 +25,6 @@ from .preprocess import (SplitSpec, TransformParams, apply_transforms, bin_rf,
                          class_labels, complete_cases, filter_ranges,
                          fit_transforms, impute, prune_missing,
                          stratified_kfold, stratified_split, to_matrix)
-from .synth import (DistributionSpec, FeatureDistribution, RFLink, atlas_like,
-                    commercial_like, generate, preset, toris_like)
+from .synth import DistributionSpec, FeatureDistribution, RFLink, generate, preset
 from .tuner import (SearchGrid, TuningResult, cross_validate, default_grid,
                     pairwise_grid_search)

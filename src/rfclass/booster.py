@@ -593,14 +593,23 @@ def serialize_ensemble(ensemble: Ensemble) -> str:
 
 
 def load_ensemble(text: str) -> Ensemble:
+    """Ensemble of a `serialize_ensemble` document. Raises ValueError for a
+    document that is not one, or whose fields disagree with each other."""
     doc = json.loads(text)
-    if doc.get("format") != SERIALIZATION_FORMAT:
+    if not isinstance(doc, dict) or doc.get("format") != SERIALIZATION_FORMAT:
         raise ValueError("not an rfclass ensemble document")
     if doc.get("version") != SERIALIZATION_VERSION:
         raise ValueError(f"unsupported ensemble version {doc.get('version')}")
     try:
         hp = Hyperparameters.from_dict(doc["hyperparameters"])
-        num_features = int(doc["num_features"])
+        num_features, names = doc["num_features"], doc["feature_names"]
+        if type(num_features) is not int or num_features < 1:  # type(), as True is an int
+            raise ValueError(f"num_features must be a positive JSON integer, got {num_features!r}")
+        if not isinstance(names, list) or len(names) != num_features \
+                or not all(isinstance(name, str) for name in names):
+            raise ValueError(f"feature_names must be a list of {num_features} names")
+        if not isinstance(doc["trees"], list):
+            raise ValueError(f"trees must be a list of rounds, got {type(doc['trees']).__name__}")
         trees = []
         for r, round_trees in enumerate(doc["trees"]):
             if not isinstance(round_trees, list):
@@ -609,13 +618,14 @@ def load_ensemble(text: str) -> Ensemble:
                 raise ValueError(f"round {r} holds {len(round_trees)} trees, "
                                  f"expected num_class = {hp.num_class}")
             trees.append([Tree.from_dict(node, num_features) for node in round_trees])
-        return Ensemble(
-            hp=hp,
-            num_features=num_features,
-            feature_names=tuple(doc["feature_names"]),
-            trees=trees,
-            training_loss=list(doc["training_loss"]),
-            best_round=doc.get("best_round"),
-        )
+        losses, best_round = doc["training_loss"], doc.get("best_round")
+        if not isinstance(losses, list) or len(losses) != len(trees) + 1 \
+                or not all(type(x) in (int, float) for x in losses):
+            raise ValueError(f"training_loss must be a list of {len(trees) + 1} numbers")
+        if best_round is not None and not (type(best_round) is int and 1 <= best_round <= len(trees)):
+            raise ValueError(f"best_round must be null or a round in [1, {len(trees)}], "
+                             f"got {best_round!r}")
+        return Ensemble(hp=hp, num_features=num_features, feature_names=tuple(names),
+                        trees=trees, training_loss=losses, best_round=best_round)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed ensemble document: {exc!r}") from None

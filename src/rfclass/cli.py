@@ -31,7 +31,7 @@ from .pipeline import (PipelineConfig, StageFailure, _dump_json, evaluate, expla
                        held_out, ingest, preprocess, read_hyperparameters, read_prepared,
                        run_pipeline, tune)
 from .preprocess import N_CLASSES
-from .synth import generate, preset
+from .synth import _PRESETS, generate, preset
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -184,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     stage.add_argument("--config", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic source database CSV")
-    p.add_argument("--preset", choices=["toris", "commercial", "atlas"], required=True)
+    p.add_argument("--preset", choices=list(_PRESETS), required=True)
     p.add_argument("--n", type=int, default=2000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--divergence", type=float, default=1.0)

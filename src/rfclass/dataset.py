@@ -57,6 +57,10 @@ _MERGE_SOURCES = {
 }
 
 
+#: A `source` cell's accepted spellings, compared in lower case.
+_SOURCE_TOKENS = {name.lower(): tag for tag in _SOURCE_PRIORITY for name in (tag.value, tag.name)}
+
+
 def parse_tag(text: str) -> DatabaseTag:
     for tag in DatabaseTag:
         if text.strip().lower() in (tag.value.lower(), tag.name.lower()):
@@ -271,6 +275,9 @@ def parse_database(
         raise IngestError("empty CSV: no header row") from None
     header = [h.strip() for h in header]
     positions = {name: i for i, name in enumerate(header)}
+    repeated = sorted({name for name in header if name and header.count(name) > 1})
+    if repeated:  # blank cells, such as trailing commas, name no column
+        raise IngestError(f"repeated column(s) in header: {repeated}")
 
     column_map = column_map or {}
     feature_cols = [column_map.get(f.name, f.name) for f in schema.features]
@@ -282,7 +289,6 @@ def parse_database(
     if source_pos is None and not tag.is_source:
         raise IngestError(f"merged tag {tag.value} requires a 'source' column")
 
-    tags: dict[str, DatabaseTag] = {}  # source token -> tag, parsed once
     rf_pos, key_pos = positions[rf_column], positions[key_column]
     feature_pos = [positions[col] for col in feature_cols]
     keys, rfs, sources, rows = [], [], [], []
@@ -300,14 +306,9 @@ def parse_database(
         key = normalize_key(row[key_pos])
         if not key:
             raise IngestError(f"line {line}, column {key_column!r}: empty key")
-        source = tag
-        if source_pos is not None:
-            token = row[source_pos]
-            if token not in tags:
-                tags[token] = parse_tag(token)
-                if not tags[token].is_source:
-                    raise IngestError(f"line {line}, column 'source': {token!r} is not a source tag")
-            source = tags[token]
+        source = tag if source_pos is None else _SOURCE_TOKENS.get(row[source_pos].strip().lower())
+        if source is None:
+            raise IngestError(f"line {line}, column 'source': {row[source_pos]!r} is not a source tag")
         keys.append(key)
         rfs.append(rf)
         sources.append(source)

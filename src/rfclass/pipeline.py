@@ -46,13 +46,6 @@ INDEPENDENT_SOURCE = {
 #: eval set when `early_stopping_patience` is set.
 EARLY_STOPPING_FRACTION = 0.1
 
-_PRESET_BY_TAG = {
-    DatabaseTag.TORIS: "toris",
-    DatabaseTag.COMMERCIAL: "commercial",
-    DatabaseTag.ATLAS: "atlas",
-}
-
-
 @dataclass(frozen=True)
 class SourceConfig:
     path: str
@@ -75,8 +68,8 @@ class SynthConfig:
     divergence: float = 1.0
 
     def __post_init__(self):
-        for name in _PRESET_BY_TAG.values():  # a divergence a preset rejects
-            preset(name, self.divergence)
+        for tag in DatabaseTag.TCA.source_tags:  # a divergence a preset rejects
+            preset(tag.value, self.divergence)
 
 
 def _integer(value, name: str, minimum: int | None = None) -> int:
@@ -289,8 +282,8 @@ def load_sources(config: PipelineConfig, tags) -> list[Database]:
                 column_map=src.column_map,
             ))
         else:
-            spec = preset(_PRESET_BY_TAG[tag], config.synth.divergence)
-            seed = _stage_seed(config.seed, 1 + list(_PRESET_BY_TAG).index(tag))
+            spec = preset(tag.value, config.synth.divergence)
+            seed = _stage_seed(config.seed, 1 + list(DatabaseTag).index(tag))
             # generated under the default schema; rebuild under the override one
             out.append(replace(generate(spec, config.synth.n, seed), schema=config.schema))
     return out

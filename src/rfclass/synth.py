@@ -1,16 +1,19 @@
 """Synthetic reservoir databases with controllable distribution shapes.
 
-Three presets mimic the source databases at desk scale: TORIS-like and
-Commercial-like draw from nearby distributions while the Atlas-like preset
-is narrower in porosity and permeability and shifted elsewhere. The recovery
-factor comes from a noisy monotone link on a latent quality driven chiefly
-by reserves, area, thickness and permeability, giving the attribution stage
-a known ground truth. Divergence knobs at zero collapse all presets onto a
-common base distribution.
+One preset table, `_PRESETS`, stands in for the source databases at desk
+scale. A row per source gives its missing rate and RF clip and, per unit of
+divergence, its feature shifts and scales, offsets to the RF link's median,
+spread and noise, and an admixture to the base quality weights; divergence 0
+collapses all three onto the base recipe. TORIS has the most missing cells;
+Commercial sits near it on other axes than Atlas, which is narrower in
+porosity and permeability and shifted elsewhere. RF comes from a noisy
+monotone link on a latent quality driven chiefly by reserves, area,
+thickness and permeability: a known ground truth for attribution.
 """
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,18 +47,19 @@ class FeatureDistribution:
             raise ValueError("clip range must be increasing")
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        if self.family == "lognormal":
-            mu, sigma = self.params
-            values = np.exp(rng.normal(mu, sigma, size=n))
-        elif self.family == "normal":
-            mu, sigma = self.params
-            values = rng.normal(mu, sigma, size=n)
-        else:
+        if self.family == "beta":
             a, b, lo, hi = self.params
             values = lo + (hi - lo) * rng.beta(a, b, size=n)
-        values = values * self.scale + self.shift
-        values = np.round(values, self.decimals)
-        return np.clip(values, self.clip[0], self.clip[1])
+        else:
+            mu, sigma = self.params
+            values = rng.normal(mu, sigma, size=n)
+            if self.family == "lognormal":
+                values = np.exp(values)
+        return np.clip(np.round(values * self.scale + self.shift, self.decimals), *self.clip)
+
+
+# The chief drivers of latent quality; presets perturb them and add minor ones.
+_BASE_WEIGHTS = {"reserves": 0.35, "area": 0.25, "thickness": 0.20, "permeability": 0.20}
 
 
 @dataclass(frozen=True)
@@ -73,9 +77,7 @@ class RFLink:
     median: float = 0.33
     spread: float = 0.5
     noise_sigma: float = 0.6
-    weights: dict[str, float] = field(default_factory=lambda: {
-        "reserves": 0.35, "area": 0.25, "thickness": 0.20, "permeability": 0.20,
-    })
+    weights: dict[str, float] = field(default_factory=_BASE_WEIGHTS.copy)
     clip: tuple[float, float] = (0.02, 1.44)
     decimals: int = 4
 
@@ -95,12 +97,10 @@ class DistributionSpec:
     rf: RFLink
 
     def __post_init__(self):
-        names = set(canonical_schema().names)
-        missing = names - set(self.features)
-        extra = set(self.features) - names
-        if missing or extra:
+        names, given = set(canonical_schema().names), set(self.features)
+        if given != names:
             raise ValueError(f"feature specs must cover the schema exactly "
-                             f"(missing {sorted(missing)}, extra {sorted(extra)})")
+                             f"(missing {sorted(names - given)}, extra {sorted(given - names)})")
         unknown = set(self.rf.weights) - names
         if unknown:
             raise ValueError(f"rf link weights unknown feature(s): {sorted(unknown)}")
@@ -123,118 +123,67 @@ _BASE_FEATURES: dict[str, FeatureDistribution] = {
 
 _LOG_FEATURES = frozenset({"reserves", "area", "thickness", "permeability"})
 
-
-def _with_divergence(
-    base: dict[str, FeatureDistribution],
-    missing_rate: float,
-    shifts: dict[str, float],
-    scales: dict[str, float],
-    divergence: float,
-) -> dict[str, FeatureDistribution]:
-    out = {}
-    for name, dist in base.items():
-        shift = divergence * shifts.get(name, 0.0)
-        scale = 1.0 + divergence * (scales.get(name, 1.0) - 1.0)
-        out[name] = replace(dist, missing_rate=missing_rate, shift=shift, scale=scale)
-    return out
+# The presets' RF link median, spread and noise before their offsets.
+_BASE_LINK = (0.33, 0.50, 0.72)
 
 
-def _blend_weights(divergence: float, admixture: dict[str, float]) -> dict[str, float]:
-    """Mix the base quality drivers toward a database-specific profile.
-
-    The four base drivers always stay dominant; admixture entries perturb
-    them and add minor secondary drivers, scaled by the divergence knob.
-    """
-    base = {"reserves": 0.35, "area": 0.25, "thickness": 0.20, "permeability": 0.20}
-    out = dict(base)
-    for name, delta in admixture.items():
-        out[name] = out.get(name, 0.0) + divergence * delta
-    return {name: w for name, w in out.items() if w != 0}
-
-
-def toris_like(divergence: float = 1.0) -> DistributionSpec:
-    """High-missingness preset; the reference point for the other two."""
-    features = _with_divergence(_BASE_FEATURES, missing_rate=0.15, shifts={}, scales={},
-                                divergence=divergence)
-    return DistributionSpec(
-        tag=DatabaseTag.TORIS,
-        features=features,
-        rf=RFLink(
-            median=0.33,
-            spread=0.50,
-            noise_sigma=0.72,
-            weights=_blend_weights(divergence, {"temperature": 0.15}),
-            clip=(0.02, 1.44),
-        ),
-    )
-
-
-def commercial_like(divergence: float = 1.0) -> DistributionSpec:
-    """Moderately shifted from TORIS-like on different axes than Atlas-like."""
-    features = _with_divergence(
-        _BASE_FEATURES,
-        missing_rate=0.10,
-        shifts={"api_gravity": -3.0, "temperature": -12.0, "water_saturation": 0.06},
-        scales={"pressure": 1.15, "gor": 0.75, "thickness": 1.3, "reserves": 1.4,
-                "area": 1.7},
-        divergence=divergence,
-    )
-    return DistributionSpec(
-        tag=DatabaseTag.COMMERCIAL,
-        features=features,
-        rf=RFLink(
-            median=0.33 - divergence * 0.06,
-            spread=0.50 + divergence * 0.04,
-            noise_sigma=0.72 + divergence * 0.02,
-            weights=_blend_weights(divergence, {
-                "reserves": -0.15, "area": -0.08, "thickness": -0.10,
-                "permeability": -0.10, "porosity": 0.14, "api_gravity": 0.10,
-            }),
-            clip=(0.02, 1.44),
-        ),
-    )
-
-
-def atlas_like(divergence: float = 1.0) -> DistributionSpec:
-    """Most complete preset; narrower porosity/permeability and shifted means."""
-    features = _with_divergence(
-        _BASE_FEATURES,
-        missing_rate=0.04,
-        shifts={"api_gravity": 8.0, "temperature": 40.0, "porosity": 0.09,
-                "water_saturation": -0.08, "permeability": 8.0},
-        scales={"porosity": 0.60, "permeability": 0.35, "thickness": 0.60,
-                "area": 1.30, "reserves": 1.10, "gor": 1.3, "pressure": 1.3},
-        divergence=divergence,
-    )
-    return DistributionSpec(
-        tag=DatabaseTag.ATLAS,
-        features=features,
-        rf=RFLink(
-            median=0.33 + divergence * 0.07,
-            spread=0.50 - divergence * 0.02,
-            noise_sigma=0.72 + divergence * 0.10,
-            weights=_blend_weights(divergence, {
-                "reserves": -0.20, "area": 0.05, "thickness": -0.14,
-                "permeability": -0.14, "porosity": 0.12, "water_saturation": -0.10,
-            }),
-            clip=(0.01, 2.32),
-        ),
-    )
+class _Preset(NamedTuple):  # one source's departure from the base recipe
+    tag: DatabaseTag
+    missing_rate: float
+    rf_clip: tuple[float, float]
+    link: tuple[float, float, float]  # offsets to the RF link's median, spread, noise
+    shifts: dict[str, float]  # added to the sampled value
+    scales: dict[str, float]  # the value's scale at divergence 1
+    admixture: dict[str, float]  # added to the base quality weights
 
 
 _PRESETS = {
-    "toris": toris_like,
-    "commercial": commercial_like,
-    "atlas": atlas_like,
+    "toris": _Preset(DatabaseTag.TORIS, 0.15, (0.02, 1.44), (0.0, 0.0, 0.0), {}, {},
+                     {"temperature": 0.15}),
+    "commercial": _Preset(
+        DatabaseTag.COMMERCIAL, 0.10, (0.02, 1.44), (-0.06, 0.04, 0.02),
+        {"api_gravity": -3.0, "temperature": -12.0, "water_saturation": 0.06},
+        {"pressure": 1.15, "gor": 0.75, "thickness": 1.3, "reserves": 1.4, "area": 1.7},
+        {"reserves": -0.15, "area": -0.08, "thickness": -0.10, "permeability": -0.10,
+         "porosity": 0.14, "api_gravity": 0.10}),
+    "atlas": _Preset(
+        DatabaseTag.ATLAS, 0.04, (0.01, 2.32), (0.07, -0.02, 0.10),
+        {"api_gravity": 8.0, "temperature": 40.0, "porosity": 0.09,
+         "water_saturation": -0.08, "permeability": 8.0},
+        {"porosity": 0.60, "permeability": 0.35, "thickness": 0.60, "area": 1.30,
+         "reserves": 1.10, "gor": 1.3, "pressure": 1.3},
+        {"reserves": -0.20, "area": 0.05, "thickness": -0.14, "permeability": -0.14,
+         "porosity": 0.12, "water_saturation": -0.10}),
 }
 
 
 def preset(name: str, divergence: float = 1.0) -> DistributionSpec:
+    """The named source's recipe. Divergence 0 gives the base recipe with the
+    source's missing rate and RF clip; larger values move further from it."""
     try:
-        factory = _PRESETS[name.strip().lower()]
+        row = _PRESETS[name.strip().lower()]
     except KeyError:
         raise ValueError(f"unknown preset {name!r}; choose from {sorted(_PRESETS)}") from None
-    return factory(divergence)
+    if not math.isfinite(divergence):
+        raise ValueError(f"divergence must be finite, got {divergence!r}")
+    features = {
+        feature: replace(dist, missing_rate=row.missing_rate,
+                         shift=divergence * row.shifts.get(feature, 0.0),
+                         scale=1.0 + divergence * (row.scales.get(feature, 1.0) - 1.0))
+        for feature, dist in _BASE_FEATURES.items()
+    }
+    weights = dict(_BASE_WEIGHTS)  # admixture keys after the base ones: generate sums in order
+    for feature, delta in row.admixture.items():
+        weights[feature] = weights.get(feature, 0.0) + divergence * delta
+    median, spread, noise = (base + divergence * offset
+                             for base, offset in zip(_BASE_LINK, row.link))
+    return DistributionSpec(
+        tag=row.tag,
+        features=features,
+        rf=RFLink(median=median, spread=spread, noise_sigma=noise,
+                  weights={feature: w for feature, w in weights.items() if w != 0},
+                  clip=row.rf_clip),
+    )
 
 
 def generate(spec: DistributionSpec, n: int, seed: int) -> Database:
@@ -249,33 +198,30 @@ def generate(spec: DistributionSpec, n: int, seed: int) -> Database:
     schema = canonical_schema()
     rng = np.random.default_rng(seed)
 
-    columns = {}
-    for name in schema.names:  # fixed draw order keeps generation reproducible
-        columns[name] = spec.features[name].sample(rng, n)
+    values = np.empty((n, len(schema.names)))
+    for j, name in enumerate(schema.names):  # fixed draw order keeps generation reproducible
+        values[:, j] = spec.features[name].sample(rng, n)
 
     quality = np.zeros(n)
     norm = math.sqrt(sum(w * w for w in spec.rf.weights.values()))
     for name, weight in spec.rf.weights.items():
-        values = columns[name]
+        column = values[:, schema.index(name)]
         if name in _LOG_FEATURES:
-            values = np.log(np.maximum(values, 1e-12))
-        mu, sigma = float(values.mean()), float(values.std())
+            column = np.log(np.maximum(column, 1e-12))
+        mu, sigma = float(column.mean()), float(column.std())
         if sigma <= 0:
             raise ValueError(f"feature {name!r} is constant; it cannot drive the RF link")
-        quality += weight * (values - mu) / sigma
+        quality += weight * (column - mu) / sigma
     quality /= norm
 
     noise = rng.normal(0.0, spec.rf.noise_sigma, size=n)
     rf = spec.rf.median * np.exp(spec.rf.spread * (quality + noise))
     rf = np.clip(np.round(rf, spec.rf.decimals), spec.rf.clip[0], spec.rf.clip[1])
 
-    masks = {}
-    for name in schema.names:
+    for j, name in enumerate(schema.names):
         rate = spec.features[name].missing_rate
-        masks[name] = rng.random(n) < rate if rate > 0 else np.zeros(n, dtype=bool)
-
-    values = np.column_stack([columns[name] for name in schema.names])
-    values[np.column_stack([masks[name] for name in schema.names])] = np.nan
+        if rate > 0:
+            values[rng.random(n) < rate, j] = np.nan
     prefix = spec.tag.value.lower()
     return Database(
         tag=spec.tag, schema=schema, values=values,

@@ -17,7 +17,7 @@ from rfclass.pipeline import PipelineConfig, run_pipeline
 from rfclass.preprocess import (SplitSpec, apply_transforms, class_labels,
                                 fit_transforms, impute, stratified_kfold,
                                 stratified_split)
-from rfclass.synth import generate, toris_like
+from rfclass.synth import generate, preset
 
 from conftest import complete_database, random_tree
 from test_booster import find_best_split, random_split_instance, split_oracle
@@ -214,7 +214,7 @@ def test_criterion_06_transform_contract():
 
 def test_criterion_07_stratification():
     start = time.perf_counter()
-    db = generate(toris_like(), 5000, seed=77)
+    db = generate(preset("toris"), 5000, seed=77)
     db = impute(db)
     labels = class_labels(db)
     class_totals = {int(c): int((labels == c).sum()) for c in np.unique(labels)}

@@ -124,6 +124,24 @@ class TestParse:
         with pytest.raises(IngestError, match="empty CSV"):
             parse_database("", DatabaseTag.TORIS, SCHEMA)
 
+    def test_unknown_source_token_names_line_and_column(self):
+        header = ["key", "source", *NAMES, "RF"]
+        rows = [["a", "TORIS", *full_row("a", 0.3)[1:]], ["b", "XX", *full_row("b", 0.4)[1:]]]
+        with pytest.raises(IngestError, match=r"line 3, column 'source': 'XX' is not a source"):
+            parse_database(csv_with(rows, header), DatabaseTag.TC, SCHEMA)
+
+    def test_repeated_header_column_rejected(self):
+        header = ["key", *NAMES, "RF", "bo"]
+        with pytest.raises(IngestError, match=r"repeated column\(s\) in header: \['bo'\]"):
+            parse_database(csv_with([[*full_row("a", 0.3), "9.9"]], header),
+                           DatabaseTag.TORIS, SCHEMA)
+
+    def test_blank_header_cells_may_repeat(self):
+        header = ["key", *NAMES, "RF", "", ""]
+        db = parse_database(csv_with([[*full_row("a", 0.3), "", ""]], header),
+                            DatabaseTag.TORIS, SCHEMA)
+        assert len(db) == 1 and db.rf[0] == 0.3
+
 
 class TestSerializeRoundTrip:
     def test_bit_exact_round_trip(self, rng):

@@ -489,9 +489,11 @@ class TestCli:
           "--out", "{tmp}/model.json"], 3),
         (["train", "--train", "{run}/train.csv", "--hp", "{tmp}/twelve.json",
           "--out", "{tmp}/model.json"], 2),
+        (["evaluate", "--model", "{tmp}/list.json", "--data", "{run}/test.csv",
+          "--out", "{tmp}/report.json"], 3),
     ], ids=["ingest_out_in_missing_dir", "run_out_is_file", "config_is_directory",
             "config_not_utf8", "hp_unknown_key", "hp_not_object", "hp_value_not_number",
-            "hp_num_class_12"])
+            "hp_num_class_12", "model_not_object"])
     def test_bad_path_is_diagnosed_without_traceback(self, trained_run, tmp_path, capfd,
                                                       argv, code):
         config = self._write_config(tmp_path)
@@ -516,9 +518,18 @@ class TestCli:
         (lambda doc: _internal_node(doc).update(threshold=math.inf), "finite numeric 'threshold'"),
         (lambda doc: _internal_node(doc)["left"].update(leaf=math.nan), "finite numeric 'leaf'"),
         (_twelve_classes, "is a 12-class model"),
+        (lambda doc: doc.update(trees={}), "trees must be a list of rounds, got dict"),
+        (lambda doc: doc.update(training_loss="x"), "training_loss must be a list of"),
+        (lambda doc: doc["training_loss"].pop(), "training_loss must be a list of"),
+        (lambda doc: doc.update(best_round="z"), "best_round must be null or a round"),
+        (lambda doc: doc.update(num_features=doc["num_features"] + 0.7),
+         "num_features must be a positive JSON integer"),
+        (lambda doc: doc["feature_names"].pop(), "feature_names must be a list of"),
     ], ids=["feature_out_of_range", "round_of_three_trees", "node_without_feature",
             "unknown_hyperparameter", "no_num_features", "no_trees", "round_not_list",
-            "infinite_threshold", "nan_leaf", "twelve_classes"])
+            "infinite_threshold", "nan_leaf", "twelve_classes", "trees_object",
+            "training_loss_string", "training_loss_short", "best_round_string", "num_features_fraction",
+            "feature_names_short"])
     def test_corrupted_model_exits_3(self, trained_run, tmp_path, capsys, corrupt, message):
         doc = json.loads((trained_run / "model.json").read_text())
         corrupt(doc)
@@ -530,6 +541,14 @@ class TestCli:
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith("error [evaluate]") and message in err
+
+    @pytest.mark.parametrize("divergence", ["nan", "inf"])
+    def test_synth_non_finite_divergence_exits_3(self, tmp_path, capsys, divergence):
+        out = tmp_path / "synth.csv"
+        assert main(["synth", "--preset", "toris", "--divergence", divergence,
+                     "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("error [synth] divergence must be finite")
+        assert not out.exists()
 
     def test_independent_role_without_held_out_database_exits_2(self, trained_run, tmp_path,
                                                                  capsys):
