@@ -3,7 +3,8 @@
 One regression tree per class per round. Splits maximize the second-order
 gain with L2 smoothing and a minimum-gain penalty; leaf values apply L1
 soft-thresholding and an optional absolute clip before learning-rate
-scaling. Trees record per-node hessian covers for attribution and audit.
+scaling. Trees record per-node hessian covers for attribution, and loading
+a saved model checks them against the training constraints.
 
 Split search works on a pre-sorted column block, as in XGBoost's exact
 greedy algorithm: `train` stably sorts every feature column once, in
@@ -17,15 +18,18 @@ so the trained models are bit-identical to that simpler search.
 import json
 import math
 from dataclasses import dataclass, field, fields
+from typing import ClassVar
 
 import numpy as np
 
 from .errors import TrainingError
+from .preprocess import N_CLASSES
 
 PROB_CLIP = 1e-15
 
-#: Every model's objective and metric: `to_dict` writes them, `from_dict` accepts no other.
-FIXED_SETTINGS = {"objective": "multi:softmax", "eval_metric": "mlogloss"}
+#: Every model's fixed settings: `to_dict` writes them, `from_dict` accepts no other.
+FIXED_SETTINGS = {"objective": "multi:softmax", "eval_metric": "mlogloss",
+                  "num_class": N_CLASSES}
 
 
 @dataclass(frozen=True)
@@ -40,8 +44,9 @@ class Hyperparameters:
     lambda_: float = 0.03
     gamma: float = 0.01
     max_delta_step: float = 0.2
-    num_class: int = 10
     num_rounds: int = 200
+    #: One class per tenth of RF, the labels `preprocess.class_labels` gives.
+    num_class: ClassVar[int] = N_CLASSES
 
     def __post_init__(self):
         if self.max_depth < 1:
@@ -54,8 +59,6 @@ class Hyperparameters:
         for name in ("alpha", "lambda_", "gamma", "max_delta_step", "min_child_weight"):
             if not getattr(self, name) >= 0:  # NaN too
                 raise ValueError(f"{name} must be non-negative")
-        if self.num_class < 2:
-            raise ValueError("num_class must be at least 2")
         if self.num_rounds < 0:
             raise ValueError("num_rounds must be non-negative")
 
@@ -70,7 +73,7 @@ class Hyperparameters:
         data = dict(data)
         for key, fixed in FIXED_SETTINGS.items():
             value = data.pop(key, fixed)
-            if value != fixed:
+            if type(value) is not type(fixed) or value != fixed:  # 10.0 == 10 too
                 raise ValueError(f"{key} must be {fixed!r}, got {value!r}")
         if "lambda" in data:
             data["lambda_"] = data.pop("lambda")
@@ -112,17 +115,6 @@ class Tree:
     def is_leaf(self, node: int) -> bool:
         return self.feature[node] < 0
 
-    def max_node_depth(self) -> int:
-        depth = {0: 0}
-        best = 0
-        for node in range(self.n_nodes()):
-            d = depth[node]
-            if not self.is_leaf(node):
-                depth[int(self.left[node])] = d + 1
-                depth[int(self.right[node])] = d + 1
-                best = max(best, d + 1)
-        return best
-
     def predict_margin(self, X: np.ndarray) -> np.ndarray:
         n = X.shape[0]
         idx = np.zeros(n, dtype=np.int64)
@@ -150,10 +142,15 @@ class Tree:
         return self._node_dict(0)
 
     @classmethod
-    def from_dict(cls, root: dict, num_features: int) -> "Tree":
+    def from_dict(cls, root: dict, num_features: int, hp: Hyperparameters) -> "Tree":
         """Tree of a `to_dict` document. Raises ValueError for a malformed node,
-        a non-finite number or a feature outside [0, num_features)."""
+        a non-finite number, a feature outside [0, num_features), or a tree
+        `train` cannot grow under `hp`: one deeper than max_depth, a split of
+        negative gain, a child covering less than min_child_weight, or a leaf
+        beyond the learning_rate * max_delta_step clip. The cover and leaf
+        bounds allow 1e-12 for the trainer's summation order."""
         builder = _TreeBuilder()
+        leaf_clip = hp.learning_rate * hp.max_delta_step if hp.max_delta_step > 0 else math.inf
 
         def field_of(node, key: str):
             value = node.get(key)
@@ -161,20 +158,33 @@ class Tree:
                 raise ValueError(f"tree node needs a finite numeric {key!r}, got {value!r}")
             return value
 
-        def walk(node) -> int:
+        def walk(node, depth: int) -> int:
             if not isinstance(node, dict):
                 raise ValueError(f"tree node must be an object, got {type(node).__name__}")
+            if depth > hp.max_depth:
+                raise ValueError(f"tree is deeper than max_depth = {hp.max_depth}")
+            cover = field_of(node, "cover")
+            if depth and cover < hp.min_child_weight - 1e-12:
+                raise ValueError(f"child cover {cover!r} is below "
+                                 f"min_child_weight = {hp.min_child_weight!r}")
             if "leaf" in node:
-                return builder.add_leaf(field_of(node, "leaf"), field_of(node, "cover"))
+                value = field_of(node, "leaf")
+                if abs(value) > leaf_clip + 1e-12:
+                    raise ValueError(f"leaf {value!r} exceeds the learning_rate * "
+                                     f"max_delta_step clip {leaf_clip!r}")
+                return builder.add_leaf(value, cover)
             feature = field_of(node, "feature")
             if not isinstance(feature, int) or not 0 <= feature < num_features:
                 raise ValueError(f"tree node feature {feature!r} is outside [0, {num_features})")
-            idx = builder.add_internal(feature, field_of(node, "threshold"), field_of(node, "gain"),
-                                       field_of(node, "cover"))
-            builder.attach(idx, walk(node.get("left")), walk(node.get("right")))
+            gain = field_of(node, "gain")
+            if gain < 0:
+                raise ValueError(f"split gain {gain!r} is negative")
+            idx = builder.add_internal(feature, field_of(node, "threshold"), gain, cover)
+            builder.attach(idx, walk(node.get("left"), depth + 1),
+                           walk(node.get("right"), depth + 1))
             return idx
 
-        walk(root)
+        walk(root, 0)
         return builder.build()
 
 
@@ -546,32 +556,6 @@ def _sample_columns(rng, d: int, hp: Hyperparameters) -> list[np.ndarray]:
     return cols_by_depth
 
 
-def audit_ensemble(ensemble: Ensemble) -> None:
-    """Walk every tree verifying the structural training constraints.
-
-    Raises TrainingError on a violated depth bound, an under-covered child
-    of a realized split, a negative penalized gain, or a leaf value beyond
-    the configured clip.
-    """
-    hp = ensemble.hp
-    for round_trees in ensemble.trees:
-        for tree in round_trees:
-            if tree.max_node_depth() > hp.max_depth:
-                raise TrainingError("tree exceeds max_depth")
-            for node in range(tree.n_nodes()):
-                if tree.is_leaf(node):
-                    if hp.max_delta_step > 0:
-                        limit = hp.learning_rate * hp.max_delta_step
-                        if abs(tree.value[node]) > limit + 1e-12:
-                            raise TrainingError("leaf value exceeds max_delta_step clip")
-                    continue
-                if tree.gain[node] < 0:
-                    raise TrainingError("realized split has negative penalized gain")
-                for child in (int(tree.left[node]), int(tree.right[node])):
-                    if tree.cover[child] < hp.min_child_weight - 1e-12:
-                        raise TrainingError("child cover below min_child_weight")
-
-
 SERIALIZATION_FORMAT = "rfclass.ensemble"
 SERIALIZATION_VERSION = 1
 
@@ -617,7 +601,7 @@ def load_ensemble(text: str) -> Ensemble:
             if len(round_trees) != hp.num_class:
                 raise ValueError(f"round {r} holds {len(round_trees)} trees, "
                                  f"expected num_class = {hp.num_class}")
-            trees.append([Tree.from_dict(node, num_features) for node in round_trees])
+            trees.append([Tree.from_dict(node, num_features, hp) for node in round_trees])
         losses, best_round = doc["training_loss"], doc.get("best_round")
         if not isinstance(losses, list) or len(losses) != len(trees) + 1 \
                 or not all(type(x) in (int, float) for x in losses):

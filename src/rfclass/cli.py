@@ -24,13 +24,11 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .booster import load_ensemble, serialize_ensemble
+from .booster import Hyperparameters, load_ensemble, serialize_ensemble
 from .dataset import serialize_database
 from .errors import ConfigError, IngestError, PipelineError, TrainingError
 from .pipeline import (PipelineConfig, StageFailure, _dump_json, evaluate, explain, fit,
-                       held_out, ingest, preprocess, read_hyperparameters, read_prepared,
-                       run_pipeline, tune)
-from .preprocess import N_CLASSES
+                       held_out, ingest, preprocess, read_prepared, run_pipeline, tune)
 from .synth import _PRESETS, generate, preset
 
 EXIT_OK = 0
@@ -122,7 +120,7 @@ def cmd_train(args) -> int:
     train_db = _read(args.train, "training CSV (run `preprocess` first)", config)
     if args.hp:
         hp_text = _require(args.hp, "hyperparameters JSON").read_text()
-        hp = read_hyperparameters(json.loads(hp_text))
+        hp = Hyperparameters.from_dict(json.loads(hp_text))
     else:
         hp = tune(train_db, config)
     model = fit(train_db, hp, config)
@@ -132,12 +130,7 @@ def cmd_train(args) -> int:
 
 
 def _load_model(path: str):
-    """The saved model at `path`; it must label the N_CLASSES tenths of RF."""
-    model = load_ensemble(_require(path, "model JSON (run `train` first)").read_text())
-    if model.hp.num_class != N_CLASSES:
-        raise PipelineError(f"{path} is a {model.hp.num_class}-class model; "
-                            f"rfclass models have num_class {N_CLASSES}, one per tenth of RF")
-    return model
+    return load_ensemble(_require(path, "model JSON (run `train` first)").read_text())
 
 
 def cmd_evaluate(args) -> int:

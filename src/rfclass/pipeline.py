@@ -28,7 +28,7 @@ from .dataset import (Database, DatabaseTag, FeatureSchema, canonical_schema, de
 from .errors import ConfigError, PipelineError
 from .explain import ImportanceSummary, importance_from_database
 from .metrics import EvaluationReport, summary_csv
-from .preprocess import (N_CLASSES, SplitSpec, apply_transforms, check_prune_thresholds,
+from .preprocess import (SplitSpec, apply_transforms, check_prune_thresholds,
                          complete_cases, filter_ranges, fit_transforms, impute,
                          prune_missing, stratified_split, to_matrix)
 from .synth import generate, preset
@@ -104,22 +104,30 @@ def _build(section: str, make, *args, **kwargs):
         raise ConfigError(f"bad {section}: {exc}") from None
 
 
-def read_hyperparameters(data) -> Hyperparameters:
-    """Hyperparameters from a config's section or a `tune` output. The
-    labels are the N_CLASSES tenths of RF, so num_class must match them."""
-    hp = Hyperparameters.from_dict(data)
-    if hp.num_class != N_CLASSES:
-        raise ConfigError(f"num_class must be {N_CLASSES}, one class per tenth of RF, "
-                          f"got {hp.num_class}")
-    return hp
-
-
-def _section(data: dict, key: str) -> dict | None:
-    """`data[key]` when it is a JSON object; None when absent or null."""
+def _section(data: dict, key: str, known=None) -> dict | None:
+    """`data[key]` when it is a JSON object with no key outside `known`
+    (any key when None); None when absent or null."""
     value = data.get(key)
     if value is not None and not isinstance(value, dict):
         raise ConfigError(f"{key} must be a JSON object, got {type(value).__name__}")
+    if value is not None and known is not None:
+        _known_keys(value, known, key)
     return value
+
+
+def _known_keys(data: dict, known, where: str) -> None:
+    unknown = sorted(set(data) - set(known))
+    if unknown:
+        raise ConfigError(f"unknown key in {where}: {', '.join(map(repr, unknown))}")
+
+
+def _names(cls) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
+
+
+#: The keys a config may hold; any other is refused rather than ignored.
+CONFIG_KEYS = ("combo", "seed", "sources", "synth", "split", "hyperparameters", "grid", "prune",
+               "range_overrides", "shap_sample", "early_stopping_patience")
 
 
 @dataclass(frozen=True)
@@ -146,6 +154,7 @@ class PipelineConfig:
         settings' constructors check ranges, so a bad value fails before any stage."""
         if not isinstance(data, dict):
             raise ConfigError(f"config must be a JSON object, got {type(data).__name__}")
+        _known_keys(data, CONFIG_KEYS, "config")
         if "combo" not in data:
             raise ConfigError("config requires a 'combo' entry")
         if not isinstance(data["combo"], str):
@@ -164,10 +173,10 @@ class PipelineConfig:
                     raise ConfigError(f"source entry {name!r} is not a source database")
                 if not isinstance(spec, dict) or "path" not in spec:
                     raise ConfigError(f"source entry {name!r} needs a 'path'")
-                sources[tag] = _build(f"source entry {name!r}", SourceConfig, **{
-                    f.name: spec[f.name] for f in fields(SourceConfig) if f.name in spec})
+                _known_keys(spec, _names(SourceConfig), f"source entry {name!r}")
+                sources[tag] = _build(f"source entry {name!r}", SourceConfig, **spec)
         synth = None
-        raw_synth = _section(data, "synth")
+        raw_synth = _section(data, "synth", _names(SynthConfig))
         if raw_synth is not None:
             synth = _build("synth", SynthConfig,
                            n=_integer(raw_synth.get("n", 2000), "synth.n", 1),
@@ -177,9 +186,9 @@ class PipelineConfig:
 
         hp = None
         if data.get("hyperparameters") is not None:
-            hp = _build("hyperparameters", read_hyperparameters, data["hyperparameters"])
+            hp = _build("hyperparameters", Hyperparameters.from_dict, data["hyperparameters"])
         grid = None
-        raw_grid = _section(data, "grid")
+        raw_grid = _section(data, "grid", _names(SearchGrid))
         if raw_grid is not None:  # "grid": {} asks for the default search space
             default = default_grid()
             grid = _build("grid", SearchGrid,
@@ -189,8 +198,8 @@ class PipelineConfig:
         if hp is not None and grid is not None:
             raise ConfigError("provide either fixed 'hyperparameters' or a 'grid', not both")
 
-        split = _section(data, "split") or {}
-        prune = _section(data, "prune") or {}
+        split = _section(data, "split", ("test_fraction", "k_folds")) or {}  # stages set the seed
+        prune = _section(data, "prune", ("feature_threshold", "record_threshold")) or {}
         thresholds = (_real(prune.get("feature_threshold", 0.70), "prune.feature_threshold"),
                       _real(prune.get("record_threshold", 0.55), "prune.record_threshold"))
         _build("prune", check_prune_thresholds, *thresholds)
@@ -342,6 +351,9 @@ def preprocess(merged: Database, config: PipelineConfig,
     pruned = prune_missing(filtered, config.feature_threshold, config.record_threshold)
     train_db, test_db = stratified_split(
         pruned, replace(config.split, seed=_stage_seed(config.seed, 10)))
+    if not len(test_db):  # stratified_split holds out a record of each class of two or more
+        raise PipelineError(f"the test set is empty: no class of the {len(pruned)} records "
+                            f"left after pruning has two members")
     imputed_counts = {
         role: dict(zip(db.schema.names, np.isnan(db.values).sum(axis=0).tolist()))
         for role, db in (("train", train_db), ("test", test_db))

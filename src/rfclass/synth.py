@@ -209,9 +209,8 @@ def generate(spec: DistributionSpec, n: int, seed: int) -> Database:
         if name in _LOG_FEATURES:
             column = np.log(np.maximum(column, 1e-12))
         mu, sigma = float(column.mean()), float(column.std())
-        if sigma <= 0:
-            raise ValueError(f"feature {name!r} is constant; it cannot drive the RF link")
-        quality += weight * (column - mu) / sigma
+        if sigma > 0:  # a constant column (each one when n is 1) moves no record's quality
+            quality += weight * (column - mu) / sigma
     quality /= norm
 
     noise = rng.normal(0.0, spec.rf.noise_sigma, size=n)

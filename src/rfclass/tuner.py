@@ -20,18 +20,14 @@ the default grid falls from about 13.8k to 11.4k boosting rounds per fold.
 """
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable
 
 from .booster import Ensemble, Hyperparameters, mlogloss, predict_proba, train
 from .dataset import Database
 from .preprocess import SplitSpec, stratified_kfold, to_matrix
 
-TUNABLE = (
-    "max_depth", "min_child_weight", "learning_rate", "subsample",
-    "colsample_bytree", "colsample_bylevel", "alpha", "lambda_",
-    "gamma", "max_delta_step", "num_rounds",
-)
+TUNABLE = tuple(f.name for f in fields(Hyperparameters))
 
 
 @dataclass(frozen=True)

@@ -96,7 +96,7 @@ def test_criterion_03_monotone_training_loss():
             max_depth=2, min_child_weight=0.0, learning_rate=0.1,
             subsample=1.0, colsample_bytree=1.0, colsample_bylevel=1.0,
             alpha=0.0, lambda_=0.1, gamma=0.0, max_delta_step=0.1,
-            num_class=10, num_rounds=100,
+            num_rounds=100,
         )
         model = train(X, y, hp, seed=trial)
         losses = np.array(model.training_loss)
@@ -121,7 +121,7 @@ def test_criterion_04_shap_correctness():
                      for _ in range(n_trees)]
             if sum(t.n_leaves() for t in trees) <= 50:
                 break
-        ens = ensemble_of(trees, n_features, num_class=3)
+        ens = ensemble_of(trees, n_features)
         x = rng.random(n_features)
         phi, _ = tree_shap(ens, x, 0)
         oracle = exact_shapley_oracle(ens, x, 0)
@@ -143,7 +143,7 @@ def test_criterion_04_shap_correctness():
 
     # dummy features earn exactly zero
     trees = [random_tree(rng, 3, 2) for _ in range(3)]
-    ens = ensemble_of(trees, 6, num_class=3)  # features 3..5 never split
+    ens = ensemble_of(trees, 6)  # features 3..5 never split
     for _ in range(20):
         phi, _ = tree_shap(ens, rng.random(6), 0)
         assert phi[3] == 0.0 and phi[4] == 0.0 and phi[5] == 0.0

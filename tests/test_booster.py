@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from rfclass import booster
 from rfclass.booster import (Hyperparameters, _best_split,
-                             audit_ensemble, leaf_weight, load_ensemble,
+                             leaf_weight, load_ensemble,
                              mlogloss, predict_class, predict_proba,
                              serialize_ensemble, softmax_margins, train)
 from rfclass.errors import TrainingError
@@ -20,7 +20,7 @@ def hp_with(**kwargs) -> Hyperparameters:
     defaults = dict(max_depth=3, min_child_weight=0.0, learning_rate=0.1,
                     subsample=1.0, colsample_bytree=1.0, colsample_bylevel=1.0,
                     alpha=0.0, lambda_=1.0, gamma=0.0, max_delta_step=0.0,
-                    num_class=10, num_rounds=10)
+                    num_rounds=10)
     defaults.update(kwargs)
     return Hyperparameters(**defaults)
 
@@ -396,7 +396,7 @@ class TestTrain:
         hp = hp_with(min_child_weight=0.3, gamma=0.05, max_delta_step=0.2,
                      subsample=0.9, num_rounds=6)
         model = train(X, y, hp, seed=3)
-        audit_ensemble(model)
+        load_ensemble(serialize_ensemble(model))  # checks every tree against hp
 
     def test_collinearity_duplicate_column(self, rng):
         X = rng.random((70, 4))
@@ -418,7 +418,7 @@ class TestTrain:
         X = np.round(data.normal(size=(120, 4)), 1)
         X = np.hstack([X, X[:, [0]]])
         y = data.integers(0, 3, 120)
-        hp = hp_with(max_depth=4, num_class=3, num_rounds=3, subsample=0.8)
+        hp = hp_with(max_depth=4, num_rounds=3, subsample=0.8)
         whole = serialize_ensemble(train(X, y, hp, seed=6))
         with mock.patch.object(booster, "SPLIT_BLOCK", block):
             assert serialize_ensemble(train(X, y, hp, seed=6)) == whole
@@ -430,21 +430,20 @@ class TestTrain:
            colsample_bytree=st.sampled_from([1.0, 0.5]),
            colsample_bylevel=st.sampled_from([1.0, 0.5]),
            min_child_weight=st.sampled_from([0.0, 0.5, 2.0]),
-           num_class=st.sampled_from([2, 3, 10]), num_rounds=st.integers(1, 3))
+           labels=st.sampled_from([2, 3, 10]), num_rounds=st.integers(1, 3))
     @example(seed=7, n=60, d=5, decimals=1, max_depth=5, subsample=0.6,
              colsample_bytree=0.5, colsample_bylevel=0.5, min_child_weight=2.0,
-             num_class=3, num_rounds=3)
+             labels=3, num_rounds=3)
     def test_bit_identical_to_per_node_sort(self, seed, n, d, decimals, max_depth, subsample,
                                             colsample_bytree, colsample_bylevel,
-                                            min_child_weight, num_class, num_rounds):
+                                            min_child_weight, labels, num_rounds):
         # rounding to 1-2 decimals gives heavy ties (and -0.0 next to 0.0)
         data = np.random.default_rng(seed)
         X = np.round(data.normal(size=(n, d)), decimals)
-        y = data.integers(0, num_class, n)
+        y = data.integers(0, labels, n)
         hp = hp_with(max_depth=max_depth, subsample=subsample,
                      colsample_bytree=colsample_bytree, colsample_bylevel=colsample_bylevel,
-                     min_child_weight=min_child_weight, num_class=num_class,
-                     num_rounds=num_rounds)
+                     min_child_weight=min_child_weight, num_rounds=num_rounds)
         got = serialize_ensemble(train(X, y, hp, seed))
         assert got == serialize_ensemble(oracle_train(X, y, hp, seed))
 
@@ -454,7 +453,7 @@ class TestTrain:
         y = rng.integers(0, 2, 80)
         X_val = rng.random((40, 4))
         y_val = rng.integers(0, 2, 40)
-        hp = hp_with(num_rounds=200, num_class=2, learning_rate=0.3)
+        hp = hp_with(num_rounds=200, learning_rate=0.3)
         model = train(X, y, hp, seed=5, eval_set=(X_val, y_val),
                       early_stopping_patience=5)
         assert model.best_round is not None
@@ -517,15 +516,21 @@ class TestSerialization:
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), d=st.integers(1, 4),
-           max_depth=st.integers(1, 4), num_class=st.sampled_from([2, 3, 10]),
-           num_rounds=st.integers(0, 4), subsample=st.sampled_from([1.0, 0.7]))
-    def test_reloaded_model_predicts_like_the_original(self, seed, n, d, max_depth, num_class,
-                                                       num_rounds, subsample):
+           max_depth=st.integers(1, 4), labels=st.sampled_from([2, 3, 10]),
+           num_rounds=st.integers(0, 4), subsample=st.sampled_from([1.0, 0.7]),
+           min_child_weight=st.sampled_from([0.0, 0.5, 2.0]),
+           max_delta_step=st.sampled_from([0.0, 0.2]))
+    def test_reloaded_model_predicts_like_the_original(self, seed, n, d, max_depth, labels,
+                                                       num_rounds, subsample, min_child_weight,
+                                                       max_delta_step):
         data = np.random.default_rng(seed)
         X = np.round(data.normal(size=(n, d)), 2)
-        y = data.integers(0, num_class, n)
-        model = train(X, y, hp_with(max_depth=max_depth, num_class=num_class,
-                                    num_rounds=num_rounds, subsample=subsample), seed)
+        y = data.integers(0, labels, n)
+        model = train(X, y, hp_with(max_depth=max_depth,
+                                    num_rounds=num_rounds, subsample=subsample,
+                                    min_child_weight=min_child_weight,
+                                    max_delta_step=max_delta_step), seed)
+        # loading checks every trained tree against the depth, cover, gain and leaf bounds
         back = load_ensemble(serialize_ensemble(model))
         # the training rows sit on the thresholds; the shifted and fresh rows fall between them
         probe = np.vstack([X, X + 1e-3, np.round(data.normal(size=(10, d)), 1)])
@@ -566,7 +571,7 @@ class TestHyperparameters:
            colsample_bytree=st.floats(0, 1, exclude_min=True),
            colsample_bylevel=st.floats(0, 1, exclude_min=True),
            alpha=st.floats(0, 5), lambda_=st.floats(0, 5), gamma=st.floats(0, 5),
-           max_delta_step=st.floats(0, 5), num_class=st.integers(2, 12),
+           max_delta_step=st.floats(0, 5),
            num_rounds=st.integers(0, 500))
     def test_dict_round_trip(self, **settings_):
         hp = Hyperparameters(**settings_)
@@ -575,8 +580,9 @@ class TestHyperparameters:
         assert (data["objective"], data["eval_metric"]) == ("multi:softmax", "mlogloss")
 
     def test_objective_and_metric_are_fixed(self):
-        assert len(fields(Hyperparameters)) == 12
+        assert len(fields(Hyperparameters)) == 11
         assert Hyperparameters.from_dict({"objective": "multi:softmax"}) == Hyperparameters()
-        for key, value in (("objective", "reg:squarederror"), ("eval_metric", "merror")):
+        for key, value in (("objective", "reg:squarederror"), ("eval_metric", "merror"),
+                           ("num_class", 12), ("num_class", 10.0), ("num_class", True)):
             with pytest.raises(ValueError, match=f"{key} must be"):
                 Hyperparameters.from_dict({key: value})

@@ -187,23 +187,22 @@ def stump(feature, threshold, left_value, right_value, left_cover, right_cover):
     return builder.build()
 
 
-def ensemble_of(trees, n_features, num_class=10):
-    hp = Hyperparameters(num_class=num_class, num_rounds=len(trees),
-                         min_child_weight=0.0, gamma=0.0)
+def ensemble_of(trees, n_features):
+    hp = Hyperparameters(num_rounds=len(trees), min_child_weight=0.0, gamma=0.0)
     ens = Ensemble(hp=hp, num_features=n_features,
                    feature_names=tuple(f"f{j}" for j in range(n_features)))
     # place every tree on class 0; remaining classes get zero leaves
     for t in trees:
         zero = _TreeBuilder()
         zero.add_leaf(0.0, 1.0)
-        row = [t] + [zero.build() for _ in range(num_class - 1)]
+        row = [t] + [zero.build() for _ in range(hp.num_class - 1)]
         ens.trees.append(row)
     return ens
 
 
 def random_ensemble(rng, n_features, n_trees=3, max_depth=3):
     trees = [random_tree(rng, n_features, max_depth) for _ in range(n_trees)]
-    return ensemble_of(trees, n_features, num_class=4)
+    return ensemble_of(trees, n_features)
 
 
 class TestTreeShapStump:
@@ -280,14 +279,17 @@ class TestOracleEquivalence:
             np.testing.assert_allclose(phi, brute_force_shap(ens, x, 0), atol=1e-10)
 
 
-def random_class_ensemble(rng, n_features, rounds, num_class, max_depth, zero_cover):
-    """conftest.random_tree for every class of every round."""
-    hp = Hyperparameters(num_class=num_class, num_rounds=rounds,
-                         min_child_weight=0.0, gamma=0.0)
+def random_class_ensemble(rng, n_features, rounds, classes, max_depth, zero_cover):
+    """conftest.random_tree for the first `classes` classes of every round;
+    the other classes get zero leaves."""
+    hp = Hyperparameters(num_rounds=rounds, min_child_weight=0.0, gamma=0.0)
     ens = Ensemble(hp=hp, num_features=n_features,
                    feature_names=tuple(f"f{j}" for j in range(n_features)))
+    zero = _TreeBuilder()
+    zero.add_leaf(0.0, 1.0)
     ens.trees = [[random_tree(rng, n_features, max_depth, zero_cover=zero_cover)
-                  for _ in range(num_class)] for _ in range(rounds)]
+                  for _ in range(classes)]
+                 + [zero.build() for _ in range(hp.num_class - classes)] for _ in range(rounds)]
     return ens
 
 
@@ -306,19 +308,19 @@ class TestPathKernel:
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n_features=st.integers(1, 5),
            max_depth=st.integers(1, 6), rounds=st.integers(1, 3),
-           num_class=st.integers(2, 3), n_rows=st.integers(1, 9),
+           classes=st.integers(2, 3), n_rows=st.integers(1, 9),
            zero_cover=st.sampled_from([0.0, 0.3]))
     def test_bit_identical_to_recursion_and_single_row_calls(
-            self, seed, n_features, max_depth, rounds, num_class, n_rows, zero_cover):
+            self, seed, n_features, max_depth, rounds, classes, n_rows, zero_cover):
         # few features repeat splits along a path; zero-cover nodes take
         # the 0.5 shares
         rng = np.random.default_rng(seed)
-        ens = random_class_ensemble(rng, n_features, rounds, num_class, max_depth,
+        ens = random_class_ensemble(rng, n_features, rounds, classes, max_depth,
                                     zero_cover)
         X = on_thresholds(rng, rng.random((n_rows, n_features)), ens)
         attr = attribute(ens, X)
         for i in range(n_rows):
-            for c in range(num_class):
+            for c in range(classes):
                 phi, base = tree_shap(ens, X[i], c)
                 assert phi.tobytes() == attr.phi[i, c].tobytes()
                 assert base == attr.base[c]
@@ -329,7 +331,7 @@ class TestPathKernel:
     def test_nan_and_inf_route_as_in_prediction(self, rng):
         X = rng.random((40, 4))
         y = rng.integers(0, 3, 40)
-        hp = Hyperparameters(max_depth=3, num_class=3, num_rounds=4,
+        hp = Hyperparameters(max_depth=3, num_rounds=4,
                              min_child_weight=0.0, gamma=0.0, subsample=1.0)
         model = train(X, y, hp, seed=5)
         X[::3, 1] = np.nan
@@ -418,7 +420,7 @@ class TestAggregation:
     def test_attribute_matches_margins(self, rng):
         X = rng.random((20, 4))
         y = rng.integers(0, 4, 20)
-        hp = Hyperparameters(max_depth=2, num_class=4, num_rounds=3,
+        hp = Hyperparameters(max_depth=2, num_rounds=3,
                              min_child_weight=0.0, gamma=0.0, subsample=1.0)
         model = train(X, y, hp, seed=3)
         attr = attribute(model, X)

@@ -255,6 +255,14 @@ def _internal_node(doc):
     return next(tree for round_trees in doc["trees"] for tree in round_trees if "leaf" not in tree)
 
 
+def _leaf(doc):
+    """The leftmost leaf under `_internal_node(doc)`."""
+    node = _internal_node(doc)
+    while "leaf" not in node:
+        node = node["left"]
+    return node
+
+
 def _twelve_classes(doc):
     """Make a serialized ensemble a well-formed 12-class model."""
     doc["hyperparameters"]["num_class"] = 12
@@ -395,6 +403,17 @@ class TestCli:
          "objective must be 'multi:softmax'"),
         ({"hyperparameters": dict(FAST_HP, num_rounds=2.5)}, "'num_rounds' must be a JSON integer"),
         ({"hyperparameters": dict(FAST_HP, alpha=math.nan)}, "alpha must be non-negative"),
+        ({"hyperparameters": dict(FAST_HP, num_class=10.0)}, "num_class must be 10, got 10.0"),
+        ({"hyperparameters": dict(FAST_HP, num_class=True)}, "num_class must be 10, got True"),
+        ({"shap_sampel": 5}, "unknown key in config: 'shap_sampel'"),
+        ({"hyperparameters": None, "grid": {"candidates": {"max_depth": [2]},
+                                            "pairs": [["max_depth"]], "pair": []}},
+         "unknown key in grid: 'pair'"),
+        ({"synth": None, "sources": {"TORIS": {"path": "toris.csv", "colum_map": {}}}},
+         "unknown key in source entry 'TORIS': 'colum_map'"),
+        ({"synth": {"n": 300, "size": 10}}, "unknown key in synth: 'size'"),
+        ({"split": {"test_fraction": 0.1, "seed": 3}}, "unknown key in split: 'seed'"),
+        ({"prune": {"feature_treshold": 0.5}}, "unknown key in prune: 'feature_treshold'"),
     ], ids=["shap_sample_zero", "patience_not_integer", "source_without_path",
             "unknown_source_tag", "sources_not_object", "synth_not_object",
             "grid_not_object", "split_not_object", "prune_not_object",
@@ -408,7 +427,9 @@ class TestCli:
             "grid_candidates_not_list", "grid_candidate_not_number", "grid_pairs_number",
             "grid_candidates_list", "seed_fraction", "k_folds_fraction", "synth_n_fraction",
             "column_map_not_object", "objective_not_softmax", "num_rounds_fraction",
-            "alpha_nan"])
+            "alpha_nan", "num_class_float", "num_class_true", "unknown_top_level_key",
+            "unknown_grid_key", "unknown_source_key", "unknown_synth_key", "split_seed",
+            "unknown_prune_key"])
     def test_config_field_error_exits_2_before_any_stage(self, tmp_path, capsys, extra, message):
         config = self._write_config(tmp_path, **extra)
         code = main(["run", "--config", str(config), "--out", str(tmp_path / "run")])
@@ -488,12 +509,16 @@ class TestCli:
         (["train", "--train", "{run}/train.csv", "--hp", "{tmp}/deep.json",
           "--out", "{tmp}/model.json"], 3),
         (["train", "--train", "{run}/train.csv", "--hp", "{tmp}/twelve.json",
-          "--out", "{tmp}/model.json"], 2),
+          "--out", "{tmp}/model.json"], 3),
+        (["train", "--train", "{run}/train.csv", "--hp", "{tmp}/ten_float.json",
+          "--out", "{tmp}/model.json"], 3),
+        (["train", "--train", "{run}/train.csv", "--hp", "{tmp}/ten_true.json",
+          "--out", "{tmp}/model.json"], 3),
         (["evaluate", "--model", "{tmp}/list.json", "--data", "{run}/test.csv",
           "--out", "{tmp}/report.json"], 3),
     ], ids=["ingest_out_in_missing_dir", "run_out_is_file", "config_is_directory",
             "config_not_utf8", "hp_unknown_key", "hp_not_object", "hp_value_not_number",
-            "hp_num_class_12", "model_not_object"])
+            "hp_num_class_12", "model_not_object", "hp_num_class_float", "hp_num_class_true"])
     def test_bad_path_is_diagnosed_without_traceback(self, trained_run, tmp_path, capfd,
                                                       argv, code):
         config = self._write_config(tmp_path)
@@ -502,6 +527,8 @@ class TestCli:
         (tmp_path / "list.json").write_text("[1, 2]")
         (tmp_path / "deep.json").write_text('{"max_depth": "deep"}')
         (tmp_path / "twelve.json").write_text(json.dumps(dict(FAST_HP, num_class=12)))
+        (tmp_path / "ten_float.json").write_text(json.dumps(dict(FAST_HP, num_class=10.0)))
+        (tmp_path / "ten_true.json").write_text(json.dumps(dict(FAST_HP, num_class=True)))
         command, *rest = [arg.format(tmp=tmp_path, run=trained_run) for arg in argv]
         assert main([command, "--config", str(config), *rest]) == code
         err = capfd.readouterr().err
@@ -517,7 +544,7 @@ class TestCli:
         (lambda doc: doc["trees"].__setitem__(0, 7), "round 0 must be a list of trees, got int"),
         (lambda doc: _internal_node(doc).update(threshold=math.inf), "finite numeric 'threshold'"),
         (lambda doc: _internal_node(doc)["left"].update(leaf=math.nan), "finite numeric 'leaf'"),
-        (_twelve_classes, "is a 12-class model"),
+        (_twelve_classes, "num_class must be 10, got 12"),
         (lambda doc: doc.update(trees={}), "trees must be a list of rounds, got dict"),
         (lambda doc: doc.update(training_loss="x"), "training_loss must be a list of"),
         (lambda doc: doc["training_loss"].pop(), "training_loss must be a list of"),
@@ -525,11 +552,19 @@ class TestCli:
         (lambda doc: doc.update(num_features=doc["num_features"] + 0.7),
          "num_features must be a positive JSON integer"),
         (lambda doc: doc["feature_names"].pop(), "feature_names must be a list of"),
+        (lambda doc: doc["hyperparameters"].update(num_class=10.0), "num_class must be 10"),
+        (lambda doc: doc["hyperparameters"].update(num_class=True), "num_class must be 10"),
+        (lambda doc: doc["hyperparameters"].update(max_depth=1), "deeper than max_depth = 1"),
+        (lambda doc: _internal_node(doc).update(gain=-0.5), "split gain -0.5 is negative"),
+        (lambda doc: _internal_node(doc)["left"].update(cover=0.5),
+         "child cover 0.5 is below min_child_weight = 1"),
+        (lambda doc: _leaf(doc).update(leaf=0.05), "leaf 0.05 exceeds the learning_rate"),
     ], ids=["feature_out_of_range", "round_of_three_trees", "node_without_feature",
             "unknown_hyperparameter", "no_num_features", "no_trees", "round_not_list",
             "infinite_threshold", "nan_leaf", "twelve_classes", "trees_object",
             "training_loss_string", "training_loss_short", "best_round_string", "num_features_fraction",
-            "feature_names_short"])
+            "feature_names_short", "num_class_float", "num_class_true", "deeper_than_max_depth",
+            "negative_gain", "child_below_min_child_weight", "leaf_beyond_clip"])
     def test_corrupted_model_exits_3(self, trained_run, tmp_path, capsys, corrupt, message):
         doc = json.loads((trained_run / "model.json").read_text())
         corrupt(doc)
@@ -549,6 +584,20 @@ class TestCli:
                      "--out", str(out)]) == 3
         assert capsys.readouterr().err.startswith("error [synth] divergence must be finite")
         assert not out.exists()
+
+    def test_synth_one_record(self, tmp_path, capsys):
+        out = tmp_path / "synth.csv"
+        assert main(["synth", "--preset", "toris", "--n", "1", "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 2  # header and one record
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_run_without_a_test_set_ends_at_preprocess(self, tmp_path, capfd, n):
+        config = self._write_config(tmp_path, synth={"n": n})
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "run")]) == 3
+        err = capfd.readouterr().err
+        assert err.startswith("error [preprocess] the test set is empty")
+        assert "Traceback" not in err
+        assert not (tmp_path / "run" / "hyperparameters.json").exists()
 
     def test_independent_role_without_held_out_database_exits_2(self, trained_run, tmp_path,
                                                                  capsys):

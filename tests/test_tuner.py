@@ -121,7 +121,7 @@ def fast_hp(**kwargs):
     base = dict(max_depth=3, min_child_weight=0.0, learning_rate=0.3,
                 subsample=1.0, colsample_bytree=1.0, colsample_bylevel=1.0,
                 alpha=0.0, lambda_=0.1, gamma=0.0, max_delta_step=0.0,
-                num_class=10, num_rounds=8)
+                num_rounds=8)
     base.update(kwargs)
     return Hyperparameters(**base)
 
