@@ -16,13 +16,12 @@ from .dataset import (Database, DatabaseTag, Feature, FeatureSchema,
                       normalize_key, parse_database, serialize_database)
 from .errors import (ConfigError, FitError, IngestError, PipelineError,
                      RfclassError, TrainingError)
-from .explain import (Attribution, ImportanceSummary, aggregate_importance,
-                      attribute, tree_shap)
+from .explain import Attribution, ImportanceSummary, aggregate_importance, attribute
 from .metrics import (EvaluationReport, accuracy, confusion_bubbles, macro_f1,
                       neighborhood_accuracy, summary_csv)
 from .pipeline import INDEPENDENT_SOURCE, PipelineConfig, RunResult, run_pipeline
-from .preprocess import (SplitSpec, TransformParams, apply_transforms, bin_rf,
-                         class_labels, complete_cases, filter_ranges,
+from .preprocess import (PruneSpec, SplitSpec, TransformParams, apply_transforms,
+                         bin_rf, class_labels, complete_cases, filter_ranges,
                          fit_transforms, impute, prune_missing,
                          stratified_kfold, stratified_split, to_matrix)
 from .synth import DistributionSpec, FeatureDistribution, RFLink, generate, preset

@@ -17,8 +17,10 @@ so the trained models are bit-identical to that simpler search.
 
 import json
 import math
-from dataclasses import dataclass, field, fields
-from typing import ClassVar
+import sys
+from dataclasses import MISSING, dataclass, field, fields
+from types import NoneType, UnionType
+from typing import ClassVar, get_args
 
 import numpy as np
 
@@ -30,6 +32,42 @@ PROB_CLIP = 1e-15
 #: Every model's fixed settings: `to_dict` writes them, `from_dict` accepts no other.
 FIXED_SETTINGS = {"objective": "multi:softmax", "eval_metric": "mlogloss",
                   "num_class": N_CLASSES}
+
+
+def json_number(value, kind, name: str):
+    """`value`, checked against the field type `kind`: an `int` takes a JSON
+    integer (not a bool), a `float` a finite number, and a type that admits
+    None also null. Values of other types pass unchecked."""
+    kinds = get_args(kind) if isinstance(kind, UnionType) else (kind,)
+    if value is None and NoneType in kinds:
+        return value
+    if int in kinds and (isinstance(value, bool) or not isinstance(value, int)):
+        raise ValueError(f"{name} must be a number written as a JSON integer, got {value!r}")
+    if float in kinds and (isinstance(value, bool) or not isinstance(value, (int, float))
+                           or not abs(value) <= sys.float_info.max):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return value
+
+
+def json_fields(cls, data, where: str, skip=()) -> dict:
+    """The keyword arguments that the JSON object `data` gives the dataclass `cls`.
+
+    Every key names an init field of `cls` outside `skip`, every field
+    without a default is present, and each value passes `json_number` for its
+    field's type. An absent key keeps its field's default; the constructor
+    checks ranges and the values `json_number` passes unchecked.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"{where} must be a JSON object, got {type(data).__name__}")
+    known = {f.name: f for f in fields(cls) if f.init and f.name not in skip}
+    unknown = sorted(set(data) - set(known))
+    if unknown:
+        raise ValueError(f"unknown key in {where}: {', '.join(map(repr, unknown))}")
+    for name, f in known.items():
+        if name not in data and f.default is MISSING and f.default_factory is MISSING:
+            raise ValueError(f"{where} needs a {name!r}")
+    return {name: json_number(value, known[name].type, f"{where}.{name}")
+            for name, value in data.items()}
 
 
 @dataclass(frozen=True)
@@ -68,25 +106,16 @@ class Hyperparameters:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Hyperparameters":
+        """The settings of a JSON object, which may also list `FIXED_SETTINGS`
+        and name `lambda_` "lambda", as `to_dict` writes it."""
         if not isinstance(data, dict):
             raise ValueError(f"hyperparameters must be a JSON object, got {type(data).__name__}")
-        data = dict(data)
+        data = {("lambda_" if key == "lambda" else key): value for key, value in data.items()}
         for key, fixed in FIXED_SETTINGS.items():
             value = data.pop(key, fixed)
             if type(value) is not type(fixed) or value != fixed:  # 10.0 == 10 too
                 raise ValueError(f"{key} must be {fixed!r}, got {value!r}")
-        if "lambda" in data:
-            data["lambda_"] = data.pop("lambda")
-        unknown = sorted(set(data) - {f.name for f in fields(cls)})
-        if unknown:
-            raise ValueError(f"unknown hyperparameter {', '.join(map(repr, unknown))}")
-        counts = {f.name for f in fields(cls) if f.type is int}
-        for name, value in data.items():
-            kind = int if name in counts else (int, float)
-            if isinstance(value, bool) or not isinstance(value, kind):
-                raise ValueError(f"hyperparameter {name!r} must be a "
-                                 f"{'JSON integer' if kind is int else 'number'}, got {value!r}")
-        return cls(**data)
+        return cls(**json_fields(cls, data, "hyperparameters"))
 
 
 @dataclass

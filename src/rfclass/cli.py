@@ -27,8 +27,9 @@ from pathlib import Path
 from .booster import Hyperparameters, load_ensemble, serialize_ensemble
 from .dataset import serialize_database
 from .errors import ConfigError, IngestError, PipelineError, TrainingError
-from .pipeline import (PipelineConfig, StageFailure, _dump_json, evaluate, explain, fit,
-                       held_out, ingest, preprocess, read_prepared, run_pipeline, tune)
+from .pipeline import (PipelineConfig, StageFailure, SynthConfig, _dump_json, evaluate,
+                       explain, fit, held_out, ingest, preprocess, read_prepared, run_pipeline,
+                       tune)
 from .synth import _PRESETS, generate, preset
 
 EXIT_OK = 0
@@ -178,9 +179,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic source database CSV")
     p.add_argument("--preset", choices=list(_PRESETS), required=True)
-    p.add_argument("--n", type=int, default=2000)
+    p.add_argument("--n", type=int, default=SynthConfig.n)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--divergence", type=float, default=1.0)
+    p.add_argument("--divergence", type=float, default=SynthConfig.divergence)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
 

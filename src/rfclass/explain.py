@@ -5,14 +5,14 @@ a feature outside the coalition descends both children of its splits
 weighted by their training cover share. Attributions are on margins
 (pre-softmax), so base value plus contributions equals the class margin.
 
-`attribute` and `tree_shap` share one path kernel: the polynomial path
-recursion of TreeSHAP (Lundberg et al. 2018), run for many rows and
-root-to-leaf paths at once. Each call lists every root-to-leaf path of the
-ensemble once, as GPUTreeShap does, and groups the paths that have the same
-number of splits and revisit a feature at the same steps. Within a group the
-recursion's bookkeeping does not depend on the row (which element a
-revisit divides out, and the zero fractions: products of the weight shares
-the path takes), so it is worked out once. Rows then go through in blocks
+`attribute` runs one path kernel: the polynomial path recursion of TreeSHAP
+(Lundberg et al. 2018), run for many rows and root-to-leaf paths at once.
+Each call lists every root-to-leaf path of the ensemble once, as
+GPUTreeShap does, and groups the paths that have the same number of splits
+and revisit a feature at the same steps. Within a group the recursion's
+bookkeeping does not depend on the row (which element a revisit divides
+out, and the zero fractions: products of the weight shares the path takes),
+so it is worked out once. Rows then go through in blocks
 of ROW_BLOCK: for every row and path of a block the kernel replays EXTEND at
 each split, UNWIND at each revisit and the UNWOUND SUM of each element at
 the leaf as NumPy arrays, with the recursion's operations in its order. It
@@ -209,12 +209,13 @@ def _forest(trees: list[Tree]) -> Tree:
                 right=link("right"), value=cat("value"), cover=cat("cover"), gain=cat("gain"))
 
 
-def _paths(ensemble: Ensemble, classes: list[int]) -> tuple[list[_PathGroup], np.ndarray, int]:
-    """Path groups of the listed classes' trees, the base value of each
-    class, and the number of leaves."""
-    listed = [(slot, tree) for slot, c in enumerate(classes) for tree in ensemble.class_trees(c)]
+def _paths(ensemble: Ensemble) -> tuple[list[_PathGroup], np.ndarray, int]:
+    """Path groups of the ensemble's trees, the base value of each class, and
+    the number of leaves."""
+    classes = ensemble.hp.num_class
+    listed = [(c, tree) for c in range(classes) for tree in ensemble.class_trees(c)]
     if not listed:
-        return [], np.zeros(len(classes)), 0
+        return [], np.zeros(classes), 0
     trees = [tree for _, tree in listed]
     sizes = [tree.n_nodes() for tree in trees]
     forest = _forest(trees)
@@ -252,7 +253,7 @@ def _paths(ensemble: Ensemble, classes: list[int]) -> tuple[list[_PathGroup], np
         expected[inner] = shares[0, inner] * expected[lefts] + shares[1, inner] * expected[rights]
         n_leaves[inner] = n_leaves[lefts] + n_leaves[rights]
     roots = levels[0]
-    base = np.bincount(slot_of_node[roots], weights=expected[roots], minlength=len(classes))
+    base = np.bincount(slot_of_node[roots], weights=expected[roots], minlength=classes)
 
     leaves = np.flatnonzero(forest.feature < 0)
     tree_start = np.cumsum([0] + sizes[:-1])
@@ -279,16 +280,15 @@ def _paths(ensemble: Ensemble, classes: list[int]) -> tuple[list[_PathGroup], np
     return groups, base, leaves.size
 
 
-def _path_shap(ensemble: Ensemble, X: np.ndarray,
-               classes: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """phi (rows, len(classes), features) and base (len(classes),).
+def _path_shap(ensemble: Ensemble, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """phi (rows, classes, features) and base (classes,).
 
-    A row's results do not depend on the other rows or classes asked for,
-    so one row of one class reproduces its slice of a full call bit for bit.
+    A row's results do not depend on the other rows, so one row reproduces
+    its slice of a call on many bit for bit.
     """
-    groups, base, n_leaves = _paths(ensemble, classes)
-    phi = np.zeros((X.shape[0], len(classes), ensemble.num_features))
-    width = len(classes) * ensemble.num_features
+    groups, base, n_leaves = _paths(ensemble)
+    phi = np.zeros((X.shape[0], base.size, ensemble.num_features))
+    width = phi[0].size
     slots = max((group.target.shape[0] for group in groups), default=0)
     # the elements' bins of every path, one row per path, and a zero row for
     # the positions no path fills
@@ -313,23 +313,6 @@ def _path_shap(ensemble: Ensemble, X: np.ndarray,
     return phi, base
 
 
-def tree_shap(ensemble: Ensemble, x: np.ndarray,
-              class_index: int) -> tuple[np.ndarray, float]:
-    """Per-feature attributions and base value for one row's class margin.
-
-    Node weights are the training covers recorded at fit time. An untrained
-    ensemble yields all-zero attributions with a zero base value.
-    The result equals the row's slice of `attribute` bit for bit.
-    """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.size != ensemble.num_features:
-        raise ValueError(f"expected {ensemble.num_features} features, got {x.size}")
-    if not 0 <= class_index < ensemble.hp.num_class:
-        raise ValueError(f"class_index out of range: {class_index}")
-    phi, base = _path_shap(ensemble, x[None, :], [class_index])
-    return phi[0, 0], float(base[0])
-
-
 @dataclass(frozen=True)
 class Attribution:
     """Attributions for a dataset: phi has shape (rows, classes, features)."""
@@ -346,7 +329,7 @@ def attribute(ensemble: Ensemble, X: np.ndarray) -> Attribution:
         raise ValueError("attribute expects a non-empty 2-D matrix")
     if X.shape[1] != ensemble.num_features:
         raise ValueError(f"expected {ensemble.num_features} features, got {X.shape[1]}")
-    phi, base = _path_shap(ensemble, X, list(range(ensemble.hp.num_class)))
+    phi, base = _path_shap(ensemble, X)
     return Attribution(phi=phi, base=base, feature_names=ensemble.feature_names)
 
 

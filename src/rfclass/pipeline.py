@@ -12,9 +12,9 @@ runs with equal config and seed produce byte-identical artifacts.
 
 import json
 import platform
-import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 from typing import NamedTuple
 
@@ -22,15 +22,16 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .booster import Ensemble, Hyperparameters, predict_class, serialize_ensemble, train
+from .booster import (Ensemble, Hyperparameters, json_fields, json_number, predict_class,
+                      serialize_ensemble, train)
 from .dataset import (Database, DatabaseTag, FeatureSchema, canonical_schema, deduplicate,
                       merge, parse_database, parse_tag, serialize_database)
 from .errors import ConfigError, PipelineError
 from .explain import ImportanceSummary, importance_from_database
 from .metrics import EvaluationReport, summary_csv
-from .preprocess import (SplitSpec, apply_transforms, check_prune_thresholds,
-                         complete_cases, filter_ranges, fit_transforms, impute,
-                         prune_missing, stratified_split, to_matrix)
+from .preprocess import (PruneSpec, SplitSpec, apply_transforms, complete_cases,
+                         filter_ranges, fit_transforms, impute, prune_missing,
+                         stratified_split, to_matrix)
 from .synth import generate, preset
 from .tuner import SearchGrid, default_grid, pairwise_grid_search
 
@@ -68,32 +69,10 @@ class SynthConfig:
     divergence: float = 1.0
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValueError(f"synth.n must be at least 1, got {self.n}")
         for tag in DatabaseTag.TCA.source_tags:  # a divergence a preset rejects
             preset(tag.value, self.divergence)
-
-
-def _integer(value, name: str, minimum: int | None = None) -> int:
-    """A JSON integer, at least `minimum` when one is given."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{name} must be a number written as a JSON integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{name} must be at least {minimum}, got {value}")
-    return value
-
-
-def _real(value, name: str) -> float:
-    """A JSON number that a float holds."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or not abs(value) <= sys.float_info.max:
-        raise ConfigError(f"{name} must be a number, got {value!r}")
-    return float(value)
-
-
-def _range_pair(name: str, bounds) -> tuple[float, ...]:
-    if not isinstance(bounds, list) or len(bounds) != 2:
-        raise ConfigError(f"range_overrides entry {name!r} must be a [lo, hi] pair "
-                          f"of numbers, got {bounds!r}")
-    return tuple(_real(b, f"range_overrides entry {name!r}") for b in bounds)
 
 
 def _build(section: str, make, *args, **kwargs):
@@ -104,127 +83,98 @@ def _build(section: str, make, *args, **kwargs):
         raise ConfigError(f"bad {section}: {exc}") from None
 
 
-def _section(data: dict, key: str, known=None) -> dict | None:
-    """`data[key]` when it is a JSON object with no key outside `known`
-    (any key when None); None when absent or null."""
-    value = data.get(key)
-    if value is not None and not isinstance(value, dict):
-        raise ConfigError(f"{key} must be a JSON object, got {type(value).__name__}")
-    if value is not None and known is not None:
-        _known_keys(value, known, key)
-    return value
+def _read(kind, value, where: str, skip=(), make=None):
+    """`make` (by default `kind`) called with the fields of `kind` that the
+    JSON object `value` holds."""
+    return _build(where, make or kind, **json_fields(kind, value, where, skip))
 
 
-def _known_keys(data: dict, known, where: str) -> None:
-    unknown = sorted(set(data) - set(known))
-    if unknown:
-        raise ConfigError(f"unknown key in {where}: {', '.join(map(repr, unknown))}")
-
-
-def _names(cls) -> tuple[str, ...]:
-    return tuple(f.name for f in fields(cls))
-
-
-#: The keys a config may hold; any other is refused rather than ignored.
-CONFIG_KEYS = ("combo", "seed", "sources", "synth", "split", "hyperparameters", "grid", "prune",
-               "range_overrides", "shap_sample", "early_stopping_patience")
+def _range_pair(name: str, bounds) -> tuple:
+    where = f"range_overrides entry {name!r}"
+    if not isinstance(bounds, (list, tuple)) or len(bounds) != 2:
+        raise ValueError(f"{where} must be a [lo, hi] pair of numbers, got {bounds!r}")
+    return tuple(json_number(b, float, where) for b in bounds)
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """A run's settings; `schema` holds the range overrides, and stages set `split.seed`."""
+    """A run's settings, one field per config key; `schema` is the canonical
+    schema under `range_overrides`, and stages set `split.seed`."""
 
     combo: DatabaseTag
-    schema: FeatureSchema
     seed: int = 0
     sources: dict[DatabaseTag, SourceConfig] | None = None
     synth: SynthConfig | None = None
     split: SplitSpec = SplitSpec()
     hyperparameters: Hyperparameters | None = None
     grid: SearchGrid | None = None
-    feature_threshold: float = 0.70
-    record_threshold: float = 0.55
+    prune: PruneSpec = PruneSpec()
+    range_overrides: dict[str, list[float]] = field(default_factory=dict)
     shap_sample: int = 100
     early_stopping_patience: int | None = None
     raw: dict = field(default_factory=dict, compare=False)
+    schema: FeatureSchema = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        """The rules across fields and the counts' ranges. A config built in
+        Python gets the ValueError whose message `from_dict` turns into a
+        ConfigError."""
+        if self.combo.is_source:
+            raise ValueError(f"combo must be a merge combination, got {self.combo.value}")
+        if (self.sources is None) == (self.synth is None):
+            raise ValueError("config needs exactly one of 'sources' or 'synth'")
+        if self.sources is not None:
+            for tag in self.sources:
+                if not tag.is_source:
+                    raise ValueError(f"source entry {tag.value!r} is not a source database")
+            lacking = [tag.value for tag in self.combo.source_tags if tag not in self.sources]
+            if lacking:
+                raise ValueError(f"combo {self.combo.value} needs 'sources' entries for "
+                                 f"{', '.join(lacking)}")
+        if self.hyperparameters is not None and self.grid is not None:
+            raise ValueError("provide either fixed 'hyperparameters' or a 'grid', not both")
+        for name in ("shap_sample", "early_stopping_patience"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
+        if not isinstance(self.range_overrides, dict):
+            raise ValueError(f"range_overrides must be a JSON object, "
+                             f"got {type(self.range_overrides).__name__}")
+        object.__setattr__(self, "schema", canonical_schema(
+            {name: _range_pair(name, bounds) for name, bounds in self.range_overrides.items()}))
 
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineConfig":
-        """The config of a JSON document. Only JSON types are checked here; the
-        settings' constructors check ranges, so a bad value fails before any stage."""
-        if not isinstance(data, dict):
-            raise ConfigError(f"config must be a JSON object, got {type(data).__name__}")
-        _known_keys(data, CONFIG_KEYS, "config")
-        if "combo" not in data:
-            raise ConfigError("config requires a 'combo' entry")
-        if not isinstance(data["combo"], str):
-            raise ConfigError(f"combo must be a string, got {data['combo']!r}")
-        combo = _build("combo", parse_tag, data["combo"])
-        if combo.is_source:
-            raise ConfigError(f"combo must be a merge combination, got {combo.value}")
-
-        sources = None
-        raw_sources = _section(data, "sources")
-        if raw_sources:
-            sources = {}
-            for name, spec in raw_sources.items():
-                tag = _build("sources", parse_tag, name)
-                if not tag.is_source:
-                    raise ConfigError(f"source entry {name!r} is not a source database")
-                if not isinstance(spec, dict) or "path" not in spec:
-                    raise ConfigError(f"source entry {name!r} needs a 'path'")
-                _known_keys(spec, _names(SourceConfig), f"source entry {name!r}")
-                sources[tag] = _build(f"source entry {name!r}", SourceConfig, **spec)
-        synth = None
-        raw_synth = _section(data, "synth", _names(SynthConfig))
-        if raw_synth is not None:
-            synth = _build("synth", SynthConfig,
-                           n=_integer(raw_synth.get("n", 2000), "synth.n", 1),
-                           divergence=_real(raw_synth.get("divergence", 1.0), "synth.divergence"))
-        if (sources is None) == (synth is None):
-            raise ConfigError("config needs exactly one of 'sources' or 'synth'")
-
-        hp = None
-        if data.get("hyperparameters") is not None:
-            hp = _build("hyperparameters", Hyperparameters.from_dict, data["hyperparameters"])
-        grid = None
-        raw_grid = _section(data, "grid", _names(SearchGrid))
-        if raw_grid is not None:  # "grid": {} asks for the default search space
-            default = default_grid()
-            grid = _build("grid", SearchGrid,
-                          candidates=raw_grid.get("candidates", default.candidates),
-                          pairs=raw_grid.get("pairs", default.pairs),
-                          max_sweeps=_integer(raw_grid.get("max_sweeps", 3), "grid.max_sweeps"))
-        if hp is not None and grid is not None:
-            raise ConfigError("provide either fixed 'hyperparameters' or a 'grid', not both")
-
-        split = _section(data, "split", ("test_fraction", "k_folds")) or {}  # stages set the seed
-        prune = _section(data, "prune", ("feature_threshold", "record_threshold")) or {}
-        thresholds = (_real(prune.get("feature_threshold", 0.70), "prune.feature_threshold"),
-                      _real(prune.get("record_threshold", 0.55), "prune.record_threshold"))
-        _build("prune", check_prune_thresholds, *thresholds)
-        overrides = {name: _range_pair(name, bounds)
-                     for name, bounds in (_section(data, "range_overrides") or {}).items()}
-        patience = data.get("early_stopping_patience")
-        return cls(
-            combo=combo,
-            schema=_build("range_overrides", canonical_schema, overrides),
-            seed=_integer(data.get("seed", 0), "seed"),
-            sources=sources,
-            synth=synth,
-            split=_build("split", SplitSpec,
-                         test_fraction=_real(split.get("test_fraction", 0.1),
-                                             "split.test_fraction"),
-                         k_folds=_integer(split.get("k_folds", 10), "split.k_folds")),
-            hyperparameters=hp,
-            grid=grid,
-            feature_threshold=thresholds[0],
-            record_threshold=thresholds[1],
-            shap_sample=_integer(data.get("shap_sample", 100), "shap_sample", 1),
-            early_stopping_patience=None if patience is None else _integer(
-                patience, "early_stopping_patience", 1),
-            raw=data,
-        )
+        """The config of a JSON document. `json_fields` reads it and each of
+        its sections, and the settings' constructors check ranges, so a bad
+        value fails before any stage."""
+        try:
+            kw = json_fields(cls, data, "config", skip=("raw",))
+            if not isinstance(kw["combo"], str):
+                raise ValueError(f"combo must be a string, got {kw['combo']!r}")
+            kw["combo"] = parse_tag(kw["combo"])
+            if kw.get("sources") is not None:
+                if not isinstance(kw["sources"], dict):
+                    raise ValueError(f"sources must be a JSON object, "
+                                     f"got {type(kw['sources']).__name__}")
+                kw["sources"] = {
+                    parse_tag(name): _read(SourceConfig, spec, f"source entry {name!r}")
+                    for name, spec in kw["sources"].items()}
+            if kw.get("synth") is not None:
+                kw["synth"] = _read(SynthConfig, kw["synth"], "synth")
+            if "split" in kw:  # the stages set the seed
+                kw["split"] = _read(SplitSpec, kw["split"], "split", skip=("seed",))
+            if "prune" in kw:
+                kw["prune"] = _read(PruneSpec, kw["prune"], "prune")
+            if kw.get("grid") is not None:  # "grid": {} asks for the default search space
+                kw["grid"] = _read(SearchGrid, kw["grid"], "grid",
+                                   make=partial(replace, default_grid()))
+            if kw.get("hyperparameters") is not None:
+                kw["hyperparameters"] = _build("hyperparameters", Hyperparameters.from_dict,
+                                               kw["hyperparameters"])
+            return cls(**kw, raw=data)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     @classmethod
     def from_json(cls, text: str) -> "PipelineConfig":
@@ -348,16 +298,24 @@ def preprocess(merged: Database, config: PipelineConfig,
     record of preprocess_meta.json.
     """
     filtered = filter_ranges(merged)
-    pruned = prune_missing(filtered, config.feature_threshold, config.record_threshold)
+    pruned = prune_missing(filtered, config.prune)
     train_db, test_db = stratified_split(
         pruned, replace(config.split, seed=_stage_seed(config.seed, 10)))
     if not len(test_db):  # stratified_split holds out a record of each class of two or more
         raise PipelineError(f"the test set is empty: no class of the {len(pruned)} records "
                             f"left after pruning has two members")
-    imputed_counts = {
-        role: dict(zip(db.schema.names, np.isnan(db.values).sum(axis=0).tolist()))
-        for role, db in (("train", train_db), ("test", test_db))
-    }
+    imputed_counts = {}
+    for role, db in (("train", train_db), ("test", test_db)):
+        missing = np.isnan(db.values).sum(axis=0)
+        empty = np.flatnonzero(missing == len(db))
+        if empty.size:  # pruning saw the whole set, imputation sees one split
+            j = empty[0]
+            raise PipelineError(
+                f"feature {db.schema.names[j]!r} is missing from every record of the {role} "
+                f"split; prune.feature_threshold {config.prune.feature_threshold} kept it, "
+                f"as it is missing from {np.isnan(pruned.values[:, j]).sum()} of all "
+                f"{len(pruned)} records")
+        imputed_counts[role] = dict(zip(db.schema.names, missing.tolist()))
     train_db, test_db = impute(train_db), impute(test_db)
     params = fit_transforms(train_db)
     meta = {

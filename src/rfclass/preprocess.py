@@ -56,33 +56,35 @@ def filter_ranges(db: Database) -> Database:
     return db.take(~outside.any(axis=1))
 
 
-def check_prune_thresholds(feature_threshold: float, record_threshold: float) -> None:
-    """The thresholds `prune_missing` accepts: both lie in (0, 1)."""
-    if not 0 < feature_threshold < 1 or not 0 < record_threshold < 1:
-        raise ValueError("prune thresholds must lie in (0, 1)")
+@dataclass(frozen=True)
+class PruneSpec:
+    """The missingness limits of `prune_missing`, each in (0, 1)."""
+
+    feature_threshold: float = 0.70
+    record_threshold: float = 0.55
+
+    def __post_init__(self):
+        if not 0 < self.feature_threshold < 1 or not 0 < self.record_threshold < 1:
+            raise ValueError("prune thresholds must lie in (0, 1)")
 
 
-def prune_missing(
-    db: Database,
-    feature_threshold: float = 0.70,
-    record_threshold: float = 0.55,
-) -> Database:
+def prune_missing(db: Database, prune: PruneSpec = PruneSpec()) -> Database:
     """Drop features, then records, that are mostly missing.
 
     A feature goes when its missing fraction strictly exceeds
-    `feature_threshold`; afterwards a record goes when its missing fraction
-    over the surviving features strictly exceeds `record_threshold`.
+    `prune.feature_threshold`; afterwards a record goes when its missing
+    fraction over the surviving features strictly exceeds
+    `prune.record_threshold`.
     """
-    check_prune_thresholds(feature_threshold, record_threshold)
     if not len(db):
         return db
     fractions = np.isnan(db.values).mean(axis=0)
-    keep_idx = np.flatnonzero(fractions <= feature_threshold).tolist()
+    keep_idx = np.flatnonzero(fractions <= prune.feature_threshold).tolist()
     if not keep_idx:
         raise PipelineError("every feature exceeds the missingness threshold")
     db = db.select_features(keep_idx)
     missing = np.count_nonzero(np.isnan(db.values), axis=1) / len(keep_idx)
-    return db.take(missing <= record_threshold)
+    return db.take(missing <= prune.record_threshold)
 
 
 def _window_mode(present: list[float]) -> float:

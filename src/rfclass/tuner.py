@@ -156,7 +156,7 @@ def pairwise_grid_search(
     grid: SearchGrid,
     seed: int,
     *,
-    k: int = 10,
+    k: int = SplitSpec.k_folds,
     start: Hyperparameters | None = None,
     trace_sink: Callable[[dict], None] | None = None,
 ) -> TuningResult:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from rfclass.booster import Hyperparameters, leaf_weight, train
-from rfclass.explain import tree_shap
+from rfclass.explain import attribute
 from rfclass.metrics import accuracy, macro_f1, neighborhood_accuracy
 from rfclass.pipeline import PipelineConfig, run_pipeline
 from rfclass.preprocess import (SplitSpec, apply_transforms, class_labels,
@@ -123,7 +123,7 @@ def test_criterion_04_shap_correctness():
                 break
         ens = ensemble_of(trees, n_features)
         x = rng.random(n_features)
-        phi, _ = tree_shap(ens, x, 0)
+        phi = attribute(ens, x[None, :]).phi[0, 0]
         oracle = exact_shapley_oracle(ens, x, 0)
         np.testing.assert_allclose(phi, oracle, atol=1e-6,
                                    err_msg=f"ensemble {trial}")
@@ -136,16 +136,17 @@ def test_criterion_04_shap_correctness():
                          max_delta_step=0.3, num_rounds=6)
     model = train(X, y, hp, seed=44)
     margins = model.margins(X)
+    attribution = attribute(model, X)
     for i in range(1000):
         c = int(rng.integers(10))
-        phi, phi0 = tree_shap(model, X[i], c)
+        phi, phi0 = attribution.phi[i, c], attribution.base[c]
         assert abs(phi0 + phi.sum() - margins[i, c]) < 1e-6, f"row {i}"
 
     # dummy features earn exactly zero
     trees = [random_tree(rng, 3, 2) for _ in range(3)]
     ens = ensemble_of(trees, 6)  # features 3..5 never split
     for _ in range(20):
-        phi, _ = tree_shap(ens, rng.random(6), 0)
+        phi = attribute(ens, rng.random((1, 6))).phi[0, 0]
         assert phi[3] == 0.0 and phi[4] == 0.0 and phi[5] == 0.0
     report(4, "tree SHAP = exact Shapley oracle on 100 ensembles at 1e-6; "
               "local accuracy on 1000 rows; dummies exactly zero",

@@ -586,3 +586,23 @@ class TestHyperparameters:
                            ("num_class", 12), ("num_class", 10.0), ("num_class", True)):
             with pytest.raises(ValueError, match=f"{key} must be"):
                 Hyperparameters.from_dict({key: value})
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_mutated_settings_raise_only_value_errors(self, data):
+        doc = Hyperparameters().to_dict()
+        for _ in range(data.draw(st.integers(1, 3))):
+            key = data.draw(st.sampled_from(sorted(doc) + ["eta", "lambda_"]))
+            mutation = data.draw(st.sampled_from(["drop", "retype", "out_of_range"]))
+            if mutation == "drop":
+                doc.pop(key, None)
+            else:
+                doc[key] = data.draw(
+                    st.sampled_from([None, True, "x", [], {}, [1], 0.5, 7]) if mutation == "retype"
+                    else st.one_of(st.integers(), st.floats(),
+                                   st.sampled_from([10**400, -1, 0, 1.0, 10])))
+        try:
+            hp = Hyperparameters.from_dict(json.loads(json.dumps(doc)))
+        except ValueError:
+            return
+        assert Hyperparameters.from_dict(hp.to_dict()) == hp

@@ -18,7 +18,7 @@ from rfclass.dataset import (_SOURCE_PRIORITY, Database, DatabaseTag,
                              ReservoirRecord, canonical_schema, deduplicate,
                              serialize_database)
 from rfclass.errors import PipelineError
-from rfclass.preprocess import filter_ranges, impute, prune_missing
+from rfclass.preprocess import PruneSpec, filter_ranges, impute, prune_missing
 
 SCHEMA = canonical_schema()
 SOURCES = (DatabaseTag.TORIS, DatabaseTag.COMMERCIAL, DatabaseTag.ATLAS)
@@ -190,12 +190,13 @@ def test_columnar_preparation_equals_record_oracles(seed, n, n_keys, out_of_rang
     deduped = deduplicate(db)
     assert outcome(filter_ranges, deduped) == outcome(oracle_filter_ranges, deduped)
     filtered = filter_ranges(deduped)
-    assert (outcome(prune_missing, filtered, feature_threshold, record_threshold)
+    prune = PruneSpec(feature_threshold, record_threshold)
+    assert (outcome(prune_missing, filtered, prune)
             == outcome(oracle_prune_missing, filtered, feature_threshold, record_threshold))
     # impute both the unpruned rows (long gaps, whole missing columns) and the pruned ones
     assert outcome(impute, filtered) == outcome(oracle_impute, filtered)
     try:
-        pruned = prune_missing(filtered, feature_threshold, record_threshold)
+        pruned = prune_missing(filtered, prune)
     except PipelineError:
         return
     assert outcome(impute, pruned) == outcome(oracle_impute, pruned)

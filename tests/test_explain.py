@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from rfclass.booster import Ensemble, Hyperparameters, _TreeBuilder, train
 from rfclass.explain import (Attribution, _child_fractions,
                              aggregate_importance, attribute,
-                             importance_from_database, tree_shap)
+                             importance_from_database)
 
 from conftest import complete_database, random_tree
 
@@ -200,6 +200,12 @@ def ensemble_of(trees, n_features):
     return ens
 
 
+def row_shap(ensemble, x, class_index):
+    """(phi, base) of one row's class margin, from `attribute` on that row alone."""
+    attribution = attribute(ensemble, np.asarray(x, dtype=float).reshape(1, -1))
+    return attribution.phi[0, class_index], attribution.base[class_index]
+
+
 def random_ensemble(rng, n_features, n_trees=3, max_depth=3):
     trees = [random_tree(rng, n_features, max_depth) for _ in range(n_trees)]
     return ensemble_of(trees, n_features)
@@ -210,7 +216,7 @@ class TestTreeShapStump:
         a, b = 1.5, -0.5
         ens = ensemble_of([stump(2, 0.5, a, b, 10.0, 10.0)], n_features=4)
         x = np.array([0.9, 0.9, 0.1, 0.9])  # goes left
-        phi, phi0 = tree_shap(ens, x, class_index=0)
+        phi, phi0 = row_shap(ens, x, class_index=0)
         assert phi[2] == pytest.approx(a - (a + b) / 2)
         for j in (0, 1, 3):
             assert phi[j] == 0.0
@@ -220,7 +226,7 @@ class TestTreeShapStump:
     def test_unequal_cover_stump(self):
         ens = ensemble_of([stump(0, 0.3, 2.0, -1.0, 3.0, 1.0)], n_features=3)
         x = np.array([0.9, 0.0, 0.0])  # goes right
-        phi, phi0 = tree_shap(ens, x, 0)
+        phi, phi0 = row_shap(ens, x, 0)
         expected_base = (2.0 * 3.0 - 1.0 * 1.0) / 4.0
         assert phi0 == pytest.approx(expected_base)
         assert phi[0] == pytest.approx(-1.0 - expected_base)
@@ -238,7 +244,7 @@ class TestLocalAccuracy:
         margins = model.margins(X)
         for i in range(0, 150, 17):
             for c in (0, 3, 9):
-                phi, phi0 = tree_shap(model, X[i], c)
+                phi, phi0 = row_shap(model, X[i], c)
                 assert phi0 + phi.sum() == pytest.approx(margins[i, c], abs=1e-6)
 
 
@@ -250,7 +256,7 @@ class TestOracleEquivalence:
                                   n_trees=int(rng.integers(1, 4)),
                                   max_depth=int(rng.integers(1, 4)))
             x = rng.random(n_features)
-            phi, _ = tree_shap(ens, x, 0)
+            phi, _ = row_shap(ens, x, 0)
             oracle = exact_shapley_oracle(ens, x, 0)
             np.testing.assert_allclose(phi, oracle, atol=1e-6,
                                        err_msg=f"trial {trial}")
@@ -259,7 +265,7 @@ class TestOracleEquivalence:
         for _ in range(5):
             ens = random_ensemble(rng, 4, n_trees=2, max_depth=3)
             x = rng.random(4)
-            phi, _ = tree_shap(ens, x, 0)
+            phi, _ = row_shap(ens, x, 0)
             np.testing.assert_allclose(phi, brute_force_shap(ens, x, 0), atol=1e-10)
 
     def test_repeated_feature_along_path(self, rng):
@@ -275,7 +281,7 @@ class TestOracleEquivalence:
         ens = ensemble_of([builder.build()], n_features=3)
         for x0 in (0.1, 0.3, 0.9):
             x = np.array([x0, 0.5, 0.5])
-            phi, _ = tree_shap(ens, x, 0)
+            phi, _ = row_shap(ens, x, 0)
             np.testing.assert_allclose(phi, brute_force_shap(ens, x, 0), atol=1e-10)
 
 
@@ -321,7 +327,7 @@ class TestPathKernel:
         attr = attribute(ens, X)
         for i in range(n_rows):
             for c in range(classes):
-                phi, base = tree_shap(ens, X[i], c)
+                phi, base = row_shap(ens, X[i], c)
                 assert phi.tobytes() == attr.phi[i, c].tobytes()
                 assert base == attr.base[c]
                 want_phi, want_base = oracle_tree_shap(ens, X[i], c)
@@ -349,7 +355,7 @@ class TestEdgeCases:
     def test_untrained_ensemble_zero(self):
         hp = Hyperparameters(num_rounds=0)
         ens = Ensemble(hp=hp, num_features=3, feature_names=("a", "b", "c"))
-        phi, phi0 = tree_shap(ens, np.zeros(3), 0)
+        phi, phi0 = row_shap(ens, np.zeros(3), 0)
         assert phi0 == 0.0
         np.testing.assert_array_equal(phi, np.zeros(3))
 
@@ -359,7 +365,7 @@ class TestEdgeCases:
                  stump(1, 0.4, 0.5, 0.2, 1.0, 3.0)]
         ens = ensemble_of(trees, n_features=4)
         for _ in range(10):
-            phi, _ = tree_shap(ens, rng.random(4), 0)
+            phi, _ = row_shap(ens, rng.random(4), 0)
             assert phi[2] == 0.0 and phi[3] == 0.0
 
     def test_oracle_refuses_wide_ensembles(self, rng):
@@ -370,17 +376,12 @@ class TestEdgeCases:
         with pytest.raises(ValueError, match="12"):
             exact_shapley_oracle(wide, np.zeros(13), 0)
 
-    def test_bad_class_index(self, rng):
-        ens = random_ensemble(rng, 3)
-        with pytest.raises(ValueError):
-            tree_shap(ens, np.zeros(3), 99)
-
     def test_symmetric_duplicate_trees(self):
         # identical games on features 0 and 1 must earn identical credit
         trees = [stump(0, 0.5, 1.0, -1.0, 2.0, 2.0),
                  stump(1, 0.5, 1.0, -1.0, 2.0, 2.0)]
         ens = ensemble_of(trees, n_features=2)
-        phi, _ = tree_shap(ens, np.array([0.2, 0.2]), 0)
+        phi, _ = row_shap(ens, np.array([0.2, 0.2]), 0)
         assert phi[0] == pytest.approx(phi[1])
 
 

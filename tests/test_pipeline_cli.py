@@ -12,9 +12,11 @@ from hypothesis import strategies as st
 from rfclass import pipeline
 from rfclass.cli import main
 from rfclass.errors import ConfigError
+from rfclass.booster import Hyperparameters
 from rfclass.pipeline import (INDEPENDENT_SOURCE, PipelineConfig, StageFailure,
-                              run_pipeline)
+                              SynthConfig, run_pipeline)
 from rfclass.dataset import DatabaseTag
+from rfclass.tuner import default_grid
 
 FAST_HP = {
     "max_depth": 3, "min_child_weight": 1, "learning_rate": 0.2,
@@ -121,6 +123,23 @@ class TestConfigValidation:
                 "combo": "TC", "synth": {"n": 10},
                 "hyperparameters": {"max_depth": 0},
             })
+
+    @pytest.mark.parametrize("settings_, doc, message", [
+        ({"synth": SynthConfig(), "shap_sample": 0}, {"synth": {}, "shap_sample": 0},
+         "shap_sample must be at least 1"),
+        ({}, {}, "exactly one of 'sources' or 'synth'"),
+        ({"synth": SynthConfig(), "hyperparameters": Hyperparameters(), "grid": default_grid()},
+         {"synth": {}, "hyperparameters": {}, "grid": {}}, "not both"),
+    ], ids=["shap_sample_zero", "no_data_source", "hyperparameters_and_grid"])
+    def test_config_built_in_python_is_refused_like_json(self, settings_, doc, message):
+        with pytest.raises(ValueError, match=message):
+            PipelineConfig(combo=DatabaseTag.TC, **settings_)
+        with pytest.raises(ConfigError, match=message):
+            PipelineConfig.from_dict({"combo": "TC", **doc})
+
+    def test_defaults_are_the_settings_objects_defaults(self):
+        assert (PipelineConfig.from_dict({"combo": "TC", "synth": {}})
+                == PipelineConfig(combo=DatabaseTag.TC, synth=SynthConfig()))
 
     def test_bad_json(self):
         with pytest.raises(ConfigError, match="valid JSON"):
@@ -388,7 +407,7 @@ class TestCli:
          "candidates must map names to lists"),
         ({"hyperparameters": None,
           "grid": {"candidates": {"max_depth": ["deep"]}, "pairs": [["max_depth"]]}},
-         "'max_depth' must be a JSON integer"),
+         "hyperparameters.max_depth must be a number written as a JSON integer"),
         ({"hyperparameters": None,
           "grid": {"candidates": {"max_depth": [2]}, "pairs": 5}},
          "pairs must be lists of names"),
@@ -401,8 +420,10 @@ class TestCli:
          "column_map must map feature names to column names"),
         ({"hyperparameters": dict(FAST_HP, objective="reg:squarederror")},
          "objective must be 'multi:softmax'"),
-        ({"hyperparameters": dict(FAST_HP, num_rounds=2.5)}, "'num_rounds' must be a JSON integer"),
-        ({"hyperparameters": dict(FAST_HP, alpha=math.nan)}, "alpha must be non-negative"),
+        ({"hyperparameters": dict(FAST_HP, num_rounds=2.5)},
+         "hyperparameters.num_rounds must be a number written as a JSON integer"),
+        ({"hyperparameters": dict(FAST_HP, alpha=math.nan)},
+         "hyperparameters.alpha must be a number, got nan"),
         ({"hyperparameters": dict(FAST_HP, num_class=10.0)}, "num_class must be 10, got 10.0"),
         ({"hyperparameters": dict(FAST_HP, num_class=True)}, "num_class must be 10, got True"),
         ({"shap_sampel": 5}, "unknown key in config: 'shap_sampel'"),
@@ -414,6 +435,10 @@ class TestCli:
         ({"synth": {"n": 300, "size": 10}}, "unknown key in synth: 'size'"),
         ({"split": {"test_fraction": 0.1, "seed": 3}}, "unknown key in split: 'seed'"),
         ({"prune": {"feature_treshold": 0.5}}, "unknown key in prune: 'feature_treshold'"),
+        ({"synth": None, "sources": {"TORIS": {"path": "toris.csv"}}},
+         "combo TC needs 'sources' entries for Commercial"),
+        ({"sources": {}}, "exactly one of 'sources' or 'synth'"),
+        ({"split": None}, "split must be a JSON object"),
     ], ids=["shap_sample_zero", "patience_not_integer", "source_without_path",
             "unknown_source_tag", "sources_not_object", "synth_not_object",
             "grid_not_object", "split_not_object", "prune_not_object",
@@ -429,7 +454,8 @@ class TestCli:
             "column_map_not_object", "objective_not_softmax", "num_rounds_fraction",
             "alpha_nan", "num_class_float", "num_class_true", "unknown_top_level_key",
             "unknown_grid_key", "unknown_source_key", "unknown_synth_key", "split_seed",
-            "unknown_prune_key"])
+            "unknown_prune_key", "sources_lack_combo_source", "empty_sources_beside_synth",
+            "split_null"])
     def test_config_field_error_exits_2_before_any_stage(self, tmp_path, capsys, extra, message):
         config = self._write_config(tmp_path, **extra)
         code = main(["run", "--config", str(config), "--out", str(tmp_path / "run")])
@@ -538,7 +564,8 @@ class TestCli:
         (lambda doc: _internal_node(doc).update(feature=99), "feature 99 is outside"),
         (lambda doc: doc["trees"][0].__delitem__(slice(3, None)), "round 0 holds 3 trees"),
         (lambda doc: _internal_node(doc).pop("feature"), "numeric 'feature'"),
-        (lambda doc: doc["hyperparameters"].update(eta=0.3), "unknown hyperparameter 'eta'"),
+        (lambda doc: doc["hyperparameters"].update(eta=0.3),
+         "unknown key in hyperparameters: 'eta'"),
         (lambda doc: doc.pop("num_features"), "KeyError('num_features')"),
         (lambda doc: doc.pop("trees"), "KeyError('trees')"),
         (lambda doc: doc["trees"].__setitem__(0, 7), "round 0 must be a list of trees, got int"),
@@ -589,6 +616,17 @@ class TestCli:
         out = tmp_path / "synth.csv"
         assert main(["synth", "--preset", "toris", "--n", "1", "--out", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 2  # header and one record
+
+    def test_feature_missing_from_a_split_names_split_and_threshold(self, tmp_path, capfd):
+        # pruning keeps 'permeability' (1 of 6 records lack it), but that
+        # record is the test split's only one of its class
+        config = self._write_config(tmp_path, seed=0, synth={"n": 3})
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "run")]) == 3
+        err = capfd.readouterr().err
+        assert err.startswith("error [preprocess] feature 'permeability' is missing from "
+                              "every record of the test split; prune.feature_threshold 0.7 "
+                              "kept it")
+        assert not (tmp_path / "run" / "hyperparameters.json").exists()
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_run_without_a_test_set_ends_at_preprocess(self, tmp_path, capfd, n):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from rfclass.dataset import canonical_schema
 from rfclass.errors import FitError, PipelineError
-from rfclass.preprocess import (SplitSpec, apply_transforms,
+from rfclass.preprocess import (PruneSpec, SplitSpec, apply_transforms,
                                 bin_rf, class_labels, complete_cases,
                                 filter_ranges, fit_transforms, impute,
                                 prune_missing, stratified_kfold,
@@ -179,7 +179,7 @@ class TestPruneMissing:
 
     def test_bad_thresholds(self):
         with pytest.raises(ValueError):
-            prune_missing(self._db(0), feature_threshold=1.5)
+            prune_missing(self._db(0), PruneSpec(feature_threshold=1.5))
 
 
 # ---------------------------------------------------------------- impute
