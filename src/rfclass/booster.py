@@ -9,16 +9,24 @@ a saved model checks them against the training constraints.
 Split search works on a pre-sorted column block, as in XGBoost's exact
 greedy algorithm: `train` stably sorts every feature column once, in
 O(n*d log n), and every node that may split keeps its rows in that order
-per column. A split filters the parent's lists into the children without
+per column. A split compresses the parent's lists into the children without
 re-sorting, so each tree level costs O(n*d) gathers and cumulative sums.
 Candidates, sums and tie-breaking equal those of sorting each node afresh,
 so the trained models are bit-identical to that simpler search.
+
+The search moves few bytes. Each `train` call allocates one workspace, the
+transposed matrix, the column sort and buffers the size of the largest block
+of candidates scored at once, and every node works in views of it, so no
+node allocates temporaries of its own size. A tree's gradients and hessians
+are packed into one complex array, so one gather and one cumulative sum give
+both prefix sums, with the bits of two float sums.
 """
 
 import json
 import math
 import sys
 from dataclasses import MISSING, dataclass, field, fields
+from functools import cached_property
 from types import NoneType, UnionType
 from typing import ClassVar, get_args
 
@@ -123,8 +131,9 @@ class Tree:
     """One regression tree stored as parallel node arrays (preorder).
 
     Internal nodes carry (feature, threshold, gain); `value < threshold`
-    routes left. Leaves carry the margin increment in `value` and have
-    feature == -1. `cover` is the training hessian mass at each node.
+    routes left. Leaves carry the margin increment in `value`, have
+    feature == -1 and a NaN threshold, and are their own left and right
+    children. `cover` is the training hessian mass at each node.
     """
 
     feature: np.ndarray
@@ -144,16 +153,32 @@ class Tree:
     def is_leaf(self, node: int) -> bool:
         return self.feature[node] < 0
 
+    @cached_property
+    def depth(self) -> int:
+        """Edges on the longest root-to-leaf path."""
+        depth, level = 0, np.zeros(1, dtype=np.intp)
+        while True:
+            level = level[self.feature[level] >= 0]
+            if not level.size:
+                return depth
+            level = np.concatenate([self.left[level], self.right[level]])
+            depth += 1
+
     def predict_margin(self, X: np.ndarray) -> np.ndarray:
-        n = X.shape[0]
-        idx = np.zeros(n, dtype=np.int64)
-        leaf = self.feature < 0
-        safe_feature = np.maximum(self.feature, 0)
-        while not leaf[idx].all():
-            col = X[np.arange(n), safe_feature[idx]]
-            step = np.where(col < self.threshold[idx], self.left[idx], self.right[idx])
-            idx = np.where(leaf[idx], idx, step)
-        return self.value[idx]
+        """The value of the leaf each row of X reaches. Every row takes
+        `depth` steps with no test for leaves: a row at a leaf fails
+        `value < NaN` and stays at the leaf's right child, itself. A NaN cell
+        fails the test too, so it routes right."""
+        X = np.ascontiguousarray(X)
+        n, d = X.shape
+        cells, row_start = X.ravel(), np.arange(0, n * d, d)
+        feature = np.maximum(self.feature, 0)
+        node = np.zeros(n, dtype=np.intp)
+        for _ in range(self.depth):
+            value = cells.take(row_start + feature.take(node))
+            node = np.where(value < self.threshold.take(node),
+                            self.left.take(node), self.right.take(node))
+        return self.value.take(node)
 
     def _node_dict(self, node: int) -> dict:
         if self.is_leaf(node):
@@ -231,8 +256,8 @@ class _TreeBuilder:
         idx = len(self.feature)
         self.feature.append(-1)
         self.threshold.append(math.nan)
-        self.left.append(-1)
-        self.right.append(-1)
+        self.left.append(idx)
+        self.right.append(idx)
         self.value.append(float(value))
         self.cover.append(float(cover))
         self.gain.append(math.nan)
@@ -268,9 +293,10 @@ class _TreeBuilder:
 def softmax_margins(margins: np.ndarray) -> np.ndarray:
     """Row-wise softmax with max-margin subtraction."""
     margins = np.asarray(margins, dtype=float)
-    shifted = margins - margins.max(axis=-1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=-1, keepdims=True)
+    exp = margins - margins.max(axis=-1, keepdims=True)
+    np.exp(exp, out=exp)
+    exp /= exp.sum(axis=-1, keepdims=True)
+    return exp
 
 
 def mlogloss(proba: np.ndarray, labels: np.ndarray) -> float:
@@ -308,111 +334,187 @@ def leaf_weight(G: float, H: float, hp: Hyperparameters) -> float:
 #: scores in one block.
 SPLIT_BLOCK = 1 << 16
 
+#: Indexed by a validity mask: fmin with it turns invalid gains to -inf and
+#: keeps valid ones.
+_INVALID_OR_KEEP = np.array([-np.inf, np.inf])
 
-def _best_split(X, g, h, G, H, order, cols, hp):
+
+class _Workspace:
+    """The scratch memory of one `train` call.
+
+    `XT` is the training matrix transposed, so each column is contiguous,
+    and `presorted[j]` lists all rows stably sorted by column j. `gh` packs
+    the current tree's gradients in its real part and hessians in its
+    imaginary part. `words` and `floats` hold as many cells as the largest
+    block `_best_split` scores, and each block works in views of them:
+    `words` holds two 8-byte words a cell, read as flat indices and sorted
+    values, then as packed prefix sums, then as floats.
+    """
+
+    def __init__(self, X: np.ndarray):
+        n, d = X.shape
+        self.XT = np.ascontiguousarray(X.T)
+        self.presorted = np.argsort(self.XT, axis=1, kind="stable")
+        self.gh = np.empty(n, dtype=complex)
+        self.in_node = np.zeros(n, dtype=bool)
+        cells = min(max(SPLIT_BLOCK, n), n * d)
+        self.words = np.empty(2 * cells)
+        self.floats = np.empty((3, cells))
+        self.bools = np.empty((2, cells), dtype=bool)
+
+
+def _best_split(ws: _Workspace, G, H, order, cols, hp):
     """Best (feature, threshold, gain) over candidate columns, or None.
 
-    `order[j]` lists the node's rows sorted by `X[:, cols[j]]`, ties in
+    `order[j]` lists the node's rows sorted by column `cols[j]`, ties in
     ascending row order; `G` and `H` are the node's gradient and hessian
-    sums. Candidates are midpoints between consecutive distinct sorted
-    values (degenerate midpoints that collapse onto the lower value are
-    skipped). A split qualifies when both children carry at least
-    min_child_weight of hessian mass and the gamma-penalized gain is
-    non-negative. Ties break toward the smallest threshold within a column
-    and the earliest column across columns.
+    sums, and `ws.gh` holds the tree's packed gradients. Candidates are
+    midpoints between consecutive distinct sorted values (degenerate
+    midpoints that collapse onto the lower value are skipped). A split
+    qualifies when both children carry at least min_child_weight of hessian
+    mass and the gamma-penalized gain is non-negative. Ties break toward the
+    smallest threshold within a column and the earliest column across
+    columns.
     """
     if order.shape[1] < 2:
         return None
     step = max(1, SPLIT_BLOCK // order.shape[1])
     best = None
-    for start in range(0, len(cols), step):
-        found = _block_split(X, g, h, G, H, order[start:start + step],
-                             cols[start:start + step], hp)
-        if found is not None and (best is None or found[2] > best[2]):
-            best = found  # strictly greater: the earliest column keeps a tie
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for start in range(0, len(cols), step):
+            found = _block_split(ws, G, H, order[start:start + step],
+                                 cols[start:start + step], hp)
+            if found is not None and (best is None or found[2] > best[2]):
+                best = found  # strictly greater: the earliest column keeps a tie
     return best
 
 
-def _block_split(X, g, h, G, H, order, cols, hp):
-    """`_best_split` over one block of columns, all scored at once."""
-    rows = order.astype(np.intp)  # one index conversion serves every gather
-    Xs = X[rows, cols[:, None]]
-    GL = np.cumsum(g.take(rows), axis=1)[:, :-1]
-    HL = np.cumsum(h.take(rows), axis=1)[:, :-1]
-    GR = G - GL
-    HR = H - HL
-    mid = 0.5 * (Xs[:, :-1] + Xs[:, 1:])
+def _block_split(ws: _Workspace, G, H, order, cols, hp):
+    """`_best_split` over one block of columns, scored at once in views of
+    the workspace, with the arithmetic of
+
+        gain = 0.5 * (GL*GL/(HL+lam) + GR*GR/(HR+lam) - parent) - gamma
+
+    One gather and one cumulative sum of the packed gradients give both
+    prefix sums: complex addition adds the parts separately, so GL and HL
+    keep the bits of two float sums. Every index comes from the presort, so
+    `take` runs with mode="clip": the default mode copies `out` through a
+    temporary.
+    """
+    c, m = order.shape
+    cells = c * (m - 1)
+    GL, HL, HR = (buf[:cells].reshape(c, m - 1) for buf in ws.floats)
+    valid, test = (buf[:cells].reshape(c, m - 1) for buf in ws.bools)
+
+    # the sorted values and their flat indices into XT fill `words` first
+    index = ws.words.view(np.intp)[:c * m].reshape(c, m)
+    np.add(order, (cols * ws.XT.shape[1])[:, None], out=index)
+    Xs = ws.XT.take(index, out=ws.words[c * m:2 * c * m].reshape(c, m), mode="clip")
+    lo, hi = Xs[:, :-1], Xs[:, 1:]
+    np.greater(hi, lo, out=valid)
+    mid = np.add(lo, hi, out=GL)
+    mid *= 0.5
+    valid &= np.greater(mid, lo, out=test)
+
+    # then the packed prefix sums
+    sums = ws.gh.take(order, out=ws.words.view(complex)[:c * m].reshape(c, m), mode="clip")
+    np.cumsum(sums, axis=1, out=sums)
+    np.copyto(GL, sums.real[:, :-1])
+    np.copyto(HL, sums.imag[:, :-1])
+    valid &= np.greater_equal(HL, hp.min_child_weight, out=test)
+    np.subtract(H, HL, out=HR)
+    valid &= np.greater_equal(HR, hp.min_child_weight, out=test)
+
     lam = hp.lambda_
-    with np.errstate(divide="ignore", invalid="ignore"):
-        parent = G * G / (H + lam) if H + lam > 0 else math.inf
-        gain = 0.5 * (GL * GL / (HL + lam) + GR * GR / (HR + lam) - parent) - hp.gamma
-    valid = (
-        (Xs[:, 1:] > Xs[:, :-1])
-        & (mid > Xs[:, :-1])
-        & (HL >= hp.min_child_weight)
-        & (HR >= hp.min_child_weight)
-        & np.isfinite(gain)
-        & (gain >= 0.0)
-    )
-    if not valid.any():
+    parent = G * G / (H + lam) if H + lam > 0 else math.inf
+    right = np.subtract(G, GL, out=ws.words[:cells].reshape(c, m - 1))  # the sums are copied
+    right *= right
+    HR += lam
+    right /= HR
+    gain = np.multiply(GL, GL, out=GL)
+    gain /= np.add(HL, lam, out=HR)
+    gain += right
+    gain -= parent
+    gain *= 0.5
+    gain -= hp.gamma
+    valid &= np.isfinite(gain, out=test)
+    valid &= np.greater_equal(gain, 0.0, out=test)
+    # -inf where invalid; a valid gain passes fmin(gain, inf) unchanged
+    np.fmin(gain, _INVALID_OR_KEEP.take(valid.view(np.uint8), out=HL, mode="clip"), out=gain)
+    pos = gain.argmax(axis=1)  # first max: smallest threshold
+    score = gain[np.arange(c), pos]
+    j = int(score.argmax())  # first max: earliest column
+    if score[j] == -np.inf:
         return None
-    gain = np.where(valid, gain, -np.inf)
-    pos = np.argmax(gain, axis=1)  # first max: smallest threshold
-    score = gain[np.arange(len(cols)), pos]
-    c = int(np.argmax(score))  # first max: earliest column
-    return int(cols[c]), float(mid[c, pos[c]]), float(score[c])
+    col, p = int(cols[j]), int(pos[j])
+    below, above = ws.XT[col, order[j, p]], ws.XT[col, order[j, p + 1]]
+    return col, float(0.5 * (below + above)), float(score[j])
 
 
-def _presort_columns(X: np.ndarray) -> np.ndarray:
-    """(d, n) int32 matrix: row j lists all rows stably sorted by column j."""
-    order = np.empty((X.shape[1], X.shape[0]), dtype=np.int32)
-    for j in range(X.shape[1]):
-        order[j] = np.argsort(X[:, j], kind="stable")
-    return order
-
-
-def _grow_tree(X, g, h, rows, hp, cols_by_depth, presorted) -> Tree:
+def _grow_tree(ws: _Workspace, g, h, rows, hp, cols_by_depth) -> Tree:
     """Grow one tree on `rows` (ascending) from the per-train column sort.
 
-    A node that may split holds its rows sorted per candidate column. Its
-    children filter those lists stably, so they stay sorted with ties in row
-    order and no node sorts again.
+    A node that may split holds its rows sorted per candidate column. A
+    child compresses those lists to its own rows, which keeps them sorted
+    with ties in row order, so no node sorts again. A child whose hessian
+    mass H has H - min_child_weight < min_child_weight gets no lists: a
+    split needs HL >= min_child_weight, so its HR = H - HL rounds to at most
+    H - min_child_weight, and no split can qualify.
     """
     builder = _TreeBuilder()
+    ws.gh.real = g
+    ws.gh.imag = h
     cols = np.unique(np.concatenate(cols_by_depth))
-    level_pos = [np.searchsorted(cols, level_cols) for level_cols in cols_by_depth]
-    in_node = np.zeros(X.shape[0], dtype=bool)
+    # a level that scores every tree column reads the lists without a copy
+    level_pos = [slice(None) if level_cols.size == cols.size else np.searchsorted(cols, level_cols)
+                 for level_cols in cols_by_depth]
+    mcw = hp.min_child_weight
 
-    def sorted_rows(order, node_rows, depth):
+    def sorted_rows(order, node_rows, H, depth):
         # only nodes that may still split need their sorted lists
-        if depth >= hp.max_depth or node_rows.size < 2:
+        if depth >= hp.max_depth or node_rows.size < 2 or H - mcw < mcw:
             return None
-        in_node[node_rows] = True
-        kept = order[in_node[order]].reshape(order.shape[0], node_rows.size)
-        in_node[node_rows] = False
+        if node_rows.size == order.shape[1]:
+            return order
+        # np.compress in blocks of columns, written straight into the
+        # child's lists: np.compress itself would copy through a temporary
+        # as large as its result
+        kept = np.empty((order.shape[0], node_rows.size), dtype=np.intp)
+        step = max(1, SPLIT_BLOCK // order.shape[1])
+        ws.in_node[node_rows] = True
+        for start in range(0, order.shape[0], step):
+            block = order[start:start + step]
+            inside = ws.in_node.take(block, out=ws.bools[0, :block.size].reshape(block.shape),
+                                     mode="clip")
+            block.take(np.flatnonzero(inside), out=kept[start:start + step].reshape(-1),
+                       mode="clip")
+        ws.in_node[node_rows] = False
         return kept
 
-    def grow(row_idx: np.ndarray, order, depth: int) -> int:
-        G = float(g[row_idx].sum())
-        H = float(h[row_idx].sum())
+    def grow(row_idx: np.ndarray, G: float, H: float, order, depth: int) -> int:
         found = None
         if order is not None:
             pos = level_pos[depth]
-            found = _best_split(X, g, h, G, H, order[pos], cols[pos], hp)
+            found = _best_split(ws, G, H, order[pos], cols[pos], hp)
         if found is None:
             return builder.add_leaf(hp.learning_rate * leaf_weight(G, H, hp), H)
         col, threshold, gain = found
         node = builder.add_internal(col, threshold, gain, H)
-        mask = X[row_idx, col] < threshold
-        left_rows = row_idx[mask]
-        left = grow(left_rows, sorted_rows(order, left_rows, depth + 1), depth + 1)
-        # built only now, so one child's lists at a time are alive per level
-        right_rows = row_idx[~mask]
-        right = grow(right_rows, sorted_rows(order, right_rows, depth + 1), depth + 1)
-        builder.attach(node, left, right)
+        goes_left = ws.XT[col].take(row_idx) < threshold
+        children = []
+        for side in (goes_left, ~goes_left):
+            # built only now, so one child's lists at a time are alive per level
+            child_rows = row_idx[side]
+            G_child = float(g[child_rows].sum())
+            H_child = float(h[child_rows].sum())
+            children.append(grow(child_rows, G_child, H_child,
+                                 sorted_rows(order, child_rows, H_child, depth + 1), depth + 1))
+        builder.attach(node, *children)
         return node
 
-    grow(rows, sorted_rows(presorted[cols], rows, 0), 0)
+    G, H = float(g[rows].sum()), float(h[rows].sum())
+    presorted = ws.presorted if cols.size == ws.presorted.shape[0] else ws.presorted[cols]
+    grow(rows, G, H, sorted_rows(presorted, rows, H, 0), 0)
     del grow  # the closure refers to itself; this frees it without the cycle collector
     return builder.build()
 
@@ -437,7 +539,7 @@ class Ensemble:
         return [round_trees[class_index] for round_trees in self.trees]
 
     def margins(self, X: np.ndarray) -> np.ndarray:
-        X = self._as_matrix(X)
+        X = np.ascontiguousarray(self._as_matrix(X))  # once, not once per tree
         out = np.zeros((X.shape[0], self.hp.num_class))
         for round_trees in self.trees:
             for k, tree in enumerate(round_trees):
@@ -492,7 +594,7 @@ def train(
     training_loss holds the training mlogloss before each round plus a
     final entry, so it has num_rounds + 1 values.
     """
-    X = np.asarray(X, dtype=float)
+    X = np.ascontiguousarray(X, dtype=float)  # every tree walks it
     y = np.asarray(y, dtype=np.int64)
     if X.ndim != 2 or X.shape[0] == 0:
         raise TrainingError("training matrix must be two-dimensional and non-empty")
@@ -511,15 +613,13 @@ def train(
     k_classes = hp.num_class
     names = tuple(feature_names) if feature_names else tuple(f"f{j}" for j in range(d))
     rng = np.random.default_rng(seed)
-    onehot = np.zeros((n, k_classes))
-    onehot[np.arange(n), y] = 1.0
 
     ensemble = Ensemble(hp=hp, num_features=d, feature_names=names)
     margins = np.zeros((n, k_classes))
-    presorted = _presort_columns(X)
+    workspace = _Workspace(X)
     early_stopping = eval_set is not None and early_stopping_patience is not None
     if early_stopping:
-        X_eval = ensemble._as_matrix(eval_set[0])
+        X_eval = np.ascontiguousarray(ensemble._as_matrix(eval_set[0]))
         eval_margins = np.zeros((X_eval.shape[0], k_classes))
     best_eval = math.inf
     best_round = 0
@@ -530,11 +630,11 @@ def train(
         ensemble.training_loss.append(mlogloss(proba, y))
         round_trees = []
         for k in range(k_classes):
-            g = proba[:, k] - onehot[:, k]
+            g = proba[:, k] - (y == k)
             h = proba[:, k] * (1.0 - proba[:, k])
             rows = _subsample_rows(rng, n, hp.subsample)
             cols_by_depth = _sample_columns(rng, d, hp)
-            tree = _grow_tree(X, g, h, rows, hp, cols_by_depth, presorted)
+            tree = _grow_tree(workspace, g, h, rows, hp, cols_by_depth)
             margins[:, k] += tree.predict_margin(X)
             if early_stopping:
                 eval_margins[:, k] += tree.predict_margin(X_eval)

@@ -38,9 +38,10 @@ from .dataset import Database
 def _child_fractions(tree: Tree) -> np.ndarray:
     """(2, nodes) training-cover shares of each node's left and right child.
 
-    At a node of cover 0 each child gets 0.5. Leaves get 0.5 and never use it.
+    At a node of cover 0 each child gets 0.5. A leaf, its own child, gets 1
+    (0.5 at cover 0) and never uses it.
     """
-    children = np.maximum(np.stack([tree.left, tree.right]), 0)
+    children = np.stack([tree.left, tree.right])
     shares = np.full(children.shape, 0.5)
     known = tree.cover > 0
     shares[:, known] = tree.cover[children[:, known]] / tree.cover[known]
@@ -201,12 +202,9 @@ def _forest(trees: list[Tree]) -> Tree:
     def cat(name: str) -> np.ndarray:
         return np.concatenate([getattr(tree, name) for tree in trees])
 
-    def link(name: str) -> np.ndarray:
-        child = cat(name)
-        return np.where(child >= 0, child + shift, -1)
-
-    return Tree(feature=cat("feature"), threshold=cat("threshold"), left=link("left"),
-                right=link("right"), value=cat("value"), cover=cat("cover"), gain=cat("gain"))
+    return Tree(feature=cat("feature"), threshold=cat("threshold"), left=cat("left") + shift,
+                right=cat("right") + shift, value=cat("value"), cover=cat("cover"),
+                gain=cat("gain"))
 
 
 def _paths(ensemble: Ensemble) -> tuple[list[_PathGroup], np.ndarray, int]:

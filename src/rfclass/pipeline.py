@@ -157,9 +157,15 @@ class PipelineConfig:
                 if not isinstance(kw["sources"], dict):
                     raise ValueError(f"sources must be a JSON object, "
                                      f"got {type(kw['sources']).__name__}")
-                kw["sources"] = {
-                    parse_tag(name): _read(SourceConfig, spec, f"source entry {name!r}")
-                    for name, spec in kw["sources"].items()}
+                names, sources = {}, {}
+                for name, spec in kw["sources"].items():
+                    tag = parse_tag(name)  # ignores case, so two keys may name one source
+                    if tag in names:
+                        raise ValueError(f"sources {names[tag]!r} and {name!r} both name "
+                                         f"{tag.value}")
+                    names[tag] = name
+                    sources[tag] = _read(SourceConfig, spec, f"source entry {name!r}")
+                kw["sources"] = sources
             if kw.get("synth") is not None:
                 kw["synth"] = _read(SynthConfig, kw["synth"], "synth")
             if "split" in kw:  # the stages set the seed

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from dataclasses import fields
 from unittest import mock
 
@@ -14,6 +15,8 @@ from rfclass.booster import (Hyperparameters, _best_split,
                              mlogloss, predict_class, predict_proba,
                              serialize_ensemble, softmax_margins, train)
 from rfclass.errors import TrainingError
+from rfclass.pipeline import PipelineConfig, ingest, preprocess
+from rfclass.preprocess import to_matrix
 
 
 def hp_with(**kwargs) -> Hyperparameters:
@@ -38,9 +41,10 @@ def find_best_split(g: np.ndarray, h: np.ndarray, column: np.ndarray, hp: Hyperp
     column = np.asarray(column, dtype=float)
     if not g.size == h.size == column.size:
         raise ValueError("g, h and column must be aligned")
-    order = np.argsort(column, kind="stable").reshape(1, -1)
-    found = _best_split(column.reshape(-1, 1), g, h, float(g.sum()), float(h.sum()),
-                        order, np.array([0]), hp)
+    ws = booster._Workspace(column.reshape(-1, 1))
+    ws.gh.real = g
+    ws.gh.imag = h
+    found = _best_split(ws, float(g.sum()), float(h.sum()), ws.presorted, np.array([0]), hp)
     if found is None:
         return None
     _, threshold, gain = found
@@ -143,8 +147,8 @@ def oracle_grow_tree(X, g, h, rows, hp, cols_by_depth):
 def oracle_train(X, y, hp, seed):
     """`train` with the pre-sorted grower swapped for the per-node-sort one;
     row and column draws are untouched, so the models must match bit for bit."""
-    def grow_tree(X, g, h, rows, hp, cols_by_depth, presorted):
-        return oracle_grow_tree(X, g, h, rows, hp, cols_by_depth)
+    def grow_tree(workspace, g, h, rows, hp, cols_by_depth):
+        return oracle_grow_tree(workspace.XT.T, g, h, rows, hp, cols_by_depth)
 
     with mock.patch.object(booster, "_grow_tree", grow_tree):
         return train(X, y, hp, seed)
@@ -310,6 +314,22 @@ def two_clusters(n_per=200, seed=0):
     return X, y
 
 
+def tc_matrix(rows: int):
+    """The first `rows` rows of a prepared synthetic TC training matrix."""
+    config = PipelineConfig.from_dict({"combo": "TC", "seed": 1, "synth": {"n": rows * 3 // 5}})
+    X, y = to_matrix(preprocess(ingest(config), config).train)
+    assert X.shape[0] >= rows and X.shape[1] == 11
+    return X[:rows], y[:rows]
+
+
+def grown_alike(X, g, h, rows, hp, cols_by_depth):
+    """The tree `_grow_tree` grows, after checking it against the per-node-sort grower."""
+    tree = booster._grow_tree(booster._Workspace(X), g, h, rows, hp, cols_by_depth)
+    expected = oracle_grow_tree(X, g, h, rows, hp, cols_by_depth)
+    assert json.dumps(tree.to_dict()) == json.dumps(expected.to_dict())
+    return tree
+
+
 class TestTrain:
     def test_constant_labels_predicted_after_one_round(self, rng):
         X = rng.random((30, 3))
@@ -447,6 +467,74 @@ class TestTrain:
         got = serialize_ensemble(train(X, y, hp, seed))
         assert got == serialize_ensemble(oracle_train(X, y, hp, seed))
 
+    def test_bit_identical_to_per_node_sort_at_benchmark_scale(self):
+        # with blocks of 4000 cells the root's ~1800 rows span six column
+        # blocks, and every node works in views of the workspace's buffers
+        # at a shape of its own
+        X, y = tc_matrix(2000)
+        hp = Hyperparameters(max_depth=4, min_child_weight=2.0, learning_rate=0.1,
+                             subsample=0.9, alpha=0.2, lambda_=0.03, gamma=0.01,
+                             max_delta_step=0.2, num_rounds=3)
+        with mock.patch.object(booster, "SPLIT_BLOCK", 2 * len(X)):
+            got = serialize_ensemble(train(X, y, hp, seed=11))
+        assert got == serialize_ensemble(oracle_train(X, y, hp, seed=11))
+
+    @pytest.mark.parametrize("ulps", [-1, 0, 1])
+    def test_child_at_twice_min_child_weight(self, ulps):
+        # the root splits feature 0 into rows 0-3 and rows 4-7. Rows 0-3 carry
+        # hessians 1, 1, 1 and 1 + delta, so that child's H is 4 moved by
+        # `ulps` units in the last place: 2 * min_child_weight or a neighbour.
+        # Its one useful split puts HL = 2 on the left, which leaves
+        # HR = H - 2 >= 2 only when H >= 4; below that the child skips its
+        # sorted lists and must still grow the oracle's leaf
+        delta = {-1: -2.0**-51, 0: 0.0, 1: 2.0**-50}[ulps]
+        X = np.array([[0.0, 0], [0, 1], [0, 2], [0, 3], [1, 0], [1, 1], [1, 2], [1, 3]])
+        g = np.array([-0.1, -0.1, 0.1, 0.1, 3, 3, 3, 3])
+        h = np.array([1, 1, 1, 1 + delta, 1, 1, 1, 1])
+        assert h[:4].sum() == np.nextafter(4.0, 4.0 + ulps)
+        hp = hp_with(max_depth=2, min_child_weight=2.0, lambda_=1.0)
+        tree = grown_alike(X, g, h, np.arange(8), hp, [np.arange(2)] * 2).to_dict()
+        assert tree["feature"] == 0
+        assert ("feature" in tree["left"]) == (ulps >= 0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), d=st.integers(1, 3),
+           max_depth=st.integers(1, 4), min_child_weight=st.sampled_from([0.0, 0.5, 2.0]),
+           spread=st.integers(0, 3), subsample=st.sampled_from([1.0, 0.7]))
+    @example(seed=3, n=24, d=2, max_depth=4, min_child_weight=2.0, spread=1, subsample=1.0)
+    def test_grower_matches_per_node_sort_on_drawn_hessians(self, seed, n, d, max_depth,
+                                                            min_child_weight, spread, subsample):
+        # softmax hessians stay below 1/4; drawn ones near 1.0 (within
+        # `spread` units in the last place) put many nodes' H next to
+        # 2 * min_child_weight, where the grower skips a child's sorted lists
+        data = np.random.default_rng(seed)
+        X = np.round(data.normal(size=(n, d)), 1)
+        g = np.round(data.normal(size=n), 2)
+        h = 1.0 + data.integers(-spread, spread + 1, size=n) * 2.0**-52
+        rows = booster._subsample_rows(data, n, subsample)
+        hp = hp_with(max_depth=max_depth, min_child_weight=min_child_weight, lambda_=0.5)
+        grown_alike(X, g, h, rows, hp, [np.arange(d)] * max_depth)
+
+    def test_training_memory_is_bounded_by_the_workspace(self):
+        # the ingest_tca_large shape: a split search or child filter that
+        # allocates per-node (d, n) temporaries again would pass this bound
+        n, d = 30_000, 12
+        data = np.random.default_rng(8)
+        X = np.round(data.normal(size=(n, d)), 2)
+        y = data.integers(0, 10, n)
+        cells = min(max(booster.SPLIT_BLOCK, n), n * d)
+        presort = 2 * 8 * n * d  # the sorted columns and the transposed matrix
+        workspace = 42 * cells + 17 * n  # words, floats and bools; gh and in_node
+        lists = 2 * 8 * n * d  # a node's sorted lists and its child's
+        margins = 2 * 80 * n + 2 * 8 * n  # margins and probabilities; g and h
+        tracemalloc.start()
+        try:
+            train(X, y, hp_with(max_depth=2, num_rounds=1, subsample=0.9), seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < presort + workspace + lists + margins + 2**20
+
     def test_early_stopping_truncates(self, rng):
         # pure-noise labels: the model overfits and validation loss turns up
         X = rng.random((80, 4))
@@ -500,6 +588,69 @@ class TestPredict:
         model = train(X, rng.integers(0, 10, 30), hp_with(num_rounds=4), seed=0)
         proba = predict_proba(model, X)
         np.testing.assert_allclose(proba.sum(axis=1), 1.0, atol=1e-12)
+
+
+class TestTreeWalk:
+    @staticmethod
+    def walk_each_row(tree, X):
+        """A per-row reference walk: left when `value < threshold`, else right."""
+        out = []
+        for x in X:
+            node = 0
+            while tree.feature[node] >= 0:
+                goes_left = x[tree.feature[node]] < tree.threshold[node]
+                node = tree.left[node] if goes_left else tree.right[node]
+            out.append(tree.value[node])
+        return np.array(out, dtype=float)
+
+    @staticmethod
+    def trees(X, **kwargs):
+        y = np.random.default_rng(3).integers(0, 4, X.shape[0])
+        model = train(X, y, hp_with(max_depth=4, num_rounds=2, **kwargs), seed=3)
+        return [tree for round_trees in model.trees for tree in round_trees]
+
+    def assert_walks_alike(self, trees, X):
+        for tree in trees:
+            got = tree.predict_margin(X)
+            assert got.tobytes() == self.walk_each_row(tree, X).tobytes()
+
+    def test_deep_trees(self, rng):
+        X = np.round(rng.normal(size=(80, 3)), 1)
+        trees = self.trees(X)
+        assert max(tree.depth for tree in trees) == 4
+        self.assert_walks_alike(trees, np.vstack([X, X + 0.05]))
+
+    def test_single_leaf_trees(self, rng):
+        X = np.ones((30, 3))  # no split exists
+        trees = self.trees(X)
+        assert all(tree.n_nodes() == 1 and tree.depth == 0 for tree in trees)
+        self.assert_walks_alike(trees, rng.normal(size=(7, 3)))
+
+    def test_zero_rows(self, rng):
+        for tree in self.trees(rng.normal(size=(40, 3))):
+            assert tree.predict_margin(np.empty((0, 3))).shape == (0,)
+
+    def test_fortran_ordered_and_column_sliced(self, rng):
+        X = np.round(rng.normal(size=(60, 3)), 1)
+        trees = self.trees(X)
+        wide = np.zeros((60, 6))
+        wide[:, ::2] = X
+        for layout in (np.asfortranarray(X), wide[:, ::2]):
+            assert not layout.flags.c_contiguous
+            self.assert_walks_alike(trees, layout)
+
+    def test_nan_cells_route_right(self, rng):
+        X = np.round(rng.normal(size=(60, 3)), 1)
+        trees = self.trees(X)
+        probe = X[:20].copy()
+        probe[rng.random(probe.shape) < 0.3] = np.nan
+        self.assert_walks_alike(trees, probe)
+        split = next(tree for tree in trees if tree.n_nodes() > 1)
+        all_nan = np.full((1, 3), np.nan)
+        right = 0
+        while split.feature[right] >= 0:
+            right = split.right[right]
+        assert split.predict_margin(all_nan)[0] == split.value[right]
 
 
 # ---------------------------------------------------------------- serialization

@@ -439,6 +439,10 @@ class TestCli:
          "combo TC needs 'sources' entries for Commercial"),
         ({"sources": {}}, "exactly one of 'sources' or 'synth'"),
         ({"split": None}, "split must be a JSON object"),
+        ({"synth": None, "sources": {"TORIS": {"path": "toris.csv"},
+                                     "toris": {"path": "commercial.csv"},
+                                     "Commercial": {"path": "commercial.csv"}}},
+         "sources 'TORIS' and 'toris' both name TORIS"),
     ], ids=["shap_sample_zero", "patience_not_integer", "source_without_path",
             "unknown_source_tag", "sources_not_object", "synth_not_object",
             "grid_not_object", "split_not_object", "prune_not_object",
@@ -455,7 +459,7 @@ class TestCli:
             "alpha_nan", "num_class_float", "num_class_true", "unknown_top_level_key",
             "unknown_grid_key", "unknown_source_key", "unknown_synth_key", "split_seed",
             "unknown_prune_key", "sources_lack_combo_source", "empty_sources_beside_synth",
-            "split_null"])
+            "split_null", "sources_case_duplicate"])
     def test_config_field_error_exits_2_before_any_stage(self, tmp_path, capsys, extra, message):
         config = self._write_config(tmp_path, **extra)
         code = main(["run", "--config", str(config), "--out", str(tmp_path / "run")])
