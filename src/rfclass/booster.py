@@ -243,51 +243,31 @@ class Tree:
 
 
 class _TreeBuilder:
+    """A tree's nodes as rows of seven cells, (feature, threshold, left,
+    right, value, cover, gain), kept end to end in one list and numbered in
+    the order they are added."""
+
     def __init__(self):
-        self.feature: list[int] = []
-        self.threshold: list[float] = []
-        self.left: list[int] = []
-        self.right: list[int] = []
-        self.value: list[float] = []
-        self.cover: list[float] = []
-        self.gain: list[float] = []
+        self.cells: list[float] = []
 
     def add_leaf(self, value: float, cover: float) -> int:
-        idx = len(self.feature)
-        self.feature.append(-1)
-        self.threshold.append(math.nan)
-        self.left.append(idx)
-        self.right.append(idx)
-        self.value.append(float(value))
-        self.cover.append(float(cover))
-        self.gain.append(math.nan)
+        idx = len(self.cells) // 7
+        self.cells += (-1, math.nan, idx, idx, value, cover, math.nan)
         return idx
 
     def add_internal(self, feature: int, threshold: float, gain: float, cover: float) -> int:
-        idx = len(self.feature)
-        self.feature.append(int(feature))
-        self.threshold.append(float(threshold))
-        self.left.append(-1)
-        self.right.append(-1)
-        self.value.append(0.0)
-        self.cover.append(float(cover))
-        self.gain.append(float(gain))
-        return idx
+        self.cells += (feature, threshold, -1, -1, 0.0, cover, gain)
+        return len(self.cells) // 7 - 1
 
     def attach(self, parent: int, left: int, right: int) -> None:
-        self.left[parent] = left
-        self.right[parent] = right
+        self.cells[7 * parent + 2:7 * parent + 4] = left, right
 
     def build(self) -> Tree:
-        return Tree(
-            feature=np.array(self.feature, dtype=np.int64),
-            threshold=np.array(self.threshold, dtype=float),
-            left=np.array(self.left, dtype=np.int64),
-            right=np.array(self.right, dtype=np.int64),
-            value=np.array(self.value, dtype=float),
-            cover=np.array(self.cover, dtype=float),
-            gain=np.array(self.gain, dtype=float),
-        )
+        # node numbers and feature indices are exact in float64
+        feature, threshold, left, right, value, cover, gain = np.array(
+            self.cells, dtype=float).reshape(-1, 7).T.copy()
+        return Tree(feature.astype(np.int64), threshold, left.astype(np.int64),
+                    right.astype(np.int64), value, cover, gain)
 
 
 def softmax_margins(margins: np.ndarray) -> np.ndarray:
@@ -586,10 +566,11 @@ def train(
     Each round computes class probabilities from the accumulated margins,
     then grows one tree per class on that round's gradients/hessians. Row
     subsampling is per-tree Bernoulli; column subsets are drawn per tree and
-    re-drawn per depth. With an eval_set and a patience, training stops once
-    validation mlogloss has not improved for `patience` rounds and the
-    ensemble is truncated to the best round; the eval margins are updated
-    tree by tree, so each round walks only its own trees over the eval set.
+    re-drawn per depth. With an eval_set and a patience (one without the
+    other is refused), training stops once validation mlogloss has not
+    improved for `patience` rounds and the ensemble is truncated to the best
+    round; the eval margins are updated tree by tree, so each round walks
+    only its own trees over the eval set.
 
     training_loss holds the training mlogloss before each round plus a
     final entry, so it has num_rounds + 1 values.
@@ -608,6 +589,13 @@ def train(
         )
     if feature_names is not None and len(feature_names) != X.shape[1]:
         raise TrainingError("feature_names must match the matrix width")
+    early_stopping = eval_set is not None
+    if early_stopping != (early_stopping_patience is not None):
+        raise TrainingError("early stopping needs both an eval_set and an "
+                            "early_stopping_patience, not one alone")
+    if early_stopping and early_stopping_patience < 1:
+        raise TrainingError(f"early_stopping_patience must be at least 1, "
+                            f"got {early_stopping_patience}")
 
     n, d = X.shape
     k_classes = hp.num_class
@@ -617,7 +605,6 @@ def train(
     ensemble = Ensemble(hp=hp, num_features=d, feature_names=names)
     margins = np.zeros((n, k_classes))
     workspace = _Workspace(X)
-    early_stopping = eval_set is not None and early_stopping_patience is not None
     if early_stopping:
         X_eval = np.ascontiguousarray(ensemble._as_matrix(eval_set[0]))
         eval_margins = np.zeros((X_eval.shape[0], k_classes))

@@ -13,9 +13,12 @@ the matching file of a run directory byte for byte.
     train       fit the boosted ensemble to model.json
     evaluate    score a saved model on one role's prepared CSV
     explain     importance summary for a saved model
-    run         the whole workflow into a run directory
+    run         the whole workflow into a run directory, published whole
 
-Exit codes: 0 success, 2 config error, 3 data error, 4 training error.
+Every subcommand reports an error as `error [<stage>] <message>` on stderr,
+where the stage is the subcommand's name or, under `run`, the failing
+stage's. Exit codes: 0 success, 2 config error, 3 data error, 4 training
+error.
 """
 
 import argparse
@@ -26,10 +29,10 @@ from pathlib import Path
 
 from .booster import Hyperparameters, load_ensemble, serialize_ensemble
 from .dataset import serialize_database
-from .errors import ConfigError, IngestError, PipelineError, TrainingError
-from .pipeline import (PipelineConfig, StageFailure, SynthConfig, _dump_json, evaluate,
-                       explain, fit, held_out, ingest, preprocess, read_prepared, run_pipeline,
-                       tune)
+from .errors import ConfigError, PipelineError, TrainingError
+from .pipeline import (PipelineConfig, StageFailure, SynthConfig, _dump_json, _stage,
+                       evaluate, explain, fit, held_out, ingest, preprocess, read_prepared,
+                       run_pipeline, tune)
 from .synth import _PRESETS, generate, preset
 
 EXIT_OK = 0
@@ -96,7 +99,7 @@ def cmd_ingest(args) -> int:
 def cmd_preprocess(args) -> int:
     config = _load_config(args.config)
     merged = _read(args.data, "merged database (run `ingest` first)", config)
-    prepared = preprocess(merged, config, held_out(config, required=False))
+    prepared = preprocess(merged, config, held_out(config))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     prepared.write(out)
@@ -231,12 +234,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with _stage(args.command):
+            return args.func(args)
     except StageFailure as exc:
         print(f"error {exc}", file=sys.stderr)
-        return _exit_code(exc)
-    except (ConfigError, IngestError, PipelineError, TrainingError, ValueError, OSError) as exc:
-        print(f"error [{args.command}] {exc}", file=sys.stderr)
         return _exit_code(exc)
 
 

@@ -251,6 +251,15 @@ def _parse_cell(token: str, line: int, column: str) -> float:
     return value
 
 
+def _checked_rows(reader):
+    """The rows of a `csv.reader`; a row it cannot read raises IngestError
+    naming the line, as for a field over the csv module's size limit."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise IngestError(f"line {reader.line_num}: {exc}") from None
+
+
 def parse_database(
     csv_text: str,
     tag: DatabaseTag,
@@ -266,11 +275,12 @@ def parse_database(
     value are dropped. A `source` column, when present, restores per-record
     provenance (required when `tag` is a merged tag); otherwise every record
     is tagged with `tag` itself. Malformed rows raise IngestError naming the
-    line and column.
+    line, and the column where one is at fault.
     """
     reader = csv.reader(io.StringIO(csv_text))
+    csv_rows = _checked_rows(reader)
     try:
-        header = next(reader)
+        header = next(csv_rows)
     except StopIteration:
         raise IngestError("empty CSV: no header row") from None
     header = [h.strip() for h in header]
@@ -292,7 +302,7 @@ def parse_database(
     rf_pos, key_pos = positions[rf_column], positions[key_column]
     feature_pos = [positions[col] for col in feature_cols]
     keys, rfs, sources, rows = [], [], [], []
-    for row in reader:
+    for row in csv_rows:
         line = reader.line_num
         if not row:
             continue

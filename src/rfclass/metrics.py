@@ -1,5 +1,6 @@
 """Evaluation: accuracy, neighborhood accuracy, macro-averaged f1, and the
-confusion bubble counts behind the estimated-vs-actual charts."""
+confusion bubble counts behind the estimated-vs-actual charts, all read off
+one table of (predicted, actual) label counts."""
 
 import csv
 import io
@@ -10,20 +11,47 @@ import numpy as np
 from .preprocess import N_CLASSES
 
 
-def _check(pred, actual) -> tuple[np.ndarray, np.ndarray]:
+def _counts(pred, actual) -> np.ndarray:
+    """The (N_CLASSES, N_CLASSES) table of (predicted, actual) label counts,
+    after checking the labels: aligned, one-dimensional, non-empty and in
+    [0, N_CLASSES)."""
     pred = np.asarray(pred, dtype=np.int64)
     actual = np.asarray(actual, dtype=np.int64)
     if pred.shape != actual.shape or pred.ndim != 1:
         raise ValueError("pred and actual must be aligned one-dimensional label arrays")
     if pred.size == 0:
         raise ValueError("cannot evaluate an empty prediction set")
-    return pred, actual
+    if min(pred.min(), actual.min()) < 0 or max(pred.max(), actual.max()) >= N_CLASSES:
+        raise ValueError(f"labels must lie in [0, {N_CLASSES})")
+    cells = np.bincount(pred * N_CLASSES + actual, minlength=N_CLASSES * N_CLASSES)
+    return cells.reshape(N_CLASSES, N_CLASSES)
+
+
+def _accuracy(counts: np.ndarray) -> float:
+    return int(np.trace(counts)) / int(counts.sum())
+
+
+def _neighborhood_accuracy(counts: np.ndarray) -> float:
+    return int(np.trace(counts, 1) + np.trace(counts, -1)) / int(counts.sum())
+
+
+def _macro_f1(counts: np.ndarray) -> float:
+    # a class's 2tp + fp + fn is its predicted count plus its actual count
+    denominators = counts.sum(axis=1) + counts.sum(axis=0)
+    total = 0.0
+    for tp, denom in zip(np.diag(counts).tolist(), denominators.tolist()):  # in class order
+        total += 2 * tp / denom if denom > 0 else 0.0
+    return total / N_CLASSES
+
+
+def _bubbles(counts: np.ndarray) -> dict[tuple[int, int], int]:
+    pred, actual = np.nonzero(counts)  # in (predicted, actual) order
+    return dict(zip(zip(pred.tolist(), actual.tolist()), counts[pred, actual].tolist()))
 
 
 def accuracy(pred, actual) -> float:
     """Fraction of exact class matches."""
-    pred, actual = _check(pred, actual)
-    return float(np.mean(pred == actual))
+    return _accuracy(_counts(pred, actual))
 
 
 def neighborhood_accuracy(pred, actual) -> float:
@@ -32,8 +60,7 @@ def neighborhood_accuracy(pred, actual) -> float:
     Exact matches are excluded, so accuracy + neighborhood_accuracy never
     exceeds one and their sum is the within-one-class total accuracy.
     """
-    pred, actual = _check(pred, actual)
-    return float(np.mean(np.abs(pred - actual) == 1))
+    return _neighborhood_accuracy(_counts(pred, actual))
 
 
 def macro_f1(pred, actual) -> float:
@@ -42,26 +69,12 @@ def macro_f1(pred, actual) -> float:
     Classes absent from both pred and actual contribute zero, which keeps
     the denominator at `N_CLASSES` regardless of which classes appear.
     """
-    pred, actual = _check(pred, actual)
-    if pred.max() >= N_CLASSES or actual.max() >= N_CLASSES:
-        raise ValueError(f"labels must be below N_CLASSES={N_CLASSES}")
-    total = 0.0
-    for c in range(N_CLASSES):
-        tp = float(np.sum((pred == c) & (actual == c)))
-        fp = float(np.sum((pred == c) & (actual != c)))
-        fn = float(np.sum((pred != c) & (actual == c)))
-        denom = 2 * tp + fp + fn
-        total += 2 * tp / denom if denom > 0 else 0.0
-    return total / N_CLASSES
+    return _macro_f1(_counts(pred, actual))
 
 
 def confusion_bubbles(pred, actual) -> dict[tuple[int, int], int]:
     """Sparse (predicted, actual) -> count table; diagonal mass = accuracy * N."""
-    pred, actual = _check(pred, actual)
-    counts: dict[tuple[int, int], int] = {}
-    for p, a in zip(pred.tolist(), actual.tolist()):
-        counts[(p, a)] = counts.get((p, a), 0) + 1
-    return counts
+    return _bubbles(_counts(pred, actual))
 
 
 @dataclass(frozen=True)
@@ -77,21 +90,17 @@ class EvaluationReport:
 
     @classmethod
     def from_predictions(cls, role: str, tag: str, pred, actual) -> "EvaluationReport":
-        pred, actual = _check(pred, actual)
-        acc = accuracy(pred, actual)
-        neigh = neighborhood_accuracy(pred, actual)
-        bubbles = tuple(
-            (p, a, c) for (p, a), c in sorted(confusion_bubbles(pred, actual).items())
-        )
+        counts = _counts(pred, actual)
+        acc, neigh = _accuracy(counts), _neighborhood_accuracy(counts)
         return cls(
             role=role,
             tag=tag,
-            sample_count=int(pred.size),
+            sample_count=int(counts.sum()),
             accuracy=acc,
             neighborhood_accuracy=neigh,
             total_accuracy=acc + neigh,
-            macro_f1=macro_f1(pred, actual),
-            bubbles=bubbles,
+            macro_f1=_macro_f1(counts),
+            bubbles=tuple((p, a, c) for (p, a), c in _bubbles(counts).items()),
         )
 
     def to_dict(self) -> dict:

@@ -5,13 +5,18 @@ tune -> train (`fit`) -> evaluate (one role per call) -> explain.
 writes a self-describing directory: config snapshot with versions,
 preprocessed datasets with an audit sidecar, tuning trace, serialized
 model, per-role evaluation reports, importance summary, and a one-row
-summary table. Each `rfclass` subcommand calls the same stage function on
-the files it reads, so its outputs equal the run directory's files. Two
-runs with equal config and seed produce byte-identical artifacts.
+summary table. It builds the directory beside `out_dir` and publishes it
+whole once the last stage ends, so a run that fails leaves `out_dir` as it
+was. Each `rfclass` subcommand calls the same stage function on the files
+it reads, so its outputs equal the run directory's files. Two runs with
+equal config and seed produce byte-identical artifacts.
 """
 
 import json
+import os
 import platform
+import shutil
+import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -42,6 +47,10 @@ INDEPENDENT_SOURCE = {
     DatabaseTag.CA: DatabaseTag.TORIS,
     DatabaseTag.TCA: None,
 }
+
+#: The file every run directory holds; `run_pipeline` replaces only a
+#: directory that has it, or an empty one.
+SNAPSHOT = "config_snapshot.json"
 
 #: Share of each class of the training set held out as the early-stopping
 #: eval set when `early_stopping_patience` is set.
@@ -213,9 +222,12 @@ class StageFailure(Exception):
 
 @contextmanager
 def _stage(name: str):
-    """Tag any error raised inside the block with the stage's name."""
+    """Tag any error raised inside the block with the stage's name; one
+    already tagged by an inner stage passes unchanged."""
     try:
         yield
+    except StageFailure:
+        raise
     except Exception as exc:
         raise StageFailure(name, exc) from exc
 
@@ -234,9 +246,6 @@ def load_sources(config: PipelineConfig, tags) -> list[Database]:
     out = []
     for tag in tags:
         if config.sources is not None:
-            if tag not in config.sources:
-                raise PipelineError(f"combo {config.combo.value} needs source {tag.value}, "
-                                    f"but the config does not provide it")
             src = config.sources[tag]
             path = Path(src.path)
             if not path.exists():
@@ -271,11 +280,11 @@ def ingest(config: PipelineConfig) -> Database:
     return deduplicate(merge(load_sources(config, config.combo.source_tags), config.combo))
 
 
-def held_out(config: PipelineConfig, required: bool = True) -> Database | None:
-    """The database the combination holds out, None for TCA. Unless
-    `required`, also None when the config's `sources` do not list it."""
+def held_out(config: PipelineConfig) -> Database | None:
+    """The database the combination holds out: None for TCA, and when the
+    config's `sources` do not list it."""
     tag = INDEPENDENT_SOURCE[config.combo]
-    if tag is None or (not required and config.sources is not None and tag not in config.sources):
+    if tag is None or (config.sources is not None and tag not in config.sources):
         return None
     return load_sources(config, [tag])[0]
 
@@ -393,61 +402,87 @@ def explain(model: Ensemble, train_t: Database, config: PipelineConfig) -> Impor
                                     seed=_stage_seed(config.seed, 40))
 
 
+def _check_out(out: Path) -> None:
+    """Refuse an `out_dir` that publishing a run would destroy: a file, or a
+    non-empty directory that holds no run."""
+    if out.exists() and not out.is_dir():
+        raise PipelineError(f"run directory {out} is a file")
+    if out.is_dir() and not (out / SNAPSHOT).exists() and any(out.iterdir()):
+        raise ConfigError(f"run directory {out} is not empty and holds no run "
+                          f"(no {SNAPSHOT}); it is left as it is")
+
+
 def run_pipeline(config: PipelineConfig, out_dir: str | Path) -> RunResult:
-    run_dir = Path(out_dir)
-    reports_dir = run_dir / "reports"
-    reports_dir.mkdir(parents=True, exist_ok=True)
-    _dump_json(run_dir / "config_snapshot.json", {
-        "config": config.raw,
-        "seed": config.seed,
-        "versions": {
-            "rfclass": __version__,
-            "numpy": np.__version__,
-            "scipy": scipy.__version__,
-            "python": platform.python_version(),
-        },
-    })
+    """Run every stage, then publish the run directory at `out_dir` whole.
 
-    with _stage("ingest"):
-        merged = ingest(config)
-        independent = held_out(config)
-        (run_dir / "merged.csv").write_text(serialize_database(merged))
+    The run is written into a holder directory made beside `out_dir`. After
+    the last stage, an earlier run or an empty directory at `out_dir` moves
+    into the holder and the new run takes its place. The holder is then
+    deleted, as it is when a stage fails or the run is interrupted, so a run
+    that does not finish leaves `out_dir` as it was.
+    """
+    out = Path(out_dir)
+    _check_out(out)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    holder = Path(tempfile.mkdtemp(prefix=".rfclass-run-", dir=out.parent))
+    try:
+        run_dir = holder / "run"
+        reports_dir = run_dir / "reports"
+        reports_dir.mkdir(parents=True)  # under the umask: mkdtemp's own mode is 0700
+        _dump_json(run_dir / SNAPSHOT, {
+            "config": config.raw,
+            "seed": config.seed,
+            "versions": {
+                "rfclass": __version__,
+                "numpy": np.__version__,
+                "scipy": scipy.__version__,
+                "python": platform.python_version(),
+            },
+        })
 
-    with _stage("preprocess"):
-        prepared = preprocess(merged, config, independent)
-        prepared.write(run_dir)
+        with _stage("ingest"):
+            merged = ingest(config)
+            (run_dir / "merged.csv").write_text(serialize_database(merged))
 
-    with _stage("tune"):
-        hp = tune(prepared.train, config, run_dir / "tuning_trace.jsonl")
-        _dump_json(run_dir / "hyperparameters.json", hp.to_dict())
+        with _stage("preprocess"):
+            prepared = preprocess(merged, config, held_out(config))
+            prepared.write(run_dir)
 
-    with _stage("train"):
-        model = fit(prepared.train, hp, config)
-        model_path = run_dir / "model.json"
-        model_path.write_text(serialize_ensemble(model))
+        with _stage("tune"):
+            hp = tune(prepared.train, config, run_dir / "tuning_trace.jsonl")
+            _dump_json(run_dir / "hyperparameters.json", hp.to_dict())
 
-    with _stage("evaluate"):
-        roles = (("train", prepared.train), ("test", prepared.test),
-                 ("independent", prepared.independent))
-        reports = {role: evaluate(model, db, role, config) for role, db in roles if db is not None}
-        for role, report in reports.items():
-            _dump_json(reports_dir / f"{role}.json", report.to_dict())
-            (reports_dir / f"bubbles_{role}.csv").write_text(report.bubbles_csv())
-        summary_path = reports_dir / "summary.csv"
-        summary_path.write_text(summary_csv(config.combo.value, reports["train"], reports["test"],
-                                            reports.get("independent")))
+        with _stage("train"):
+            model = fit(prepared.train, hp, config)
+            (run_dir / "model.json").write_text(serialize_ensemble(model))
 
-    with _stage("explain"):
-        importance = explain(model, prepared.train, config)
-        importance_path = reports_dir / "importance.csv"
-        importance_path.write_text(importance.to_csv())
+        with _stage("evaluate"):
+            roles = (("train", prepared.train), ("test", prepared.test),
+                     ("independent", prepared.independent))
+            reports = {role: evaluate(model, db, role, config)
+                       for role, db in roles if db is not None}
+            for role, report in reports.items():
+                _dump_json(reports_dir / f"{role}.json", report.to_dict())
+                (reports_dir / f"bubbles_{role}.csv").write_text(report.bubbles_csv())
+            (reports_dir / "summary.csv").write_text(summary_csv(
+                config.combo.value, reports["train"], reports["test"], reports.get("independent")))
+
+        with _stage("explain"):
+            importance = explain(model, prepared.train, config)
+            (reports_dir / "importance.csv").write_text(importance.to_csv())
+
+        if out.exists():  # an earlier run or an empty directory, as `_check_out` allows
+            os.replace(out, holder / "previous")
+        os.replace(run_dir, out)
+    finally:
+        shutil.rmtree(holder, ignore_errors=True)
 
     return RunResult(
-        run_dir=run_dir,
+        run_dir=out,
         reports=reports,
         hyperparameters=hp,
-        model_path=model_path,
-        summary_path=summary_path,
-        importance_path=importance_path,
+        model_path=out / "model.json",
+        summary_path=out / "reports" / "summary.csv",
+        importance_path=out / "reports" / "importance.csv",
         importance_ranking=importance.ranking,
     )

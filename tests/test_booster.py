@@ -566,6 +566,18 @@ class TestTrain:
                                      trees=full.trees[:best_round])
         assert np.array_equal(model.margins(X_val), truncated.margins(X_val))
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"eval_set": "eval"}, "not one alone"),
+        ({"early_stopping_patience": 3}, "not one alone"),
+        ({"eval_set": "eval", "early_stopping_patience": 0}, "must be at least 1, got 0"),
+    ], ids=["eval_set_alone", "patience_alone", "patience_zero"])
+    def test_half_an_early_stopping_request_is_refused(self, rng, kwargs, message):
+        X, y = rng.random((30, 3)), rng.integers(0, 3, 30)
+        if kwargs.get("eval_set") == "eval":
+            kwargs["eval_set"] = (X[:10], y[:10])
+        with pytest.raises(TrainingError, match=message):
+            train(X, y, hp_with(num_rounds=2), seed=0, **kwargs)
+
 
 # ---------------------------------------------------------------- predict
 

@@ -66,6 +66,16 @@ class TestMacroF1:
         assert 0.0 <= value <= 1.0
 
 
+@pytest.mark.parametrize("metric", [accuracy, neighborhood_accuracy, macro_f1,
+                                    confusion_bubbles])
+@pytest.mark.parametrize("pred, actual", [([-1], [-1]), ([10], [10]), ([-1], [0]),
+                                          ([0, 1], [1, 10]), ([12], [-3])],
+                         ids=["minus_one", "ten", "pred_minus_one", "actual_ten", "twelve"])
+def test_labels_outside_the_classes_are_refused(metric, pred, actual):
+    with pytest.raises(ValueError, match=r"labels must lie in \[0, 10\)"):
+        metric(pred, actual)
+
+
 class TestConfusionBubbles:
     def test_tally(self):
         assert confusion_bubbles([2, 2, 3], [2, 3, 3]) == {

@@ -3,6 +3,8 @@ import functools
 import json
 import math
 import operator
+import shutil
+import stat
 from unittest import mock
 
 import pytest
@@ -15,7 +17,8 @@ from rfclass.errors import ConfigError
 from rfclass.booster import Hyperparameters
 from rfclass.pipeline import (INDEPENDENT_SOURCE, PipelineConfig, StageFailure,
                               SynthConfig, run_pipeline)
-from rfclass.dataset import DatabaseTag
+from rfclass.dataset import DatabaseTag, serialize_database
+from rfclass.synth import generate, preset
 from rfclass.tuner import default_grid
 
 FAST_HP = {
@@ -36,6 +39,21 @@ def _prepared(path):
 
 def _row_set(rows):
     return {tuple(float(v) for v in row) for row in rows}
+
+
+def _write_sources(tmp_path, names, n=200):
+    """A `sources` config object: one generated CSV in tmp_path per database name."""
+    sources = {}
+    for index, name in enumerate(names):
+        path = tmp_path / f"{name}.csv"
+        path.write_text(serialize_database(generate(preset(name.lower()), n, seed=index)))
+        sources[name] = {"path": str(path)}
+    return sources
+
+
+def _file_bytes(root):
+    """Every file under `root`, by relative path."""
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
 
 #: Valid configs that between them set every config key.
@@ -473,8 +491,11 @@ class TestCli:
         {"hyperparameters": None, "split": {"test_fraction": 0.1, "k_folds": 3},
          "grid": {"candidates": {"max_depth": [2, 3]}, "pairs": [["max_depth"]],
                   "max_sweeps": 1}},
-    ], ids=["fixed", "early_stopping", "grid"])
+        {"synth": None, "sources": ["TORIS", "Commercial"]},
+    ], ids=["fixed", "early_stopping", "grid", "no_held_out"])
     def test_stages_reproduce_run_byte_for_byte(self, tmp_path, extra):
+        if "sources" in extra:  # files written here, the held-out Atlas left out
+            extra = dict(extra, sources=_write_sources(tmp_path, extra["sources"]))
         hp = dict(FAST_HP, max_depth=2, num_rounds=5)
         config = str(self._write_config(tmp_path, seed=5, **{"hyperparameters": hp, **extra}))
         run, stages = tmp_path / "run", tmp_path / "stages"
@@ -504,19 +525,20 @@ class TestCli:
                              "--trace", str(stages / "trace.jsonl")])
             chain[3] += ["--hp", str(stages / "hp.json")]
             pairs += [("hp.json", "hyperparameters.json"), ("trace.jsonl", "tuning_trace.jsonl")]
+        if "sources" in extra:  # no independent.csv to evaluate
+            chain = [step for step in chain if "independent" not in step]
+            pairs = [pair for pair in pairs if "independent" not in pair[0]]
         for command, *rest in chain:
             assert main([command, "--config", config, *rest]) == 0, command
         for staged, name in pairs:
             assert (stages / staged).read_bytes() == (run / name).read_bytes(), name
+        if "sources" in extra:
+            assert not (prep / "independent.csv").exists()
+            assert not (run / "independent.csv").exists()
+            assert (run / "reports" / "summary.csv").read_text().splitlines()[1].endswith(",,,,")
 
     def test_preprocess_without_held_out_source(self, tmp_path, capsys):
-        from rfclass.dataset import serialize_database
-        from rfclass.synth import generate, preset
-        sources = {}
-        for index, name in enumerate(("TORIS", "Commercial")):
-            path = tmp_path / f"{name}.csv"
-            path.write_text(serialize_database(generate(preset(name.lower()), 200, seed=index)))
-            sources[name] = {"path": str(path)}
+        sources = _write_sources(tmp_path, ["TORIS", "Commercial"])
         config = self._write_config(tmp_path, synth=None, sources=sources)
         merged, prep = tmp_path / "merged.csv", tmp_path / "prep"
         assert main(["ingest", "--config", str(config), "--out", str(merged)]) == 0
@@ -527,30 +549,35 @@ class TestCli:
         assert not (prep / "independent.csv").exists()
         assert "independent.csv not written" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("argv, code", [
-        (["ingest", "--out", "{tmp}/absent/merged.csv"], 3),
-        (["run", "--out", "{tmp}/file"], 3),
-        (["run", "--out", "{tmp}/run", "--config", "{tmp}"], 2),  # the last --config wins
-        (["run", "--out", "{tmp}/run", "--config", "{tmp}/file"], 2),
+    @pytest.mark.parametrize("argv, code, message", [
+        (["ingest", "--out", "{tmp}/absent/merged.csv"], 3, ""),
+        (["run", "--out", "{tmp}/file"], 3, ""),
+        (["run", "--out", "{tmp}/run", "--config", "{tmp}"], 2, ""),  # the last --config wins
+        (["run", "--out", "{tmp}/run", "--config", "{tmp}/file"], 2, ""),
         (["train", "--train", "{run}/train.csv", "--hp", "{tmp}/eta.json",
-          "--out", "{tmp}/model.json"], 3),
+          "--out", "{tmp}/model.json"], 3, ""),
         (["train", "--train", "{run}/train.csv", "--hp", "{tmp}/list.json",
-          "--out", "{tmp}/model.json"], 3),
+          "--out", "{tmp}/model.json"], 3, ""),
         (["train", "--train", "{run}/train.csv", "--hp", "{tmp}/deep.json",
-          "--out", "{tmp}/model.json"], 3),
+          "--out", "{tmp}/model.json"], 3, ""),
         (["train", "--train", "{run}/train.csv", "--hp", "{tmp}/twelve.json",
-          "--out", "{tmp}/model.json"], 3),
+          "--out", "{tmp}/model.json"], 3, ""),
         (["train", "--train", "{run}/train.csv", "--hp", "{tmp}/ten_float.json",
-          "--out", "{tmp}/model.json"], 3),
+          "--out", "{tmp}/model.json"], 3, ""),
         (["train", "--train", "{run}/train.csv", "--hp", "{tmp}/ten_true.json",
-          "--out", "{tmp}/model.json"], 3),
+          "--out", "{tmp}/model.json"], 3, ""),
         (["evaluate", "--model", "{tmp}/list.json", "--data", "{run}/test.csv",
-          "--out", "{tmp}/report.json"], 3),
+          "--out", "{tmp}/report.json"], 3, ""),
+        (["ingest", "--config", "{tmp}/wide.json", "--out", "{tmp}/merged.csv"], 3,
+         "error [ingest] line 2: field larger than field limit (131072)"),
+        (["run", "--config", "{tmp}/wide.json", "--out", "{tmp}/run"], 3,
+         "error [ingest] line 2: field larger than field limit (131072)"),
     ], ids=["ingest_out_in_missing_dir", "run_out_is_file", "config_is_directory",
             "config_not_utf8", "hp_unknown_key", "hp_not_object", "hp_value_not_number",
-            "hp_num_class_12", "model_not_object", "hp_num_class_float", "hp_num_class_true"])
+            "hp_num_class_12", "model_not_object", "hp_num_class_float", "hp_num_class_true",
+            "ingest_field_over_csv_limit", "run_field_over_csv_limit"])
     def test_bad_path_is_diagnosed_without_traceback(self, trained_run, tmp_path, capfd,
-                                                      argv, code):
+                                                      argv, code, message):
         config = self._write_config(tmp_path)
         (tmp_path / "file").write_bytes(b"\xff\xfe{")
         (tmp_path / "eta.json").write_text('{"eta": 0.3}')
@@ -559,10 +586,16 @@ class TestCli:
         (tmp_path / "twelve.json").write_text(json.dumps(dict(FAST_HP, num_class=12)))
         (tmp_path / "ten_float.json").write_text(json.dumps(dict(FAST_HP, num_class=10.0)))
         (tmp_path / "ten_true.json").write_text(json.dumps(dict(FAST_HP, num_class=True)))
+        sources = _write_sources(tmp_path, ["TORIS", "Commercial"], n=20)
+        header, rest = (tmp_path / "TORIS.csv").read_text().split("\n", 1)
+        # line 2 holds a quoted key over the csv module's field size limit
+        (tmp_path / "TORIS.csv").write_text(f'{header}\n"{"k" * 200_000}"\n{rest}')
+        (tmp_path / "wide.json").write_text(json.dumps({"combo": "TC", "sources": sources}))
         command, *rest = [arg.format(tmp=tmp_path, run=trained_run) for arg in argv]
         assert main([command, "--config", str(config), *rest]) == code
         err = capfd.readouterr().err
         assert err.startswith("error [") and "Traceback" not in err
+        assert err.startswith(message)
 
     @pytest.mark.parametrize("corrupt, message", [
         (lambda doc: _internal_node(doc).update(feature=99), "feature 99 is outside"),
@@ -663,6 +696,74 @@ class TestCli:
                      "--out", str(tmp_path / "a")]) == 0
         snapshot = json.loads((tmp_path / "a" / "config_snapshot.json").read_text())
         assert snapshot["seed"] == 77
+
+    def _run(self, tmp_path, out="run", **extra):
+        return main(["run", "--config", str(self._write_config(tmp_path, **extra)),
+                     "--out", str(tmp_path / out)])
+
+    def test_failed_run_leaves_no_directory(self, tmp_path, capfd):
+        assert self._run(tmp_path, synth={"n": 2}) == 3
+        assert capfd.readouterr().err.startswith("error [preprocess] the test set is empty")
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]  # no run, no holder
+
+    def test_failed_run_leaves_an_earlier_run_byte_identical(self, trained_run, tmp_path):
+        shutil.copytree(trained_run, tmp_path / "run")
+        before = _file_bytes(tmp_path / "run")
+        assert self._run(tmp_path, synth={"n": 2}) == 3
+        assert _file_bytes(tmp_path / "run") == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "run"]
+
+    def test_interrupted_run_leaves_out_untouched(self, trained_run, tmp_path):
+        shutil.copytree(trained_run, tmp_path / "run")
+        before = _file_bytes(tmp_path / "run")
+        with mock.patch.object(pipeline, "fit", side_effect=KeyboardInterrupt):
+            with pytest.raises(KeyboardInterrupt):
+                self._run(tmp_path)
+        assert _file_bytes(tmp_path / "run") == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "run"]
+
+    def test_tca_run_replaces_a_tc_run_whole(self, trained_run, tmp_path):
+        shutil.copytree(trained_run, tmp_path / "run")
+        assert self._run(tmp_path, combo="TCA") == 0
+        run = tmp_path / "run"
+        for name in ("independent.csv", "reports/independent.json",
+                     "reports/bubbles_independent.csv"):
+            assert not (run / name).exists(), name
+        assert (run / "reports" / "summary.csv").read_text().splitlines()[1].startswith("TCA,")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "run"]
+
+    def test_fixed_run_replaces_a_grid_run_whole(self, tmp_path):
+        grid = {"candidates": {"max_depth": [2], "num_rounds": [3]},
+                "pairs": [["max_depth", "num_rounds"]], "max_sweeps": 1}
+        assert self._run(tmp_path, hyperparameters=None, grid=grid,
+                         split={"test_fraction": 0.1, "k_folds": 3}) == 0
+        assert (tmp_path / "run" / "tuning_trace.jsonl").exists()
+        assert self._run(tmp_path) == 0
+        assert not (tmp_path / "run" / "tuning_trace.jsonl").exists()
+        assert json.loads((tmp_path / "run" / "hyperparameters.json").read_text())[
+            "num_rounds"] == FAST_HP["num_rounds"]
+
+    def test_non_empty_directory_without_a_run_exits_2_untouched(self, tmp_path, capfd):
+        out = tmp_path / "notes"
+        out.mkdir()
+        (out / "notes.txt").write_text("keep me\n")
+        assert self._run(tmp_path, out="notes") == 2
+        err = capfd.readouterr().err
+        assert err.startswith("error [run] run directory") and "holds no run" in err
+        assert _file_bytes(out) == {"notes.txt": b"keep me\n"}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "notes"]
+
+    def test_published_directory_has_the_mode_of_a_plain_mkdir(self, tmp_path):
+        (tmp_path / "empty").mkdir()  # an empty directory is replaced like a run
+        result = run_pipeline(tiny_config(), tmp_path / "empty")
+        (tmp_path / "sibling").mkdir()
+        assert result.run_dir == tmp_path / "empty"
+        assert result.model_path == tmp_path / "empty" / "model.json"
+        assert result.model_path.exists() and result.importance_path.exists()
+        for name in (".", "reports"):
+            assert (stat.S_IMODE((tmp_path / "empty" / name).stat().st_mode)
+                    == stat.S_IMODE((tmp_path / "sibling").stat().st_mode)), name
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["empty", "sibling"]
 
     def test_default_sizes_chain_under_five_minutes(self, tmp_path):
         import time
