@@ -105,6 +105,8 @@ def cmd_preprocess(args) -> int:
     prepared.write(out)
     print(f"preprocessed: train={len(prepared.train)} test={len(prepared.test)} -> {out}")
     if prepared.independent is None:
+        # else an independent.csv an earlier call left in --out would pass for this one's
+        (out / "independent.csv").unlink(missing_ok=True)
         print(f"no held-out database in the config for {config.combo.value}: "
               f"independent.csv not written")
     return EXIT_OK

@@ -31,7 +31,7 @@ from .booster import (Ensemble, Hyperparameters, json_fields, json_number, predi
                       serialize_ensemble, train)
 from .dataset import (Database, DatabaseTag, FeatureSchema, canonical_schema, deduplicate,
                       merge, parse_database, parse_tag, serialize_database)
-from .errors import ConfigError, PipelineError
+from .errors import ConfigError, IngestError, PipelineError
 from .explain import ImportanceSummary, importance_from_database
 from .metrics import EvaluationReport, summary_csv
 from .preprocess import (PruneSpec, SplitSpec, apply_transforms, complete_cases,
@@ -250,11 +250,14 @@ def load_sources(config: PipelineConfig, tags) -> list[Database]:
             path = Path(src.path)
             if not path.exists():
                 raise PipelineError(f"missing input file for {tag.value}: {path}")
-            out.append(parse_database(
-                path.read_text(), tag, config.schema,
-                key_column=src.key_column, rf_column=src.rf_column,
-                column_map=src.column_map,
-            ))
+            try:
+                out.append(parse_database(
+                    path.read_text(), tag, config.schema,
+                    key_column=src.key_column, rf_column=src.rf_column,
+                    column_map=src.column_map,
+                ))
+            except IngestError as exc:  # the line number alone fits any source
+                raise IngestError(f"{exc} (source {tag.value}: {path})") from None
         else:
             spec = preset(tag.value, config.synth.divergence)
             seed = _stage_seed(config.seed, 1 + list(DatabaseTag).index(tag))

@@ -17,13 +17,27 @@ count and scores every smaller count on a prefix of its trees, and the
 scores are bit-identical to training each count on its own. A pair then
 costs folds x groups trainings instead of folds x candidates; one sweep of
 the default grid falls from about 13.8k to 11.4k boosting rounds per fold.
+
+The folds are independent, so every (group, fold) training of a pair is
+one task of one `map` over a pool of forked worker processes, one per
+available CPU, opened once per search. Losses are gathered by task index
+and each mean is taken in fold order, so scores do not depend on the
+worker count; with one CPU the tasks run in the calling process.
 """
 
 import itertools
+import multiprocessing
+import os
+import signal
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable
 
-from .booster import Ensemble, Hyperparameters, mlogloss, predict_proba, train
+import numpy as np
+
+from .booster import Ensemble, Hyperparameters, mlogloss, softmax_margins, train
+from .booster import predict_proba  # noqa: F401 -- unused; perfbench/tracing.py wraps it here
 from .dataset import Database
 from .preprocess import SplitSpec, stratified_kfold, to_matrix
 
@@ -95,51 +109,145 @@ def default_grid() -> SearchGrid:
     )
 
 
+def _worker_count(n_tasks: int) -> int:
+    """Worker processes for `n_tasks` fold trainings: one per CPU this
+    process may run on, at most one per task. It is 1 on a platform without
+    `sched_getaffinity` (where `fork` is missing or unsafe) and in a process
+    running other threads, since a forked child could inherit a lock one of
+    them holds."""
+    if not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
+        return 1
+    return min(len(os.sched_getaffinity(0)), n_tasks)
+
+
+@dataclass(frozen=True)
+class _Folds:
+    """What every fold training reads; a worker receives it once."""
+
+    X: np.ndarray
+    y: np.ndarray
+    folds: list[tuple[np.ndarray, np.ndarray]]  # (fit, validation) rows, validation non-empty
+    feature_names: tuple[str, ...]
+    seed: int
+
+
+def _prefix_losses(model: Ensemble, X: np.ndarray, y: np.ndarray, rounds: list[int]) -> list[float]:
+    """mlogloss on (X, y) of the first r rounds of `model`, for each r listed.
+
+    The margins are added up round by round in round order, as
+    `Ensemble.margins` adds them, so each loss equals `predict_proba` on the
+    r-round prefix bit for bit while every tree is walked once.
+    """
+    X = np.ascontiguousarray(X)
+    margins = np.zeros((X.shape[0], model.hp.num_class))
+    losses, done = {}, 0
+    for r in sorted(set(rounds)):
+        for round_trees in model.trees[done:r]:
+            for k, tree in enumerate(round_trees):
+                margins[:, k] += tree.predict_margin(X)
+        losses[r], done = mlogloss(softmax_margins(margins), y), r
+    return [losses[r] for r in rounds]
+
+
+def _fold_losses(data: _Folds, task: tuple[Hyperparameters, list[int], int]) -> list[float]:
+    """One fold training: (hp, rounds, fold) -> the fold's validation loss
+    at each listed prefix of a model trained at `hp.num_rounds`."""
+    hp, rounds, fold = task
+    fit_idx, val_idx = data.folds[fold]
+    model = train(data.X[fit_idx], data.y[fit_idx], hp, data.seed,
+                  feature_names=data.feature_names)
+    return _prefix_losses(model, data.X[val_idx], data.y[val_idx], rounds)
+
+
+_worker_folds: _Folds | None = None  # set in each pool worker by _init_worker
+
+
+def _init_worker(data: _Folds) -> None:
+    global _worker_folds
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles Ctrl-C
+    _worker_folds = data
+
+
+def _worker_fold_losses(task) -> list[float]:
+    return _fold_losses(_worker_folds, task)
+
+
+@contextmanager
+def _fold_pool(train_db: Database, k: int, seed: int):
+    """Yield `means(jobs)`, which scores a list of (hp, rounds) jobs on the
+    k stratified folds of `train_db`: for each job, the mean validation
+    mlogloss of each listed prefix of hp's model, folds averaged in fold
+    order.
+
+    Every (job, fold) training of one call is one task of one `map`, over
+    `_worker_count` forked workers that received the matrix and the folds
+    once; with one worker the tasks run in this process. Results are
+    gathered by task index, so the means do not depend on the worker
+    count. The workers are terminated and joined however the block exits.
+    """
+    X, y = to_matrix(train_db)
+    folds = [(fit_idx, val_idx) for fit_idx, val_idx
+             in stratified_kfold(train_db, SplitSpec(k_folds=k, seed=seed)) if val_idx.size]
+    data = _Folds(X, y, folds, train_db.schema.names, seed)
+    workers = _worker_count(len(folds))
+    pool = (multiprocessing.get_context("fork").Pool(
+        workers, initializer=_init_worker, initargs=(data,)) if workers > 1 else None)
+
+    def means(jobs: list[tuple[Hyperparameters, list[int]]]) -> list[list[float]]:
+        tasks = [(hp, rounds, fold) for hp, rounds in jobs for fold in range(len(folds))]
+        if pool is None:
+            losses = [_fold_losses(data, task) for task in tasks]
+        else:
+            losses = pool.map(_worker_fold_losses, tasks, chunksize=1)
+        out = []
+        for j, (_, rounds) in enumerate(jobs):
+            per_fold = losses[j * len(folds):(j + 1) * len(folds)]
+            out.append([float(sum(fold[i] for fold in per_fold) / len(per_fold))
+                        for i in range(len(rounds))])
+        return out
+
+    try:
+        yield means
+    finally:
+        if pool is not None:
+            pool.terminate()
+            pool.join()
+
+
 def cross_validate(train_db: Database, hp: Hyperparameters, k: int, seed: int, *,
                    rounds: list[int] | None = None) -> float | list[float]:
     """Mean validation mlogloss over k stratified folds.
 
     With `rounds`, each fold's model is trained once at `hp.num_rounds` and
     scored on its first r rounds for every r listed; the result holds one
-    mean per listed r, each equal to a plain call with `num_rounds=r`.
+    mean per listed r, each equal to a plain call with `num_rounds=r`. The
+    folds train in `_fold_pool`'s workers.
     """
     prefixes = [hp.num_rounds] if rounds is None else list(rounds)
     if any(not 0 <= r <= hp.num_rounds for r in prefixes):
         raise ValueError(f"prefix round counts must lie in [0, {hp.num_rounds}]")
-    X, y = to_matrix(train_db)
-    folds = stratified_kfold(train_db, SplitSpec(k_folds=k, seed=seed))
-    losses = [[] for _ in prefixes]
-    for fit_idx, val_idx in folds:
-        if val_idx.size == 0:
-            continue
-        model = train(X[fit_idx], y[fit_idx], hp, seed,
-                      feature_names=train_db.schema.names)
-        X_val, y_val = X[val_idx], y[val_idx]
-        for fold_losses, r in zip(losses, prefixes):
-            prefix = Ensemble(hp=replace(hp, num_rounds=r), num_features=model.num_features,
-                              feature_names=model.feature_names, trees=model.trees[:r])
-            fold_losses.append(mlogloss(predict_proba(prefix, X_val), y_val))
-    means = [float(sum(fold_losses) / len(fold_losses)) for fold_losses in losses]
-    return means[0] if rounds is None else means
+    with _fold_pool(train_db, k, seed) as means:
+        [scores] = means([(hp, prefixes)])
+    return scores[0] if rounds is None else scores
 
 
-def _scores(train_db: Database, candidates: list[Hyperparameters], k: int, seed: int,
+def _scores(means: Callable, candidates: list[Hyperparameters],
             memo: dict[Hyperparameters, float]) -> list[float]:
     """CV scores of `candidates` in order, filling `memo` with those not in it.
 
-    Unscored candidates that differ only in `num_rounds` share one
-    `cross_validate` call, trained at their largest round count.
+    Unscored candidates that differ only in `num_rounds` form one job,
+    trained at their largest round count, and every job of the call is
+    scored in one `means` call.
     """
     groups: dict[Hyperparameters, set[int]] = {}
     for hp in candidates:
         if hp not in memo:
             groups.setdefault(replace(hp, num_rounds=0), set()).add(hp.num_rounds)
-    for base, counts in groups.items():
-        rounds = sorted(counts)
-        scores = cross_validate(train_db, replace(base, num_rounds=rounds[-1]), k, seed,
-                                rounds=rounds)
+    jobs = [(replace(base, num_rounds=max(counts)), sorted(counts))
+            for base, counts in groups.items()]
+    for (hp, rounds), scores in zip(jobs, means(jobs)):
         for r, score in zip(rounds, scores):
-            memo[replace(base, num_rounds=r)] = score
+            memo[replace(hp, num_rounds=r)] = score
     return [memo[hp] for hp in candidates]
 
 
@@ -162,50 +270,52 @@ def pairwise_grid_search(
 ) -> TuningResult:
     """Coordinate-descent over hyperparameter pairs, minimizing CV mlogloss.
 
-    Deterministic in (train_db, grid, seed): folds are rebuilt from the same
-    seed for every candidate, so scores are comparable across the search.
-    Every adopted value comes from its candidate list. `evaluations` counts
-    the candidates scored, memo lookups included.
+    Deterministic in (train_db, grid, seed): every candidate is scored on
+    the same folds, so scores are comparable across the search, and one
+    pool of fold workers serves the whole search. Every adopted value comes
+    from its candidate list. `evaluations` counts the candidates scored,
+    memo lookups included.
     """
     hp = start if start is not None else Hyperparameters()
     memo: dict[Hyperparameters, float] = {}
     evaluations = 0
-    [current_score] = _scores(train_db, [hp], k, seed, memo)
-    if trace_sink:
-        trace_sink({"event": "start", "score": current_score, "hyperparameters": hp.to_dict()})
+    with _fold_pool(train_db, k, seed) as means:
+        [current_score] = _scores(means, [hp], memo)
+        if trace_sink:
+            trace_sink({"event": "start", "score": current_score, "hyperparameters": hp.to_dict()})
 
-    sweeps_run = 0
-    for sweep in range(grid.max_sweeps):
-        sweeps_run = sweep + 1
-        changed = False
-        for pair in grid.pairs:
-            combos = list(itertools.product(*(grid.candidates[name] for name in pair)))
-            candidates = [replace(hp, **dict(zip(pair, combo))) for combo in combos]
-            best_combo = None
-            best_score = None
-            scores = []
-            for combo, score in zip(combos, _scores(train_db, candidates, k, seed, memo)):
-                evaluations += 1
-                scores.append({"values": list(combo), "score": score})
-                if best_score is None or score < best_score:
-                    best_score = score
-                    best_combo = combo
-            previous = tuple(getattr(hp, name) for name in pair)
-            hp = replace(hp, **dict(zip(pair, best_combo)))
-            current_score = best_score
-            if tuple(getattr(hp, name) for name in pair) != previous:
-                changed = True
-            if trace_sink:
-                trace_sink({
-                    "event": "pair",
-                    "sweep": sweep,
-                    "pair": list(pair),
-                    "scores": scores,
-                    "adopted": list(best_combo),
-                    "score": best_score,
-                })
-        if not changed:
-            break
+        sweeps_run = 0
+        for sweep in range(grid.max_sweeps):
+            sweeps_run = sweep + 1
+            changed = False
+            for pair in grid.pairs:
+                combos = list(itertools.product(*(grid.candidates[name] for name in pair)))
+                candidates = [replace(hp, **dict(zip(pair, combo))) for combo in combos]
+                best_combo = None
+                best_score = None
+                scores = []
+                for combo, score in zip(combos, _scores(means, candidates, memo)):
+                    evaluations += 1
+                    scores.append({"values": list(combo), "score": score})
+                    if best_score is None or score < best_score:
+                        best_score = score
+                        best_combo = combo
+                previous = tuple(getattr(hp, name) for name in pair)
+                hp = replace(hp, **dict(zip(pair, best_combo)))
+                current_score = best_score
+                if tuple(getattr(hp, name) for name in pair) != previous:
+                    changed = True
+                if trace_sink:
+                    trace_sink({
+                        "event": "pair",
+                        "sweep": sweep,
+                        "pair": list(pair),
+                        "scores": scores,
+                        "adopted": list(best_combo),
+                        "score": best_score,
+                    })
+            if not changed:
+                break
 
     if trace_sink:
         trace_sink({

@@ -2,6 +2,7 @@ import copy
 import functools
 import json
 import math
+import multiprocessing
 import operator
 import shutil
 import stat
@@ -11,9 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rfclass import pipeline
+from rfclass import pipeline, tuner
 from rfclass.cli import main
-from rfclass.errors import ConfigError
+from rfclass.errors import ConfigError, TrainingError
 from rfclass.booster import Hyperparameters
 from rfclass.pipeline import (INDEPENDENT_SOURCE, PipelineConfig, StageFailure,
                               SynthConfig, run_pipeline)
@@ -548,6 +549,64 @@ class TestCli:
             assert (prep / name).exists(), name
         assert not (prep / "independent.csv").exists()
         assert "independent.csv not written" in capsys.readouterr().out
+
+    def _tune(self, trained_run, tmp_path, cpus, out):
+        """`rfclass tune --trace` on the trained run's training set, with the
+        fold workers limited to `cpus`."""
+        config = self._write_config(
+            tmp_path, hyperparameters=None, split={"test_fraction": 0.2, "k_folds": 3},
+            grid={"candidates": {"max_depth": [2, 3], "num_rounds": [2, 4]},
+                  "pairs": [["max_depth", "num_rounds"]], "max_sweeps": 1})
+        with mock.patch.object(tuner.os, "sched_getaffinity", return_value=set(range(cpus))):
+            assert tuner._worker_count(3) == cpus
+            return main(["tune", "--config", str(config), "--train", str(trained_run / "train.csv"),
+                         "--out", str(tmp_path / f"{out}.json"),
+                         "--trace", str(tmp_path / f"{out}.jsonl")])
+
+    def test_tune_writes_the_same_bytes_with_one_worker_and_two(self, trained_run, tmp_path):
+        for cpus in (1, 2):
+            assert self._tune(trained_run, tmp_path, cpus, f"cpus{cpus}") == 0
+        for suffix in (".json", ".jsonl"):
+            assert ((tmp_path / f"cpus1{suffix}").read_bytes()
+                    == (tmp_path / f"cpus2{suffix}").read_bytes())
+
+    def test_training_error_in_a_worker_exits_like_one_in_process(self, trained_run, tmp_path,
+                                                                 capfd):
+        outcomes = []
+        for cpus in (1, 2):
+            with mock.patch.object(tuner, "train", side_effect=TrainingError("no split left")):
+                outcomes.append((self._tune(trained_run, tmp_path, cpus, "hp"),
+                                 capfd.readouterr().err))
+            assert multiprocessing.active_children() == []
+        assert outcomes == [(4, "error [tune] no split left\n")] * 2
+
+    def test_preprocess_without_held_out_source_removes_a_stale_independent_csv(self, tmp_path,
+                                                                              capsys):
+        sources = _write_sources(tmp_path, ["TORIS", "Commercial", "Atlas"])
+        with_atlas = self._write_config(tmp_path, synth=None, sources=sources)
+        merged, prep = tmp_path / "merged.csv", tmp_path / "prep"
+        assert main(["ingest", "--config", str(with_atlas), "--out", str(merged)]) == 0
+        assert main(["preprocess", "--config", str(with_atlas), "--data", str(merged),
+                     "--out", str(prep)]) == 0
+        assert (prep / "independent.csv").exists()
+        del sources["Atlas"]
+        without = self._write_config(tmp_path, synth=None, sources=sources)
+        assert main(["preprocess", "--config", str(without), "--data", str(merged),
+                     "--out", str(prep)]) == 0
+        assert not (prep / "independent.csv").exists()
+        assert "independent.csv not written" in capsys.readouterr().out
+
+    def test_source_parse_error_names_the_source_and_its_file(self, tmp_path, capfd):
+        sources = _write_sources(tmp_path, ["TORIS", "Commercial"], n=20)
+        header, rest = (tmp_path / "Commercial.csv").read_text().split("\n", 1)
+        (tmp_path / "Commercial.csv").write_text(f"{header}\n{rest.replace(',', ',,', 1)}")
+        config = self._write_config(tmp_path, synth=None, sources=sources)
+        for command in ("ingest", "run"):
+            assert main([command, "--config", str(config),
+                         "--out", str(tmp_path / command)]) == 3
+            err = capfd.readouterr().err
+            assert err.startswith("error [ingest] line 2: expected "), err
+            assert err.rstrip().endswith(f"(source Commercial: {tmp_path / 'Commercial.csv'})")
 
     @pytest.mark.parametrize("argv, code, message", [
         (["ingest", "--out", "{tmp}/absent/merged.csv"], 3, ""),

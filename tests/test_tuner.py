@@ -1,4 +1,7 @@
 import itertools
+import multiprocessing
+import os
+import signal
 from dataclasses import replace
 from unittest import mock
 
@@ -9,6 +12,7 @@ from hypothesis import strategies as st
 
 from rfclass import tuner
 from rfclass.booster import Hyperparameters, mlogloss, predict_proba, train
+from rfclass.errors import TrainingError
 from rfclass.preprocess import SplitSpec, stratified_kfold, to_matrix
 from rfclass.tuner import (SearchGrid, TuningResult, cross_validate,
                            default_grid, pairwise_grid_search)
@@ -356,7 +360,9 @@ class TestMemoAndPrefixScoring:
                         "max_depth": [2, 3]},
             pairs=(("learning_rate", "num_rounds"), ("max_depth",)), max_sweeps=1)
         start = fast_hp(learning_rate=0.1, num_rounds=2, max_depth=2)
-        with mock.patch.object(tuner, "train", wraps=tuner.train) as counted:
+        # one CPU: the fold tasks run in this process, where the mock sees them
+        with mock.patch.object(tuner.os, "sched_getaffinity", return_value={0}), \
+                mock.patch.object(tuner, "train", wraps=tuner.train) as counted:
             result = pairwise_grid_search(db, grid, seed=0, k=3, start=start)
         # distinct groups: the start; learning rate 0.1 (4 rounds, 2 is the
         # start) and 0.2 (2 and 4 rounds from one 4-round model); depth 3 at
@@ -364,3 +370,67 @@ class TestMemoAndPrefixScoring:
         trained = [call.args[2].num_rounds for call in counted.call_args_list]
         assert trained == [2] * 3 + [4] * 3 + [4] * 3 + [result.hyperparameters.num_rounds] * 3
         assert result.evaluations == 6
+
+
+class TestPrefixLosses:
+    @pytest.mark.parametrize("rounds", [[0], [5], [0, 5], [5, 2, 0, 2], [1, 3, 4]])
+    def test_equal_to_predict_proba_on_each_prefix(self, rounds):
+        db = small_database(40, seed=14)
+        X, y = to_matrix(db)
+        model = train(X[:30], y[:30], property_start(3, 5), seed=3,
+                      feature_names=db.schema.names)
+        want = [mlogloss(predict_proba(replace(model, trees=model.trees[:r]), X[30:]), y[30:])
+                for r in rounds]
+        assert tuner._prefix_losses(model, X[30:], y[30:], rounds) == want
+
+
+def cpus(n):
+    """Patch the CPUs this process may run on, and so the fold workers."""
+    return mock.patch.object(tuner.os, "sched_getaffinity", return_value=set(range(n)))
+
+
+def small_search(trace_sink=None):
+    db = labeled_database(40, seed=15)
+    grid = SearchGrid(candidates={"learning_rate": [0.1, 0.2], "num_rounds": [2, 4],
+                                  "max_depth": [2, 3]},
+                      pairs=(("learning_rate", "num_rounds"), ("max_depth",)), max_sweeps=2)
+    start = property_start(2, 2)
+    return pairwise_grid_search(db, grid, seed=6, k=3, start=start, trace_sink=trace_sink)
+
+
+class TestFoldPool:
+    def test_one_worker_gives_the_same_result_and_trace_as_two(self):
+        runs = []
+        for n in (1, 2):
+            trace = []
+            with cpus(n):
+                assert tuner._worker_count(3) == n
+                runs.append((small_search(trace.append), trace,
+                             cross_validate(labeled_database(30, 16), fast_hp(), k=3, seed=1,
+                                            rounds=[8, 0, 3])))
+        assert runs[0] == runs[1]
+        assert multiprocessing.active_children() == []
+
+    def test_worker_error_reaches_the_caller_and_leaves_no_child(self):
+        with cpus(2), mock.patch.object(tuner, "train",
+                                        side_effect=TrainingError("no split left")):
+            with pytest.raises(TrainingError, match="^no split left$"):
+                small_search()
+        assert multiprocessing.active_children() == []
+
+    def test_interrupt_mid_search_leaves_no_child(self):
+        def interrupt(entry):
+            if entry["event"] == "pair":
+                raise KeyboardInterrupt
+        with cpus(2), pytest.raises(KeyboardInterrupt):
+            small_search(interrupt)
+        assert multiprocessing.active_children() == []
+
+    def test_workers_ignore_ctrl_c(self, capfd):
+        def ctrl_c(entry):  # between two maps, as a terminal's Ctrl-C reaches the workers
+            if entry["event"] == "start":
+                for child in multiprocessing.active_children():
+                    os.kill(child.pid, signal.SIGINT)
+        with cpus(2):
+            assert small_search(ctrl_c) == small_search()
+        assert "Traceback" not in capfd.readouterr().err
