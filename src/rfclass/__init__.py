@@ -21,9 +21,9 @@ from .metrics import (EvaluationReport, accuracy, confusion_bubbles, macro_f1,
                       neighborhood_accuracy, summary_csv)
 from .pipeline import INDEPENDENT_SOURCE, PipelineConfig, RunResult, run_pipeline
 from .preprocess import (PruneSpec, SplitSpec, TransformParams, apply_transforms,
-                         bin_rf, class_labels, complete_cases, filter_ranges,
-                         fit_transforms, impute, prune_missing,
-                         stratified_kfold, stratified_split, to_matrix)
+                         class_labels, complete_cases, filter_ranges, fit_transforms,
+                         impute, prune_missing, stratified_kfold, stratified_split,
+                         to_matrix)
 from .synth import DistributionSpec, FeatureDistribution, RFLink, generate, preset
 from .tuner import (SearchGrid, TuningResult, cross_validate, default_grid,
                     pairwise_grid_search)

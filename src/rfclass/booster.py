@@ -153,16 +153,21 @@ class Tree:
     def is_leaf(self, node: int) -> bool:
         return self.feature[node] < 0
 
+    def levels(self, roots: np.ndarray) -> list[np.ndarray]:
+        """The nodes under `roots` one level at a time, from `roots` down to
+        the deepest leaves; each level lists the left children of the level
+        above, then its right children."""
+        levels = [roots]
+        while True:
+            inner = levels[-1][self.feature[levels[-1]] >= 0]
+            if not inner.size:
+                return levels
+            levels.append(np.concatenate([self.left[inner], self.right[inner]]))
+
     @cached_property
     def depth(self) -> int:
         """Edges on the longest root-to-leaf path."""
-        depth, level = 0, np.zeros(1, dtype=np.intp)
-        while True:
-            level = level[self.feature[level] >= 0]
-            if not level.size:
-                return depth
-            level = np.concatenate([self.left[level], self.right[level]])
-            depth += 1
+        return len(self.levels(np.zeros(1, np.intp))) - 1
 
     def predict_margin(self, X: np.ndarray) -> np.ndarray:
         """The value of the leaf each row of X reaches. Every row takes

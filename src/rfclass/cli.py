@@ -73,6 +73,15 @@ def _read(path: str, what: str, config: PipelineConfig):
     return read_prepared(_require(path, what), config)
 
 
+def _read_json(path: str, what: str, load=json.loads):
+    """`load` of the text of the JSON file at `path`; a decoding error also
+    names the file."""
+    try:
+        return load(_require(path, what).read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValueError(f"{exc} ({path})") from None
+
+
 def _read_for(model, path: str, config: PipelineConfig):
     """The prepared CSV at `path`, checked against the model's features."""
     db = _read(path, "prepared CSV (run `preprocess` first)", config)
@@ -115,7 +124,13 @@ def cmd_preprocess(args) -> int:
 def cmd_tune(args) -> int:
     config = _load_config(args.config)
     train_db = _read(args.train, "training CSV (run `preprocess` first)", config)
-    hp = tune(train_db, config, Path(args.trace) if args.trace else None)
+    hp, trace = tune(train_db, config)
+    if args.trace and trace is not None:
+        Path(args.trace).write_text(trace)
+    elif args.trace:
+        # else a trace an earlier call left at --trace would pass for this one's
+        Path(args.trace).unlink(missing_ok=True)
+        print(f"no grid in the config, so no search to trace: {args.trace} not written")
     _dump_json(Path(args.out), hp.to_dict())
     print(f"hyperparameters -> {args.out}")
     return EXIT_OK
@@ -125,10 +140,9 @@ def cmd_train(args) -> int:
     config = _load_config(args.config)
     train_db = _read(args.train, "training CSV (run `preprocess` first)", config)
     if args.hp:
-        hp_text = _require(args.hp, "hyperparameters JSON").read_text()
-        hp = Hyperparameters.from_dict(json.loads(hp_text))
+        hp = Hyperparameters.from_dict(_read_json(args.hp, "hyperparameters JSON"))
     else:
-        hp = tune(train_db, config)
+        hp, _ = tune(train_db, config)
     model = fit(train_db, hp, config)
     Path(args.out).write_text(serialize_ensemble(model))
     print(f"trained {model.num_rounds_trained} rounds -> {args.out}")
@@ -136,7 +150,7 @@ def cmd_train(args) -> int:
 
 
 def _load_model(path: str):
-    return load_ensemble(_require(path, "model JSON (run `train` first)").read_text())
+    return _read_json(path, "model JSON (run `train` first)", load_ensemble)
 
 
 def cmd_evaluate(args) -> int:

@@ -261,7 +261,7 @@ def _checked_rows(reader):
 
 
 def parse_database(
-    csv_text: str,
+    text: str,
     tag: DatabaseTag,
     schema: FeatureSchema,
     *,
@@ -277,7 +277,7 @@ def parse_database(
     is tagged with `tag` itself. Malformed rows raise IngestError naming the
     line, and the column where one is at fault.
     """
-    reader = csv.reader(io.StringIO(csv_text))
+    reader = csv.reader(io.StringIO(text))
     csv_rows = _checked_rows(reader)
     try:
         header = next(csv_rows)
@@ -342,21 +342,23 @@ def format_real(x: float) -> str:
 SERIALIZE_BLOCK = 1024
 
 
+def csv_text(rows) -> str:
+    """The CSV text of an iterable of rows, each line ended by "\\n"."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
 def serialize_database(db: Database) -> str:
     """Canonical CSV form: key, source, features in schema order, RF."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow(["key", "source", *db.schema.names, RF_COLUMN])
-    parts = [buf.getvalue()]
+    parts = [csv_text([["key", "source", *db.schema.names, RF_COLUMN]])]
     numbers = np.column_stack([db.values, db.rf])
     for start in range(0, len(db), SERIALIZE_BLOCK):
         block = slice(start, start + SERIALIZE_BLOCK)
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        for key, source, cells in zip(db.keys[block].tolist(), db.sources[block].tolist(),
-                                      numbers[block].tolist()):
-            writer.writerow([key, source.value,
-                             *("" if x != x else format_real(x) for x in cells)])
-        parts.append(buf.getvalue())
+        parts.append(csv_text(
+            [key, source.value, *("" if x != x else format_real(x) for x in cells)]
+            for key, source, cells in zip(db.keys[block].tolist(), db.sources[block].tolist(),
+                                          numbers[block].tolist())))
     return "".join(parts)
 
 

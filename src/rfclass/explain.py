@@ -25,14 +25,12 @@ splits; working memory is a few (D, ROW_BLOCK, paths) arrays and a
 over hot/cold feature patterns is built, so deep trees cost D^2, not 2^D.
 """
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
 
 from .booster import Ensemble, Tree
-from .dataset import Database
+from .dataset import Database, csv_text
 
 
 def _child_fractions(tree: Tree) -> np.ndarray:
@@ -234,10 +232,7 @@ def _paths(ensemble: Ensemble) -> tuple[list[_PathGroup], np.ndarray, int]:
         went_left[children] = side == 0
         sibling[children] = others
 
-    levels = [np.flatnonzero(parent < 0)]  # the roots, in tree order
-    while levels[-1].size:
-        inner = levels[-1][forest.feature[levels[-1]] >= 0]
-        levels.append(np.concatenate([forest.left[inner], forest.right[inner]]))
+    levels = forest.levels(np.flatnonzero(parent < 0))  # the roots, in tree order
     depth = np.zeros(n, dtype=np.int64)
     for d, level in enumerate(levels):
         depth[level] = d
@@ -254,8 +249,8 @@ def _paths(ensemble: Ensemble) -> tuple[list[_PathGroup], np.ndarray, int]:
     base = np.bincount(slot_of_node[roots], weights=expected[roots], minlength=classes)
 
     leaves = np.flatnonzero(forest.feature < 0)
-    tree_start = np.cumsum([0] + sizes[:-1])
-    first_leaf = np.searchsorted(leaves, tree_start)[np.repeat(np.arange(len(trees)), sizes)]
+    # a tree's root is its first node, so the roots are where the trees start
+    first_leaf = np.searchsorted(leaves, roots)[np.repeat(np.arange(len(trees)), sizes)]
     groups = []
     for steps in np.unique(depth[leaves]):
         if steps == 0:
@@ -340,18 +335,12 @@ class ImportanceSummary:
 
     def to_csv(self) -> str:
         """Rows are features (most important first); columns per class plus overall."""
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
         k = self.per_class.shape[0]
-        writer.writerow(["feature", *[f"class_{c}" for c in range(k)], "overall"])
-        order = np.argsort(-self.overall, kind="stable")
-        for j in order:
-            writer.writerow([
-                self.feature_names[j],
-                *[f"{self.per_class[c, j]:.6g}" for c in range(k)],
-                f"{self.overall[j]:.6g}",
-            ])
-        return buf.getvalue()
+        columns = [self.feature_names.index(name) for name in self.ranking]
+        return csv_text([["feature", *[f"class_{c}" for c in range(k)], "overall"]] + [
+            [self.feature_names[j], *[f"{self.per_class[c, j]:.6g}" for c in range(k)],
+             f"{self.overall[j]:.6g}"]
+            for j in columns])
 
 
 def aggregate_importance(attribution: Attribution) -> ImportanceSummary:

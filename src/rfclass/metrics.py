@@ -2,12 +2,11 @@
 confusion bubble counts behind the estimated-vs-actual charts, all read off
 one table of (predicted, actual) label counts."""
 
-import csv
-import io
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .dataset import csv_text
 from .preprocess import N_CLASSES
 
 
@@ -104,24 +103,10 @@ class EvaluationReport:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "role": self.role,
-            "tag": self.tag,
-            "sample_count": self.sample_count,
-            "accuracy": self.accuracy,
-            "neighborhood_accuracy": self.neighborhood_accuracy,
-            "total_accuracy": self.total_accuracy,
-            "macro_f1": self.macro_f1,
-            "bubbles": [list(b) for b in self.bubbles],
-        }
+        return asdict(self)
 
     def bubbles_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["predicted_class", "actual_class", "count"])
-        for p, a, c in self.bubbles:
-            writer.writerow([p, a, c])
-        return buf.getvalue()
+        return csv_text([("predicted_class", "actual_class", "count"), *self.bubbles])
 
 
 def _acc_cell(report: EvaluationReport | None) -> str:
@@ -143,21 +128,17 @@ def summary_csv(
     """One-row summary table: per role, accuracy with neighborhood accuracy
     in parentheses, then macro f1; independent columns stay empty when the
     combination leaves no database out."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([
+    return csv_text([[
         "database",
         "n_train", "train_accuracy", "train_macro_f1",
         "n_test", "test_accuracy", "test_macro_f1",
         "independent_database", "n_independent",
         "independent_accuracy", "independent_macro_f1",
-    ])
-    writer.writerow([
+    ], [
         combo,
         train.sample_count, _acc_cell(train), _f1_cell(train),
         test.sample_count, _acc_cell(test), _f1_cell(test),
         independent.tag if independent else "",
         independent.sample_count if independent else "",
         _acc_cell(independent), _f1_cell(independent),
-    ])
-    return buf.getvalue()
+    ]])

@@ -256,7 +256,7 @@ def load_sources(config: PipelineConfig, tags) -> list[Database]:
                     key_column=src.key_column, rf_column=src.rf_column,
                     column_map=src.column_map,
                 ))
-            except IngestError as exc:  # the line number alone fits any source
+            except (IngestError, UnicodeDecodeError) as exc:  # the message alone fits any source
                 raise IngestError(f"{exc} (source {tag.value}: {path})") from None
         else:
             spec = preset(tag.value, config.synth.divergence)
@@ -269,13 +269,16 @@ def load_sources(config: PipelineConfig, tags) -> list[Database]:
 def read_prepared(path: Path, config: PipelineConfig) -> Database:
     """Parse a CSV a stage wrote (merged, train, test or independent set),
     under the config's schema restricted to the file's feature columns."""
-    text = path.read_text()
-    names = [h.strip() for h in text.partition("\n")[0].split(",")
-             if h.strip() not in ("key", "source", "RF")]
-    schema = config.schema.subset(names)
-    if len(schema.names) != len(names):  # non-canonical feature set
-        raise PipelineError(f"unrecognized feature columns in {path}")
-    return parse_database(text, config.combo, schema)
+    try:
+        text = path.read_text()
+        names = [h.strip() for h in text.partition("\n")[0].split(",")
+                 if h.strip() not in ("key", "source", "RF")]
+        schema = config.schema.subset(names)
+        if len(schema.names) != len(names):  # non-canonical feature set
+            raise PipelineError(f"unrecognized feature columns in {path}")
+        return parse_database(text, config.combo, schema)
+    except (IngestError, UnicodeDecodeError) as exc:  # the message alone fits any file
+        raise IngestError(f"{exc} ({path})") from None
 
 
 def ingest(config: PipelineConfig) -> Database:
@@ -361,18 +364,15 @@ def preprocess(merged: Database, config: PipelineConfig,
                     independent, meta)
 
 
-def tune(train_t: Database, config: PipelineConfig,
-         trace_path: Path | None = None) -> Hyperparameters:
-    """The pairwise search's pick when the config has a `grid` (its trace
-    written to `trace_path`), else the fixed `hyperparameters` or the defaults."""
+def tune(train_t: Database, config: PipelineConfig) -> tuple[Hyperparameters, str | None]:
+    """The pairwise search's pick and its trace as JSON lines when the config
+    has a `grid`, else the fixed `hyperparameters` or the defaults and no trace."""
     if config.grid is None:
-        return config.hyperparameters or Hyperparameters()
+        return config.hyperparameters or Hyperparameters(), None
     trace: list[dict] = []
     result = pairwise_grid_search(train_t, config.grid, _stage_seed(config.seed, 20),
                                   k=config.split.k_folds, trace_sink=trace.append)
-    if trace_path is not None:
-        trace_path.write_text("".join(json.dumps(e, sort_keys=True) + "\n" for e in trace))
-    return result.hyperparameters
+    return result.hyperparameters, "".join(json.dumps(e, sort_keys=True) + "\n" for e in trace)
 
 
 def fit(train_t: Database, hp: Hyperparameters, config: PipelineConfig) -> Ensemble:
@@ -452,8 +452,10 @@ def run_pipeline(config: PipelineConfig, out_dir: str | Path) -> RunResult:
             prepared.write(run_dir)
 
         with _stage("tune"):
-            hp = tune(prepared.train, config, run_dir / "tuning_trace.jsonl")
+            hp, trace = tune(prepared.train, config)
             _dump_json(run_dir / "hyperparameters.json", hp.to_dict())
+            if trace is not None:
+                (run_dir / "tuning_trace.jsonl").write_text(trace)
 
         with _stage("train"):
             model = fit(prepared.train, hp, config)

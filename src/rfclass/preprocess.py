@@ -24,19 +24,13 @@ N_CLASSES = 10
 _SQRT2 = math.sqrt(2.0)
 
 
-def bin_rf(rf: float) -> int:
-    """Class index for a recovery factor: tenth-wide bins, top class open above.
+def class_labels(db: Database) -> np.ndarray:
+    """The class index of every record's recovery factor: tenth-wide bins,
+    top class open above.
 
     Bins are left-closed: class c covers [c/10, (c+1)/10) for c < 9 and
     [0.9, inf) for class 9.
     """
-    if rf < 0:
-        raise ValueError(f"recovery factor must be non-negative, got {rf}")
-    return min(int(math.floor(rf * 10.0)), N_CLASSES - 1)
-
-
-def class_labels(db: Database) -> np.ndarray:
-    """`bin_rf` of every record's RF, as one array operation."""
     missing = np.isnan(db.rf)
     if missing.any():
         raise ValueError(f"records without RF cannot be binned: {db.keys[missing][:3].tolist()}")

@@ -71,8 +71,8 @@ class SearchGrid:
             for value in values:  # a value the settings would reject
                 Hyperparameters.from_dict({name: value})
         for pair in self.pairs:
-            if not 1 <= len(pair) <= 2:
-                raise ValueError(f"pairs must hold one or two names, got {pair}")
+            if not 1 <= len(pair) <= 2 or len(set(pair)) != len(pair):
+                raise ValueError(f"pairs must hold one or two names, each once, got {pair}")
             for name in pair:
                 if name not in self.candidates:
                     raise ValueError(f"pair references {name!r} without candidates")
@@ -291,28 +291,20 @@ def pairwise_grid_search(
             for pair in grid.pairs:
                 combos = list(itertools.product(*(grid.candidates[name] for name in pair)))
                 candidates = [replace(hp, **dict(zip(pair, combo))) for combo in combos]
-                best_combo = None
-                best_score = None
-                scores = []
-                for combo, score in zip(combos, _scores(means, candidates, memo)):
-                    evaluations += 1
-                    scores.append({"values": list(combo), "score": score})
-                    if best_score is None or score < best_score:
-                        best_score = score
-                        best_combo = combo
-                previous = tuple(getattr(hp, name) for name in pair)
-                hp = replace(hp, **dict(zip(pair, best_combo)))
-                current_score = best_score
-                if tuple(getattr(hp, name) for name in pair) != previous:
-                    changed = True
+                scores = _scores(means, candidates, memo)
+                evaluations += len(scores)
+                best = min(range(len(scores)), key=scores.__getitem__)  # earliest of ties
+                changed |= candidates[best] != hp
+                hp, current_score = candidates[best], scores[best]
                 if trace_sink:
                     trace_sink({
                         "event": "pair",
                         "sweep": sweep,
                         "pair": list(pair),
-                        "scores": scores,
-                        "adopted": list(best_combo),
-                        "score": best_score,
+                        "scores": [{"values": list(combo), "score": score}
+                                   for combo, score in zip(combos, scores)],
+                        "adopted": list(combos[best]),
+                        "score": current_score,
                     })
             if not changed:
                 break

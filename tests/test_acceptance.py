@@ -276,6 +276,7 @@ def dependence_runs(tmp_path_factory):
     return {"runs": runs, "elapsed": time.perf_counter() - start, "base": base}
 
 
+@pytest.mark.slow
 def test_criterion_08_database_dependence(dependence_runs):
     runs = dependence_runs["runs"]
     for combo in ("TC", "TA", "CA"):
@@ -295,6 +296,7 @@ def test_criterion_08_database_dependence(dependence_runs):
            dependence_runs["elapsed"], 600.0)
 
 
+@pytest.mark.slow
 def test_criterion_09_importance_ground_truth(dependence_runs):
     runs = dependence_runs["runs"]
     hits = 0
@@ -307,6 +309,7 @@ def test_criterion_09_importance_ground_truth(dependence_runs):
            0.0, 600.0)
 
 
+@pytest.mark.slow
 def test_criterion_10_determinism(dependence_runs, tmp_path):
     start = time.perf_counter()
     first = dependence_runs["runs"][("TC", 100)]

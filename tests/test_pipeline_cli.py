@@ -430,6 +430,9 @@ class TestCli:
         ({"hyperparameters": None,
           "grid": {"candidates": {"max_depth": [2]}, "pairs": 5}},
          "pairs must be lists of names"),
+        ({"hyperparameters": None,
+          "grid": {"candidates": {"max_depth": [2]}, "pairs": [["max_depth", "max_depth"]]}},
+         "pairs must hold one or two names, each once"),
         ({"hyperparameters": None, "grid": {"candidates": [1]}},
          "candidates must map names to lists"),
         ({"seed": 1.7}, "seed must be a number written as a JSON integer"),
@@ -473,6 +476,7 @@ class TestCli:
             "feature_threshold_above_one", "record_threshold_zero",
             "range_override_unknown_feature", "range_override_inverted",
             "grid_candidates_not_list", "grid_candidate_not_number", "grid_pairs_number",
+            "grid_pair_repeats_a_name",
             "grid_candidates_list", "seed_fraction", "k_folds_fraction", "synth_n_fraction",
             "column_map_not_object", "objective_not_softmax", "num_rounds_fraction",
             "alpha_nan", "num_class_float", "num_class_true", "unknown_top_level_key",
@@ -489,9 +493,9 @@ class TestCli:
     @pytest.mark.parametrize("extra", [
         {},
         {"early_stopping_patience": 2},
-        {"hyperparameters": None, "split": {"test_fraction": 0.1, "k_folds": 3},
-         "grid": {"candidates": {"max_depth": [2, 3]}, "pairs": [["max_depth"]],
-                  "max_sweeps": 1}},
+        pytest.param({"hyperparameters": None, "split": {"test_fraction": 0.1, "k_folds": 3},
+                      "grid": {"candidates": {"max_depth": [2, 3]}, "pairs": [["max_depth"]],
+                               "max_sweeps": 1}}, marks=pytest.mark.slow),
         {"synth": None, "sources": ["TORIS", "Commercial"]},
     ], ids=["fixed", "early_stopping", "grid", "no_held_out"])
     def test_stages_reproduce_run_byte_for_byte(self, tmp_path, extra):
@@ -580,6 +584,16 @@ class TestCli:
             assert multiprocessing.active_children() == []
         assert outcomes == [(4, "error [tune] no split left\n")] * 2
 
+    def test_tune_without_grid_removes_a_stale_trace(self, trained_run, tmp_path, capsys):
+        assert self._tune(trained_run, tmp_path, 1, "hp") == 0
+        trace = tmp_path / "hp.jsonl"
+        assert trace.exists()
+        assert main(["tune", "--config", str(self._write_config(tmp_path)),
+                     "--train", str(trained_run / "train.csv"),
+                     "--out", str(tmp_path / "hp.json"), "--trace", str(trace)]) == 0
+        assert not trace.exists()
+        assert f"{trace} not written" in capsys.readouterr().out
+
     def test_preprocess_without_held_out_source_removes_a_stale_independent_csv(self, tmp_path,
                                                                               capsys):
         sources = _write_sources(tmp_path, ["TORIS", "Commercial", "Atlas"])
@@ -631,10 +645,23 @@ class TestCli:
          "error [ingest] line 2: field larger than field limit (131072)"),
         (["run", "--config", "{tmp}/wide.json", "--out", "{tmp}/run"], 3,
          "error [ingest] line 2: field larger than field limit (131072)"),
+        (["train", "--train", "{run}/train.csv", "--hp", "{tmp}/comma.json",
+          "--out", "{tmp}/model.json"], 3,
+         "error [train] Expecting ',' delimiter: line 2 column 1 (char 16) ({tmp}/comma.json)\n"),
+        (["evaluate", "--model", "{tmp}/blank.json", "--data", "{run}/test.csv",
+          "--out", "{tmp}/report.json"], 3,
+         "error [evaluate] Expecting value: line 2 column 1 (char 1) ({tmp}/blank.json)\n"),
+        (["ingest", "--config", "{tmp}/latin.json", "--out", "{tmp}/merged.csv"], 3,
+         "error [ingest] 'utf-8' codec can't decode byte 0xff in position 7: invalid start byte "
+         "(source TORIS: {tmp}/latin.csv)\n"),
+        (["preprocess", "--data", "{tmp}/latin.csv", "--out", "{tmp}/prep"], 3,
+         "error [preprocess] 'utf-8' codec can't decode byte 0xff in position 7: invalid start "
+         "byte ({tmp}/latin.csv)\n"),
     ], ids=["ingest_out_in_missing_dir", "run_out_is_file", "config_is_directory",
             "config_not_utf8", "hp_unknown_key", "hp_not_object", "hp_value_not_number",
             "hp_num_class_12", "model_not_object", "hp_num_class_float", "hp_num_class_true",
-            "ingest_field_over_csv_limit", "run_field_over_csv_limit"])
+            "ingest_field_over_csv_limit", "run_field_over_csv_limit", "hp_not_json",
+            "model_not_json", "source_not_utf8", "prepared_not_utf8"])
     def test_bad_path_is_diagnosed_without_traceback(self, trained_run, tmp_path, capfd,
                                                       argv, code, message):
         config = self._write_config(tmp_path)
@@ -650,11 +677,16 @@ class TestCli:
         # line 2 holds a quoted key over the csv module's field size limit
         (tmp_path / "TORIS.csv").write_text(f'{header}\n"{"k" * 200_000}"\n{rest}')
         (tmp_path / "wide.json").write_text(json.dumps({"combo": "TC", "sources": sources}))
+        (tmp_path / "comma.json").write_text('{"max_depth": 2\n"gamma": 0}')
+        (tmp_path / "blank.json").write_text("\n")
+        (tmp_path / "latin.csv").write_bytes(b"key,RF\n\xff,0.3\n")
+        (tmp_path / "latin.json").write_text(json.dumps(
+            {"combo": "TC", "sources": dict(sources, TORIS={"path": str(tmp_path / "latin.csv")})}))
         command, *rest = [arg.format(tmp=tmp_path, run=trained_run) for arg in argv]
         assert main([command, "--config", str(config), *rest]) == code
         err = capfd.readouterr().err
         assert err.startswith("error [") and "Traceback" not in err
-        assert err.startswith(message)
+        assert err.startswith(message.format(tmp=tmp_path))
 
     @pytest.mark.parametrize("corrupt, message", [
         (lambda doc: _internal_node(doc).update(feature=99), "feature 99 is outside"),

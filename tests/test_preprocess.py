@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from rfclass.dataset import canonical_schema
 from rfclass.errors import FitError, PipelineError
 from rfclass.preprocess import (PruneSpec, SplitSpec, apply_transforms,
-                                bin_rf, class_labels, complete_cases,
+                                class_labels, complete_cases,
                                 filter_ranges, fit_transforms, impute,
                                 prune_missing, stratified_kfold,
                                 stratified_split)
@@ -85,37 +85,43 @@ def db_from_column(column, rfs):
     return make_database(records)
 
 
-# ---------------------------------------------------------------- bin_rf
+# ---------------------------------------------------------------- RF binning
+
+def labels_of(*rfs):
+    """`class_labels` of a database whose records carry the given RFs."""
+    return class_labels(make_database(
+        [make_record(f"r{i:03d}", [1.0] * 11, rf) for i, rf in enumerate(rfs)])).tolist()
+
 
 class TestBinRf:
+    """The binning rule, through `class_labels`, which every split and label uses."""
+
     def test_interval_membership(self):
-        assert bin_rf(0.25) == 2
+        assert labels_of(0.25) == [2]
 
     def test_top_class(self):
-        assert bin_rf(0.95) == 9
+        assert labels_of(0.95) == [9]
 
     def test_clamps_above_one(self):
         # published RF maxima reach 1.44 and 2.32; both stay in class 9
-        assert bin_rf(1.44) == 9
-        assert bin_rf(2.32) == 9
+        assert labels_of(1.44, 2.32) == [9, 9]
 
     def test_left_closed_boundaries(self):
-        assert bin_rf(0.0) == 0
-        assert bin_rf(0.1) == 1
-        assert bin_rf(0.9) == 9
+        assert labels_of(0.0, 0.1, 0.9) == [0, 1, 9]
 
     def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            bin_rf(-0.01)
+        with pytest.raises(ValueError, match="non-negative"):
+            labels_of(0.3, -0.01)
 
-    @given(st.floats(min_value=0.0, max_value=2.32, allow_nan=False))
-    def test_partitions_published_range(self, rf):
-        c = bin_rf(rf)
-        assert 0 <= c <= 9
-        if c < 9:
-            assert c / 10 <= rf < (c + 1) / 10
-        else:
-            assert rf >= 0.9
+    @given(st.lists(st.floats(min_value=0.0, max_value=2.32, allow_nan=False),
+                    min_size=1, max_size=20))
+    def test_partitions_published_range(self, rfs):
+        for rf, c in zip(rfs, labels_of(*rfs)):
+            assert 0 <= c <= 9
+            if c < 9:
+                assert c / 10 <= rf < (c + 1) / 10
+            else:
+                assert rf >= 0.9
 
 
 # ---------------------------------------------------------------- filters
