@@ -20,11 +20,27 @@ of candidates scored at once, and every node works in views of it, so no
 node allocates temporaries of its own size. A tree's gradients and hessians
 are packed into one complex array, so one gather and one cumulative sum give
 both prefix sums, with the bits of two float sums.
+
+A round's class trees read only that round's probabilities, so `train`
+grows them on up to `min(CPUs, 10)` processes. It forks its tree workers
+once per call, after the workspace is built, so they share the matrix and
+its sort without copying them. The caller makes every random draw in class
+order, and worker `w` grows the classes k = w (mod workers). Each process
+keeps its own margins: it adds its own trees' walks as it grows them, and
+the others' once the round's trees are in. So no memory is shared and the
+caller allocates what a lone process would. Every float operation is the
+one a lone process does, so the models are bit-identical at any worker
+count.
 """
 
 import json
 import math
+import multiprocessing
+import os
+import signal
 import sys
+import threading
+from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields
 from functools import cached_property
 from types import NoneType, UnionType
@@ -275,10 +291,10 @@ class _TreeBuilder:
                     right.astype(np.int64), value, cover, gain)
 
 
-def softmax_margins(margins: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with max-margin subtraction."""
+def softmax_margins(margins: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Row-wise softmax with max-margin subtraction, written into `out` if given."""
     margins = np.asarray(margins, dtype=float)
-    exp = margins - margins.max(axis=-1, keepdims=True)
+    exp = np.subtract(margins, margins.max(axis=-1, keepdims=True), out=out)
     np.exp(exp, out=exp)
     exp /= exp.sum(axis=-1, keepdims=True)
     return exp
@@ -556,6 +572,120 @@ def predict_class(ensemble: Ensemble, X) -> np.ndarray | int:
     return int(pred[0]) if single else pred
 
 
+def worker_count(n_tasks: int) -> int:
+    """Processes to share `n_tasks` independent tasks: one per CPU this
+    process may run on, at most one per task. It is 1 on a platform without
+    `sched_getaffinity` (where `fork` is missing or unsafe), in a process
+    running other threads, since a forked child could inherit a lock one of
+    them holds, and in a daemonic process, such as a tuning fold worker,
+    which may not start children."""
+    if not hasattr(os, "sched_getaffinity") or threading.active_count() > 1 \
+            or multiprocessing.current_process().daemon:
+        return 1
+    return min(len(os.sched_getaffinity(0)), n_tasks)
+
+
+class _BoostState:
+    """One process's margins over the training rows and the round's
+    probabilities, and the growth of one class's tree from them.
+
+    A forked tree worker keeps a copy of its own, so no memory is shared:
+    each process adds the walk of every tree to its margins, its own trees'
+    as it grows them and the others' at the start of the next round, with
+    the float operations of a single process.
+    """
+
+    def __init__(self, ws: _Workspace, X, y, hp: Hyperparameters):
+        self.ws, self.X, self.y, self.hp = ws, X, y, hp
+        self.margins = np.zeros((X.shape[0], hp.num_class))
+        self.proba = np.empty_like(self.margins)
+        self.begin_round([])
+
+    def begin_round(self, others: list[tuple[int, Tree]]) -> None:
+        """Add the walks of the (class, tree) pairs other processes grew in
+        the last round, then compute the probabilities from the margins."""
+        for k, tree in others:
+            self.margins[:, k] += tree.predict_margin(self.X)
+        softmax_margins(self.margins, out=self.proba)
+
+    def grow(self, k: int, mask: np.ndarray | None, cols_by_depth: list[np.ndarray]) -> Tree:
+        p = self.proba[:, k]
+        g = p - (self.y == k)
+        h = p * (1.0 - p)
+        tree = _grow_tree(self.ws, g, h, _mask_rows(mask, self.X.shape[0]), self.hp,
+                          cols_by_depth)
+        self.margins[:, k] += tree.predict_margin(self.X)
+        return tree
+
+
+def _tree_worker(conn, parent_end, state: _BoostState) -> None:
+    """A forked tree worker: grow a tree for each draw of a round and send
+    them back, then begin the next round with the (class, tree) pairs the
+    other processes grew, until the parent sends None or goes away."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles Ctrl-C
+    parent_end.close()  # else the parent's end stays open here and hides its exit
+    try:
+        while (draws := conn.recv()) is not None:
+            conn.send([state.grow(*draw) for draw in draws])
+            state.begin_round(conn.recv())
+    except EOFError:
+        pass
+
+
+@contextmanager
+def _tree_workers(state: _BoostState, workers: int):
+    """Yield `grow_round(draws)`, which grows one tree for each (class,
+    mask, columns) draw of a round, returns them in draw order and begins
+    the next round in `state`.
+
+    `workers - 1` children are forked here, each with its own copy of
+    `state`: child `w` grows the draws at positions w (mod workers), this
+    process the rest. Once a round's trees are in, each child is sent the
+    trees it did not grow and begins the next round while this process
+    does. With one worker every tree grows in this process. The children
+    are stopped by a message when the block ends, and terminated and joined
+    however it exits.
+    """
+    context = multiprocessing.get_context("fork")
+    conns, children = [], []
+    try:
+        for _ in range(1, workers):
+            parent_end, child_end = context.Pipe()
+            conns.append(parent_end)
+            child = context.Process(target=_tree_worker, args=(child_end, parent_end, state),
+                                    daemon=True)
+            child.start()
+            children.append(child)
+            child_end.close()  # so a child that dies gives this end EOF
+
+        def grow_round(draws: list) -> list[Tree]:
+            trees = [None] * len(draws)
+            try:
+                for w, conn in enumerate(conns, 1):
+                    conn.send(draws[w::workers])
+                trees[::workers] = [state.grow(*draw) for draw in draws[::workers]]
+                for w, conn in enumerate(conns, 1):
+                    trees[w::workers] = conn.recv()
+                for w, conn in enumerate(conns, 1):
+                    conn.send([(k, tree) for k, tree in enumerate(trees) if k % workers != w])
+            except (EOFError, ConnectionError):  # the child's end closed
+                raise TrainingError("a tree worker process exited mid-round") from None
+            state.begin_round([(k, tree) for k, tree in enumerate(trees) if k % workers])
+            return trees
+
+        yield grow_round
+        for conn in conns:
+            conn.send(None)
+        for child in children:
+            child.join()
+    finally:
+        for child in children:
+            child.terminate()  # a joined child is not signalled again
+            child.join()
+        for conn in conns:
+            conn.close()
+
+
 def train(
     X: np.ndarray,
     y: np.ndarray,
@@ -575,7 +705,8 @@ def train(
     other is refused), training stops once validation mlogloss has not
     improved for `patience` rounds and the ensemble is truncated to the best
     round; the eval margins are updated tree by tree, so each round walks
-    only its own trees over the eval set.
+    only its own trees over the eval set. A round's trees grow on
+    `worker_count(10)` processes, and the model does not depend on how many.
 
     training_loss holds the training mlogloss before each round plus a
     final entry, so it has num_rounds + 1 values.
@@ -608,8 +739,7 @@ def train(
     rng = np.random.default_rng(seed)
 
     ensemble = Ensemble(hp=hp, num_features=d, feature_names=names)
-    margins = np.zeros((n, k_classes))
-    workspace = _Workspace(X)
+    state = _BoostState(_Workspace(X), X, y, hp)
     if early_stopping:
         X_eval = np.ascontiguousarray(ensemble._as_matrix(eval_set[0]))
         eval_margins = np.zeros((X_eval.shape[0], k_classes))
@@ -617,47 +747,47 @@ def train(
     best_round = 0
     rounds_since_best = 0
 
-    for _ in range(hp.num_rounds):
-        proba = softmax_margins(margins)
-        ensemble.training_loss.append(mlogloss(proba, y))
-        round_trees = []
-        for k in range(k_classes):
-            g = proba[:, k] - (y == k)
-            h = proba[:, k] * (1.0 - proba[:, k])
-            rows = _subsample_rows(rng, n, hp.subsample)
-            cols_by_depth = _sample_columns(rng, d, hp)
-            tree = _grow_tree(workspace, g, h, rows, hp, cols_by_depth)
-            margins[:, k] += tree.predict_margin(X)
-            if early_stopping:
-                eval_margins[:, k] += tree.predict_margin(X_eval)
-            round_trees.append(tree)
-        ensemble.trees.append(round_trees)
+    workers = worker_count(k_classes) if hp.num_rounds else 1
+    with _tree_workers(state, workers) as grow_round:
+        for _ in range(hp.num_rounds):
+            ensemble.training_loss.append(mlogloss(state.proba, y))
+            draws = [(k, _subsample_mask(rng, n, hp.subsample), _sample_columns(rng, d, hp))
+                     for k in range(k_classes)]
+            round_trees = grow_round(draws)
+            ensemble.trees.append(round_trees)
 
-        if early_stopping:
-            eval_loss = mlogloss(softmax_margins(eval_margins), eval_set[1])
-            if eval_loss < best_eval:
-                best_eval = eval_loss
-                best_round = len(ensemble.trees)
-                rounds_since_best = 0
-            else:
-                rounds_since_best += 1
-                if rounds_since_best >= early_stopping_patience:
-                    break
+            if early_stopping:
+                for k, tree in enumerate(round_trees):
+                    eval_margins[:, k] += tree.predict_margin(X_eval)
+                eval_loss = mlogloss(softmax_margins(eval_margins), eval_set[1])
+                if eval_loss < best_eval:
+                    best_eval = eval_loss
+                    best_round = len(ensemble.trees)
+                    rounds_since_best = 0
+                else:
+                    rounds_since_best += 1
+                    if rounds_since_best >= early_stopping_patience:
+                        break
 
     if early_stopping and ensemble.trees:
         del ensemble.trees[best_round:]
         del ensemble.training_loss[best_round:]
         ensemble.best_round = best_round
-        margins = ensemble.margins(X)
+        softmax_margins(ensemble.margins(X), out=state.proba)
 
-    ensemble.training_loss.append(mlogloss(softmax_margins(margins), y))
+    ensemble.training_loss.append(mlogloss(state.proba, y))
     return ensemble
 
 
-def _subsample_rows(rng, n: int, rate: float) -> np.ndarray:
-    if rate >= 1.0:
-        return np.arange(n)
-    rows = np.flatnonzero(rng.random(n) < rate)
+def _subsample_mask(rng, n: int, rate: float) -> np.ndarray | None:
+    """One tree's Bernoulli row draw as a mask of n bytes, or None, for
+    every row, at rate 1, which draws nothing."""
+    return rng.random(n) < rate if rate < 1.0 else None
+
+
+def _mask_rows(mask: np.ndarray | None, n: int) -> np.ndarray:
+    """The rows a `_subsample_mask` draw keeps, ascending; every row if it keeps none."""
+    rows = np.flatnonzero(mask) if mask is not None else np.arange(n)
     return rows if rows.size else np.arange(n)
 
 

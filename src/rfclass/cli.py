@@ -15,10 +15,10 @@ the matching file of a run directory byte for byte.
     explain     importance summary for a saved model
     run         the whole workflow into a run directory, published whole
 
-Every subcommand reports an error as `error [<stage>] <message>` on stderr,
-where the stage is the subcommand's name or, under `run`, the failing
-stage's. Exit codes: 0 success, 2 config error, 3 data error, 4 training
-error.
+Every subcommand checks its output paths before it reads any input, and
+reports an error as `error [<stage>] <message>` on stderr, where the stage
+is the subcommand's name or, under `run`, the failing stage's. Exit codes:
+0 success, 2 config error, 3 data error, 4 training error.
 """
 
 import argparse
@@ -60,6 +60,23 @@ def _load_config(path: str) -> PipelineConfig:
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {config_path}: {exc}") from None
     return PipelineConfig.from_json(text)
+
+
+def _check_outputs(args) -> None:
+    """Refuse, before any work, an output the command could not write: a
+    `--out` or `--trace` file must not be a directory and must lie in one
+    that exists, and the directory `preprocess --out` makes must not be a
+    file. `run_pipeline` checks a run directory itself."""
+    if args.command == "preprocess":
+        if Path(args.out).exists() and not Path(args.out).is_dir():
+            raise PipelineError(f"output directory {args.out} is a file")
+    elif args.command != "run":
+        for path in map(Path, filter(None, (args.out, getattr(args, "trace", None)))):
+            if path.is_dir():
+                raise PipelineError(f"output file {path} is a directory")
+            if not path.parent.is_dir():
+                raise PipelineError(f"no directory for output file {path}: "
+                                    f"{path.parent} does not exist")
 
 
 def _require(path: str, what: str) -> Path:
@@ -251,6 +268,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         with _stage(args.command):
+            _check_outputs(args)
             return args.func(args)
     except StageFailure as exc:
         print(f"error {exc}", file=sys.stderr)

@@ -22,21 +22,20 @@ The folds are independent, so every (group, fold) training of a pair is
 one task of one `map` over a pool of forked worker processes, one per
 available CPU, opened once per search. Losses are gathered by task index
 and each mean is taken in fold order, so scores do not depend on the
-worker count; with one CPU the tasks run in the calling process.
+worker count; with one CPU the tasks run in the calling process. A fold
+worker is daemonic, so the `train` calls in it grow their trees in it too.
 """
 
 import itertools
 import multiprocessing
-import os
 import signal
-import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable
 
 import numpy as np
 
-from .booster import Ensemble, Hyperparameters, mlogloss, softmax_margins, train
+from .booster import Ensemble, Hyperparameters, mlogloss, softmax_margins, train, worker_count
 from .booster import predict_proba  # noqa: F401 -- unused; perfbench/tracing.py wraps it here
 from .dataset import Database
 from .preprocess import SplitSpec, stratified_kfold, to_matrix
@@ -109,17 +108,6 @@ def default_grid() -> SearchGrid:
     )
 
 
-def _worker_count(n_tasks: int) -> int:
-    """Worker processes for `n_tasks` fold trainings: one per CPU this
-    process may run on, at most one per task. It is 1 on a platform without
-    `sched_getaffinity` (where `fork` is missing or unsafe) and in a process
-    running other threads, since a forked child could inherit a lock one of
-    them holds."""
-    if not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
-        return 1
-    return min(len(os.sched_getaffinity(0)), n_tasks)
-
-
 @dataclass(frozen=True)
 class _Folds:
     """What every fold training reads; a worker receives it once."""
@@ -180,7 +168,7 @@ def _fold_pool(train_db: Database, k: int, seed: int):
     order.
 
     Every (job, fold) training of one call is one task of one `map`, over
-    `_worker_count` forked workers that received the matrix and the folds
+    `worker_count` forked workers that received the matrix and the folds
     once; with one worker the tasks run in this process. Results are
     gathered by task index, so the means do not depend on the worker
     count. The workers are terminated and joined however the block exits.
@@ -189,7 +177,7 @@ def _fold_pool(train_db: Database, k: int, seed: int):
     folds = [(fit_idx, val_idx) for fit_idx, val_idx
              in stratified_kfold(train_db, SplitSpec(k_folds=k, seed=seed)) if val_idx.size]
     data = _Folds(X, y, folds, train_db.schema.names, seed)
-    workers = _worker_count(len(folds))
+    workers = worker_count(len(folds))
     pool = (multiprocessing.get_context("fork").Pool(
         workers, initializer=_init_worker, initargs=(data,)) if workers > 1 else None)
 

@@ -1,3 +1,5 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -58,3 +60,15 @@ def random_tree(rng, n_features, max_depth, min_cover=0.5, zero_cover=0.0):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture(autouse=True)
+def leaves_no_child_process():
+    """Fail the test that leaves a child process running, from the tuner's
+    fold pool or `train`'s tree workers, and stop the children it left."""
+    yield
+    left = multiprocessing.active_children()
+    for child in left:
+        child.terminate()
+        child.join()
+    assert not left, f"the test left {len(left)} child process(es) running"

@@ -1,5 +1,9 @@
 import json
 import math
+import multiprocessing
+import os
+import signal
+import threading
 import tracemalloc
 from dataclasses import fields
 from unittest import mock
@@ -511,13 +515,15 @@ class TestTrain:
         X = np.round(data.normal(size=(n, d)), 1)
         g = np.round(data.normal(size=n), 2)
         h = 1.0 + data.integers(-spread, spread + 1, size=n) * 2.0**-52
-        rows = booster._subsample_rows(data, n, subsample)
+        rows = booster._mask_rows(booster._subsample_mask(data, n, subsample), n)
         hp = hp_with(max_depth=max_depth, min_child_weight=min_child_weight, lambda_=0.5)
         grown_alike(X, g, h, rows, hp, [np.arange(d)] * max_depth)
 
-    def test_training_memory_is_bounded_by_the_workspace(self):
+    @pytest.mark.parametrize("n_cpus", [1, 2])
+    def test_training_memory_is_bounded_by_the_workspace(self, n_cpus):
         # the ingest_tca_large shape: a split search or child filter that
-        # allocates per-node (d, n) temporaries again would pass this bound
+        # allocates per-node (d, n) temporaries again would pass this bound;
+        # with tree workers, the parent holds no more than alone
         n, d = 30_000, 12
         data = np.random.default_rng(8)
         X = np.round(data.normal(size=(n, d)), 2)
@@ -529,7 +535,8 @@ class TestTrain:
         margins = 2 * 80 * n + 2 * 8 * n  # margins and probabilities; g and h
         tracemalloc.start()
         try:
-            train(X, y, hp_with(max_depth=2, num_rounds=1, subsample=0.9), seed=0)
+            with cpus(n_cpus):
+                train(X, y, hp_with(max_depth=2, num_rounds=1, subsample=0.9), seed=0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -577,6 +584,122 @@ class TestTrain:
             kwargs["eval_set"] = (X[:10], y[:10])
         with pytest.raises(TrainingError, match=message):
             train(X, y, hp_with(num_rounds=2), seed=0, **kwargs)
+
+
+# ---------------------------------------------------------------- tree workers
+
+def cpus(n):
+    """Patch the CPUs this process may run on, and so the tree workers."""
+    return mock.patch.object(os, "sched_getaffinity", return_value=set(range(n)))
+
+
+def in_children(action):
+    """A `_grow_tree` that runs `action()` first when called in a forked
+    tree worker, and grows as before."""
+    parent, grow = os.getpid(), booster._grow_tree
+
+    def grow_tree(*args):
+        if os.getpid() != parent:
+            action()
+        return grow(*args)
+    return mock.patch.object(booster, "_grow_tree", grow_tree)
+
+
+def worker_data(seed=2, n=120, d=4):
+    data = np.random.default_rng(seed)
+    return np.round(data.normal(size=(n, d)), 1), data.integers(0, 10, n)
+
+
+class TestTreeWorkers:
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 80), d=st.integers(1, 4),
+           max_depth=st.integers(1, 6), subsample=st.sampled_from([1.0, 0.6]),
+           colsample_bytree=st.sampled_from([1.0, 0.5]),
+           colsample_bylevel=st.sampled_from([1.0, 0.7]), early_stopping=st.booleans())
+    @example(seed=5, n=50, d=3, max_depth=3, subsample=0.6, colsample_bytree=0.5,
+             colsample_bylevel=0.7, early_stopping=True)
+    def test_models_are_byte_identical_at_one_two_and_three_workers(
+            self, seed, n, d, max_depth, subsample, colsample_bytree, colsample_bylevel,
+            early_stopping):
+        data = np.random.default_rng(seed)
+        X = np.round(data.normal(size=(n, d)), 1)
+        y = data.integers(0, 10, n)
+        hp = hp_with(max_depth=max_depth, num_rounds=6, subsample=subsample,
+                     colsample_bytree=colsample_bytree, colsample_bylevel=colsample_bylevel,
+                     min_child_weight=0.1, learning_rate=0.5)
+        stop = {}
+        if early_stopping:
+            stop = dict(eval_set=(X[::2], data.integers(0, 10, X[::2].shape[0])),
+                        early_stopping_patience=2)
+        docs = []
+        for n_cpus in (1, 2, 3):
+            with cpus(n_cpus):
+                docs.append(serialize_ensemble(train(X, y, hp, seed, **stop)))
+        assert docs[0] == docs[1] == docs[2]
+
+    def test_children_share_the_round_and_none_outlives_train(self):
+        seen = []
+        grow = booster._grow_tree
+
+        def grow_tree(*args):
+            seen.append(len(multiprocessing.active_children()))
+            return grow(*args)
+        X, y = worker_data()
+        for n_cpus in (1, 2, 3, 12):
+            seen.clear()
+            with cpus(n_cpus), mock.patch.object(booster, "_grow_tree", grow_tree):
+                train(X, y, hp_with(num_rounds=2), seed=0)
+            # the parent grows the classes k = 0 (mod workers), two rounds of them
+            workers = min(n_cpus, 10)
+            assert seen == [workers - 1] * len(range(0, 10, workers)) * 2
+            assert multiprocessing.active_children() == []
+
+    def test_a_thread_or_a_daemonic_process_forks_nothing(self, monkeypatch):
+        X, y = worker_data()
+        want = serialize_ensemble(train(X, y, hp_with(num_rounds=3), seed=1))
+        no_fork = mock.patch.object(os, "fork", side_effect=AssertionError("forked"))
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            with cpus(2), no_fork:
+                assert booster.worker_count(10) == 1
+                assert serialize_ensemble(train(X, y, hp_with(num_rounds=3), seed=1)) == want
+        finally:
+            stop.set()
+            thread.join()
+        monkeypatch.setitem(multiprocessing.current_process()._config, "daemon", True)
+        with cpus(2), no_fork:
+            assert booster.worker_count(10) == 1
+            assert serialize_ensemble(train(X, y, hp_with(num_rounds=3), seed=1)) == want
+
+    def test_a_worker_that_dies_raises_training_error_and_leaves_no_child(self):
+        X, y = worker_data()
+        with cpus(3), in_children(lambda: os._exit(1)):
+            with pytest.raises(TrainingError, match="tree worker process exited"):
+                train(X, y, hp_with(num_rounds=3), seed=0)
+        assert multiprocessing.active_children() == []
+
+    def test_interrupt_mid_train_leaves_no_child(self):
+        X, y = worker_data()
+        parent, calls, grow = os.getpid(), [], booster._grow_tree
+
+        def grow_tree(*args):
+            calls.append(None)
+            if os.getpid() == parent and len(calls) == 7:  # the parent's second round
+                raise KeyboardInterrupt
+            return grow(*args)
+        with cpus(2), mock.patch.object(booster, "_grow_tree", grow_tree):
+            with pytest.raises(KeyboardInterrupt):
+                train(X, y, hp_with(num_rounds=3), seed=0)
+        assert multiprocessing.active_children() == []
+
+    def test_workers_ignore_ctrl_c(self, capfd):
+        X, y = worker_data()
+        want = serialize_ensemble(train(X, y, hp_with(num_rounds=3), seed=4))
+        with cpus(2), in_children(lambda: os.kill(os.getpid(), signal.SIGINT)):
+            assert serialize_ensemble(train(X, y, hp_with(num_rounds=3), seed=4)) == want
+        assert "Traceback" not in capfd.readouterr().err
 
 
 # ---------------------------------------------------------------- predict

@@ -4,6 +4,7 @@ import json
 import math
 import multiprocessing
 import operator
+import os
 import shutil
 import stat
 from unittest import mock
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rfclass import pipeline, tuner
+from rfclass import booster, cli, pipeline, tuner
 from rfclass.cli import main
 from rfclass.errors import ConfigError, TrainingError
 from rfclass.booster import Hyperparameters
@@ -561,8 +562,8 @@ class TestCli:
             tmp_path, hyperparameters=None, split={"test_fraction": 0.2, "k_folds": 3},
             grid={"candidates": {"max_depth": [2, 3], "num_rounds": [2, 4]},
                   "pairs": [["max_depth", "num_rounds"]], "max_sweeps": 1})
-        with mock.patch.object(tuner.os, "sched_getaffinity", return_value=set(range(cpus))):
-            assert tuner._worker_count(3) == cpus
+        with mock.patch.object(os, "sched_getaffinity", return_value=set(range(cpus))):
+            assert booster.worker_count(3) == cpus
             return main(["tune", "--config", str(config), "--train", str(trained_run / "train.csv"),
                          "--out", str(tmp_path / f"{out}.json"),
                          "--trace", str(tmp_path / f"{out}.jsonl")])
@@ -687,6 +688,42 @@ class TestCli:
         err = capfd.readouterr().err
         assert err.startswith("error [") and "Traceback" not in err
         assert err.startswith(message.format(tmp=tmp_path))
+
+    @pytest.mark.parametrize("argv, message", [
+        (["synth", "--preset", "toris", "--out", "{tmp}/absent/toris.csv"],
+         "no directory for output file {tmp}/absent/toris.csv: {tmp}/absent does not exist"),
+        (["ingest", "--config", "{config}", "--out", "{tmp}"],
+         "output file {tmp} is a directory"),
+        (["preprocess", "--config", "{config}", "--data", "{run}/merged.csv",
+          "--out", "{config}"], "output directory {config} is a file"),
+        (["tune", "--config", "{config}", "--train", "{run}/train.csv", "--out", "{tmp}/hp.json",
+          "--trace", "{tmp}/absent/trace.jsonl"],
+         "no directory for output file {tmp}/absent/trace.jsonl: {tmp}/absent does not exist"),
+        (["tune", "--config", "{config}", "--train", "{run}/train.csv", "--out", "{tmp}"],
+         "output file {tmp} is a directory"),
+        (["train", "--config", "{config}", "--train", "{run}/train.csv",
+          "--out", "{tmp}/absent/model.json"],
+         "no directory for output file {tmp}/absent/model.json: {tmp}/absent does not exist"),
+        (["evaluate", "--config", "{config}", "--model", "{run}/model.json",
+          "--data", "{run}/test.csv", "--out", "{tmp}/absent/test.json"],
+         "no directory for output file {tmp}/absent/test.json: {tmp}/absent does not exist"),
+        (["explain", "--config", "{config}", "--model", "{run}/model.json",
+          "--data", "{run}/train.csv", "--out", "{tmp}"], "output file {tmp} is a directory"),
+    ], ids=["synth_out_in_missing_dir", "ingest_out_is_directory", "preprocess_out_is_file",
+            "tune_trace_in_missing_dir", "tune_out_is_directory", "train_out_in_missing_dir",
+            "evaluate_out_in_missing_dir", "explain_out_is_directory"])
+    def test_unwritable_output_exits_3_before_any_work(self, trained_run, tmp_path, capfd,
+                                                        argv, message):
+        config = self._write_config(tmp_path)
+        names = dict(tmp=tmp_path, run=trained_run, config=config)
+        work = RuntimeError("the command started work")
+        with mock.patch.object(cli, "_load_config", side_effect=work), \
+                mock.patch.object(cli, "generate", side_effect=work), \
+                mock.patch.object(cli, "fit", side_effect=work), \
+                mock.patch.object(cli, "tune", side_effect=work):
+            assert main([arg.format(**names) for arg in argv]) == 3
+        assert capfd.readouterr().err == f"error [{argv[0]}] {message.format(**names)}\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["config.json"]
 
     @pytest.mark.parametrize("corrupt, message", [
         (lambda doc: _internal_node(doc).update(feature=99), "feature 99 is outside"),

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rfclass import tuner
+from rfclass import booster, tuner
 from rfclass.booster import Hyperparameters, mlogloss, predict_proba, train
 from rfclass.errors import TrainingError
 from rfclass.preprocess import SplitSpec, stratified_kfold, to_matrix
@@ -361,7 +361,7 @@ class TestMemoAndPrefixScoring:
             pairs=(("learning_rate", "num_rounds"), ("max_depth",)), max_sweeps=1)
         start = fast_hp(learning_rate=0.1, num_rounds=2, max_depth=2)
         # one CPU: the fold tasks run in this process, where the mock sees them
-        with mock.patch.object(tuner.os, "sched_getaffinity", return_value={0}), \
+        with mock.patch.object(os, "sched_getaffinity", return_value={0}), \
                 mock.patch.object(tuner, "train", wraps=tuner.train) as counted:
             result = pairwise_grid_search(db, grid, seed=0, k=3, start=start)
         # distinct groups: the start; learning rate 0.1 (4 rounds, 2 is the
@@ -386,7 +386,7 @@ class TestPrefixLosses:
 
 def cpus(n):
     """Patch the CPUs this process may run on, and so the fold workers."""
-    return mock.patch.object(tuner.os, "sched_getaffinity", return_value=set(range(n)))
+    return mock.patch.object(os, "sched_getaffinity", return_value=set(range(n)))
 
 
 def small_search(trace_sink=None):
@@ -404,7 +404,7 @@ class TestFoldPool:
         for n in (1, 2):
             trace = []
             with cpus(n):
-                assert tuner._worker_count(3) == n
+                assert booster.worker_count(3) == n
                 runs.append((small_search(trace.append), trace,
                              cross_validate(labeled_database(30, 16), fast_hp(), k=3, seed=1,
                                             rounds=[8, 0, 3])))
