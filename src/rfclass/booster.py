@@ -22,15 +22,17 @@ are packed into one complex array, so one gather and one cumulative sum give
 both prefix sums, with the bits of two float sums.
 
 A round's class trees read only that round's probabilities, so `train`
-grows them on up to `min(CPUs, 10)` processes. It forks its tree workers
-once per call, after the workspace is built, so they share the matrix and
-its sort without copying them. The caller makes every random draw in class
-order, and worker `w` grows the classes k = w (mod workers). Each process
-keeps its own margins: it adds its own trees' walks as it grows them, and
-the others' once the round's trees are in. So no memory is shared and the
-caller allocates what a lone process would. Every float operation is the
-one a lone process does, so the models are bit-identical at any worker
-count.
+grows them on up to `min(CPUs, 10)` processes, unless rows times rounds is
+too little work to pay for a fork (`worker_count`). It forks its tree
+workers once per call, after the workspace is built, so they share the
+matrix and its sort without copying them. The caller makes every random
+draw in class order, and worker `w` grows the classes k = w (mod workers).
+Each process keeps its own margins: it adds its own trees' walks as it
+grows them, and the others' once the round's trees are in. So no memory is
+shared and the caller allocates what a lone process would. Every float
+operation is the one a lone process does, so the models are bit-identical
+at any worker count. `forked` is the one lifecycle of forked workers, for
+tree growth and for attribution alike.
 """
 
 import json
@@ -42,7 +44,7 @@ import sys
 import threading
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields
-from functools import cached_property
+from functools import cached_property, partial
 from types import NoneType, UnionType
 from typing import ClassVar, get_args
 
@@ -572,17 +574,83 @@ def predict_class(ensemble: Ensemble, X) -> np.ndarray | int:
     return int(pred[0]) if single else pred
 
 
-def worker_count(n_tasks: int) -> int:
+#: The least work of each kind worth forking workers for, in the units
+#: `worker_count` takes. A fork round trip (fork, one message each way, join)
+#: costs 3.8-6.1 ms, and each bound is where two processes began to beat
+#: one, measured on a 2-CPU host (Python 3.11.7, numpy 2.4.6):
+#: - `row_rounds`, rows times boosting rounds of `train`: on 11 columns at
+#:   depth 4, 3000 row-rounds (95-150 ms alone) gained nothing and 7000
+#:   (200 ms) a fifth to a third. pipeline_tc trains 3561 rows for 60 rounds.
+#: - `row_leaves`, rows times ensemble leaves of `attribute`: on a 600-tree
+#:   model of 7941 leaves, 6 rows (48k, 40 ms alone) took longer and 12 rows
+#:   (95k, 81 ms) a quarter less. pipeline_tc explains 40 rows of that model.
+FORK_AT = {"row_rounds": 5_000, "row_leaves": 100_000}
+
+
+def worker_count(n_tasks: int, **work: int) -> int:
     """Processes to share `n_tasks` independent tasks: one per CPU this
-    process may run on, at most one per task. It is 1 on a platform without
-    `sched_getaffinity` (where `fork` is missing or unsafe), in a process
-    running other threads, since a forked child could inherit a lock one of
-    them holds, and in a daemonic process, such as a tuning fold worker,
-    which may not start children."""
+    process may run on, at most one per task. It is 1 when the call's work,
+    given in the units of `FORK_AT` (`row_rounds=` for `train`,
+    `row_leaves=` for `attribute`), is below the bound for its unit, since
+    the fork would cost more than it saves. It is also 1 on a platform
+    without `sched_getaffinity` (where `fork` is missing or unsafe), in a
+    process running other threads, since a forked child could inherit a lock
+    one of them holds, and in a daemonic process, such as a tuning fold
+    worker, which may not start children."""
     if not hasattr(os, "sched_getaffinity") or threading.active_count() > 1 \
-            or multiprocessing.current_process().daemon:
+            or multiprocessing.current_process().daemon \
+            or any(size < FORK_AT[unit] for unit, size in work.items()):
         return 1
     return min(len(os.sched_getaffinity(0)), n_tasks)
+
+
+def _worker_main(work, conn, parent_ends) -> None:
+    """A forked worker: run `work(conn)` until it returns or the parent
+    goes away."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles Ctrl-C
+    for end in parent_ends:  # else they stay open here and hide the parent's exit
+        end.close()
+    try:
+        work(conn)
+    except (EOFError, ConnectionError):  # the parent went away
+        pass
+
+
+@contextmanager
+def forked(works: list, lost: Exception):
+    """Fork one child for each of `works` and yield the parent's ends of
+    their pipes, in order; child i runs `works[i](conn)` on the other end.
+
+    The children ignore Ctrl-C, and each closes the parent's ends it
+    inherited, so a parent that goes away gives it EOF. A child's end that
+    closes mid-exchange (EOF or a broken pipe in the block) raises `lost`.
+    When the block ends the children are joined, so the block must have let
+    each `work` return; however it exits, every child is terminated and
+    joined.
+    """
+    context = multiprocessing.get_context("fork")
+    conns, children = [], []
+    try:
+        for work in works:
+            parent_end, child_end = context.Pipe()
+            conns.append(parent_end)
+            child = context.Process(target=_worker_main, args=(work, child_end, conns),
+                                    daemon=True)
+            child.start()
+            children.append(child)
+            child_end.close()  # so a child that dies gives this end EOF
+        try:
+            yield conns
+        except (EOFError, ConnectionError):  # a child's end closed
+            raise lost from None
+        for child in children:
+            child.join()
+    finally:
+        for child in children:
+            child.terminate()  # a joined child is not signalled again
+            child.join()
+        for conn in conns:
+            conn.close()
 
 
 class _BoostState:
@@ -618,18 +686,13 @@ class _BoostState:
         return tree
 
 
-def _tree_worker(conn, parent_end, state: _BoostState) -> None:
+def _tree_worker(conn, state: _BoostState) -> None:
     """A forked tree worker: grow a tree for each draw of a round and send
     them back, then begin the next round with the (class, tree) pairs the
-    other processes grew, until the parent sends None or goes away."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles Ctrl-C
-    parent_end.close()  # else the parent's end stays open here and hides its exit
-    try:
-        while (draws := conn.recv()) is not None:
-            conn.send([state.grow(*draw) for draw in draws])
-            state.begin_round(conn.recv())
-    except EOFError:
-        pass
+    other processes grew, until the parent sends None."""
+    while (draws := conn.recv()) is not None:
+        conn.send([state.grow(*draw) for draw in draws])
+        state.begin_round(conn.recv())
 
 
 @contextmanager
@@ -638,52 +701,30 @@ def _tree_workers(state: _BoostState, workers: int):
     mask, columns) draw of a round, returns them in draw order and begins
     the next round in `state`.
 
-    `workers - 1` children are forked here, each with its own copy of
+    `workers - 1` children are `forked` here, each with its own copy of
     `state`: child `w` grows the draws at positions w (mod workers), this
     process the rest. Once a round's trees are in, each child is sent the
     trees it did not grow and begins the next round while this process
     does. With one worker every tree grows in this process. The children
-    are stopped by a message when the block ends, and terminated and joined
-    however it exits.
+    are stopped by a message when the block ends.
     """
-    context = multiprocessing.get_context("fork")
-    conns, children = [], []
-    try:
-        for _ in range(1, workers):
-            parent_end, child_end = context.Pipe()
-            conns.append(parent_end)
-            child = context.Process(target=_tree_worker, args=(child_end, parent_end, state),
-                                    daemon=True)
-            child.start()
-            children.append(child)
-            child_end.close()  # so a child that dies gives this end EOF
-
+    works = [partial(_tree_worker, state=state)] * (workers - 1)
+    with forked(works, TrainingError("a tree worker process exited mid-round")) as conns:
         def grow_round(draws: list) -> list[Tree]:
             trees = [None] * len(draws)
-            try:
-                for w, conn in enumerate(conns, 1):
-                    conn.send(draws[w::workers])
-                trees[::workers] = [state.grow(*draw) for draw in draws[::workers]]
-                for w, conn in enumerate(conns, 1):
-                    trees[w::workers] = conn.recv()
-                for w, conn in enumerate(conns, 1):
-                    conn.send([(k, tree) for k, tree in enumerate(trees) if k % workers != w])
-            except (EOFError, ConnectionError):  # the child's end closed
-                raise TrainingError("a tree worker process exited mid-round") from None
+            for w, conn in enumerate(conns, 1):
+                conn.send(draws[w::workers])
+            trees[::workers] = [state.grow(*draw) for draw in draws[::workers]]
+            for w, conn in enumerate(conns, 1):
+                trees[w::workers] = conn.recv()
+            for w, conn in enumerate(conns, 1):
+                conn.send([(k, tree) for k, tree in enumerate(trees) if k % workers != w])
             state.begin_round([(k, tree) for k, tree in enumerate(trees) if k % workers])
             return trees
 
         yield grow_round
         for conn in conns:
             conn.send(None)
-        for child in children:
-            child.join()
-    finally:
-        for child in children:
-            child.terminate()  # a joined child is not signalled again
-            child.join()
-        for conn in conns:
-            conn.close()
 
 
 def train(
@@ -706,7 +747,8 @@ def train(
     improved for `patience` rounds and the ensemble is truncated to the best
     round; the eval margins are updated tree by tree, so each round walks
     only its own trees over the eval set. A round's trees grow on
-    `worker_count(10)` processes, and the model does not depend on how many.
+    `worker_count(10, row_rounds=rows * rounds)` processes, and the model
+    does not depend on how many.
 
     training_loss holds the training mlogloss before each round plus a
     final entry, so it has num_rounds + 1 values.
@@ -747,7 +789,7 @@ def train(
     best_round = 0
     rounds_since_best = 0
 
-    workers = worker_count(k_classes) if hp.num_rounds else 1
+    workers = worker_count(k_classes, row_rounds=n * hp.num_rounds)
     with _tree_workers(state, workers) as grow_round:
         for _ in range(hp.num_rounds):
             ensemble.training_loss.append(mlogloss(state.proba, y))

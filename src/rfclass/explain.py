@@ -23,14 +23,24 @@ recursion bit for bit. Time is O(rows * paths * D^2) for paths of at most D
 splits; working memory is a few (D, ROW_BLOCK, paths) arrays and a
 (ROW_BLOCK, leaves, D) ordering buffer, whatever the row count. No table
 over hot/cold feature patterns is built, so deep trees cost D^2, not 2^D.
+
+Since a row's phi does not depend on the other rows, a call shares its rows
+among up to `min(CPUs, blocks)` processes. It builds the path groups once,
+then `forked` workers each attribute one contiguous slice of whole blocks
+and send its phi back as raw bytes, while the caller attributes the first
+slice; the slices go into phi in row order, so phi is bit-identical at any
+worker count. `booster.worker_count` keeps a call whose rows times leaves
+would not pay for a fork in one process.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .booster import Ensemble, Tree
+from .booster import Ensemble, Tree, forked, worker_count
 from .dataset import Database, csv_text
+from .errors import RfclassError
 
 
 def _child_fractions(tree: Tree) -> np.ndarray:
@@ -277,7 +287,8 @@ def _path_shap(ensemble: Ensemble, X: np.ndarray) -> tuple[np.ndarray, np.ndarra
     """phi (rows, classes, features) and base (classes,).
 
     A row's results do not depend on the other rows, so one row reproduces
-    its slice of a call on many bit for bit.
+    its slice of a call on many bit for bit, and so does a worker that
+    attributes a slice of the rows.
     """
     groups, base, n_leaves = _paths(ensemble)
     phi = np.zeros((X.shape[0], base.size, ensemble.num_features))
@@ -289,20 +300,37 @@ def _path_shap(ensemble: Ensemble, X: np.ndarray) -> tuple[np.ndarray, np.ndarra
     first_path = np.cumsum([0] + [group.value.size for group in groups])
     for group, first in zip(groups, first_path):
         targets[first:first + group.value.size, :group.target.shape[0]] = group.target.T
-    with np.errstate(divide="ignore", invalid="ignore"):  # in lanes np.where drops
-        for start in range(0, X.shape[0], ROW_BLOCK):
-            block = X[start:start + ROW_BLOCK]
-            row = np.arange(block.shape[0])[:, None]
-            # each row's attributions in the recursion's order of addition
-            values = np.zeros((block.shape[0], n_leaves, slots))
-            path = np.full((block.shape[0], n_leaves), targets.shape[0] - 1)
-            for group, first in zip(groups, first_path):
-                contributions, order = group.contributions(block)
-                values[row, order, :contributions.shape[0]] = contributions.transpose(1, 2, 0)
-                path[row, order] = first + np.arange(group.value.size)
-            bins = targets[path] + width * row[:, :, None]
-            out = phi[start:start + ROW_BLOCK].reshape(-1)
-            out += np.bincount(bins.ravel(), weights=values.ravel(), minlength=out.size)
+
+    def attribute_rows(rows: slice) -> np.ndarray:
+        with np.errstate(divide="ignore", invalid="ignore"):  # in lanes np.where drops
+            for start in range(rows.start, rows.stop, ROW_BLOCK):
+                block = X[start:start + ROW_BLOCK]  # rows.stop ends a block
+                row = np.arange(block.shape[0])[:, None]
+                # each row's attributions in the recursion's order of addition
+                values = np.zeros((block.shape[0], n_leaves, slots))
+                path = np.full((block.shape[0], n_leaves), targets.shape[0] - 1)
+                for group, first in zip(groups, first_path):
+                    contributions, order = group.contributions(block)
+                    values[row, order, :contributions.shape[0]] = contributions.transpose(1, 2, 0)
+                    path[row, order] = first + np.arange(group.value.size)
+                bins = targets[path] + width * row[:, :, None]
+                out = phi[start:start + ROW_BLOCK].reshape(-1)
+                out += np.bincount(bins.ravel(), weights=values.ravel(), minlength=out.size)
+        return phi[rows]
+
+    def send_rows(rows: slice, conn) -> None:  # a forked worker's whole task
+        conn.send_bytes(attribute_rows(rows))
+
+    # one contiguous slice of whole blocks per process, this one's first
+    blocks = -(-X.shape[0] // ROW_BLOCK)
+    workers = worker_count(blocks, row_leaves=X.shape[0] * n_leaves)
+    ends = [min(ROW_BLOCK * (blocks * w // workers), X.shape[0]) for w in range(workers + 1)]
+    slices = [slice(start, stop) for start, stop in zip(ends, ends[1:])]
+    works = [partial(send_rows, rows) for rows in slices[1:]]
+    with forked(works, RfclassError("an attribution worker process exited mid-call")) as conns:
+        attribute_rows(slices[0])
+        for rows, conn in zip(slices[1:], conns):
+            phi[rows] = np.frombuffer(conn.recv_bytes()).reshape(phi[rows].shape)
     return phi, base
 
 

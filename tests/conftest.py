@@ -65,7 +65,8 @@ def rng():
 @pytest.fixture(autouse=True)
 def leaves_no_child_process():
     """Fail the test that leaves a child process running, from the tuner's
-    fold pool or `train`'s tree workers, and stop the children it left."""
+    fold pool or the `booster.forked` workers of `train` and `attribute`,
+    and stop the children it left."""
     yield
     left = multiprocessing.active_children()
     for child in left:

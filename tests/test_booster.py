@@ -19,6 +19,7 @@ from rfclass.booster import (Hyperparameters, _best_split,
                              mlogloss, predict_class, predict_proba,
                              serialize_ensemble, softmax_margins, train)
 from rfclass.errors import TrainingError
+from rfclass.explain import attribute
 from rfclass.pipeline import PipelineConfig, ingest, preprocess
 from rfclass.preprocess import to_matrix
 
@@ -611,6 +612,13 @@ def worker_data(seed=2, n=120, d=4):
 
 
 class TestTreeWorkers:
+    @pytest.fixture(autouse=True)
+    def fork_for_any_fit(self):
+        """Fork the tree workers for the small fits below, which the fork
+        rule would keep in one process."""
+        with mock.patch.dict(booster.FORK_AT, row_rounds=0):
+            yield
+
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 80), d=st.integers(1, 4),
            max_depth=st.integers(1, 6), subsample=st.sampled_from([1.0, 0.6]),
@@ -700,6 +708,33 @@ class TestTreeWorkers:
         with cpus(2), in_children(lambda: os.kill(os.getpid(), signal.SIGINT)):
             assert serialize_ensemble(train(X, y, hp_with(num_rounds=3), seed=4)) == want
         assert "Traceback" not in capfd.readouterr().err
+
+
+class TestForkRule:
+    def test_a_tiny_fit_or_attribution_forks_nothing(self, rng):
+        X, y = rng.random((40, 4)), rng.integers(0, 10, 40)
+        with cpus(2), mock.patch.object(os, "fork", side_effect=AssertionError("forked")):
+            model = train(X, y, hp_with(num_rounds=1), seed=0)
+            attribute(model, X)
+
+    def test_pipeline_tc_sized_training_and_explain_fork_on_two_cpus(self):
+        # pipeline_tc trains on 3561 rows for 60 rounds and explains 40 rows
+        # of the result, a model of 7941 leaves (seed 1); ingest_tca_large
+        # explains 5 rows of a 10-tree model of 40 leaves
+        with cpus(2):
+            assert booster.worker_count(10, row_rounds=3561 * 60) == 2
+            assert booster.worker_count(20, row_leaves=40 * 7941) == 2
+            assert booster.worker_count(10, row_rounds=40 * 1) == 1
+            assert booster.worker_count(3, row_leaves=5 * 40) == 1
+        with cpus(1):
+            assert booster.worker_count(10, row_rounds=3561 * 60) == 1
+
+    def test_the_bound_of_each_unit_is_where_forking_starts(self):
+        with cpus(3):
+            for unit, bound in booster.FORK_AT.items():
+                assert booster.worker_count(10, **{unit: bound - 1}) == 1
+                assert booster.worker_count(10, **{unit: bound}) == 3
+            assert booster.worker_count(2) == 2  # no size given: the tuner's folds
 
 
 # ---------------------------------------------------------------- predict

@@ -1,13 +1,19 @@
 import itertools
 import math
+import multiprocessing
+import os
+import signal
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rfclass import booster, explain
 from rfclass.booster import Ensemble, Hyperparameters, _TreeBuilder, train
-from rfclass.explain import (Attribution, _child_fractions,
+from rfclass.errors import RfclassError
+from rfclass.explain import (ROW_BLOCK, Attribution, _child_fractions,
                              aggregate_importance, attribute,
                              importance_from_database)
 
@@ -349,6 +355,91 @@ class TestPathKernel:
         for i in range(0, 40, 7):
             for c in range(3):
                 assert attr.phi[i, c].tobytes() == oracle_tree_shap(model, X[i], c)[0].tobytes()
+
+
+def cpus(n):
+    """Patch the CPUs this process may run on, and so the attribution workers."""
+    return mock.patch.object(os, "sched_getaffinity", return_value=set(range(n)))
+
+
+def in_workers(action):
+    """A `_PathGroup.contributions` that runs `action()` first when called in
+    a forked attribution worker, and attributes as before."""
+    parent, contributions = os.getpid(), explain._PathGroup.contributions
+
+    def wrapped(*args):
+        if os.getpid() != parent:
+            action()
+        return contributions(*args)
+    return mock.patch.object(explain._PathGroup, "contributions", wrapped)
+
+
+def fork_at_rows(rows, ens):
+    """Fork attribution workers for calls of at least `rows` rows on `ens`."""
+    leaves = sum(tree.n_leaves() for round_trees in ens.trees for tree in round_trees)
+    return mock.patch.dict(booster.FORK_AT, row_leaves=rows * leaves)
+
+
+#: Rows from which the property below forks: a count of at least this many
+#: rows is above the patched fork threshold.
+FORK_ROWS = 9
+
+
+class TestAttributionWorkers:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_features=st.integers(1, 3),
+           max_depth=st.integers(2, 5), rounds=st.integers(1, 3),
+           n_rows=st.sampled_from([1, ROW_BLOCK - 1, ROW_BLOCK + 1, FORK_ROWS])
+           | st.integers(1, 20).map(lambda k: 2 * k + 1))
+    @example(seed=3, n_features=2, max_depth=4, rounds=2, n_rows=2 * FORK_ROWS + 1)
+    def test_phi_and_base_bytes_are_the_same_at_one_two_and_three_cpus(
+            self, seed, n_features, max_depth, rounds, n_rows):
+        # few features, so paths revisit a feature
+        rng = np.random.default_rng(seed)
+        ens = random_class_ensemble(rng, n_features, rounds, 3, max_depth, zero_cover=0.3)
+        X = on_thresholds(rng, rng.random((n_rows, n_features)), ens)
+        results, forks = [], []
+        for n_cpus in (1, 2, 3):
+            with cpus(n_cpus), fork_at_rows(FORK_ROWS, ens), \
+                    mock.patch.object(os, "fork", wraps=os.fork) as fork:
+                attr = attribute(ens, X)
+            results.append((attr.phi.tobytes(), attr.base.tobytes()))
+            forks.append(fork.call_count)
+        assert results[0] == results[1] == results[2]
+        blocks = -(-n_rows // ROW_BLOCK)
+        want = [min(n, blocks) - 1 if n_rows >= FORK_ROWS else 0 for n in (1, 2, 3)]
+        assert forks == want
+
+    def test_a_worker_that_exits_raises_a_clean_error_and_leaves_no_child(self, rng):
+        ens = random_class_ensemble(rng, 3, 2, 3, 4, zero_cover=0.0)
+        with cpus(3), fork_at_rows(0, ens), in_workers(lambda: os._exit(1)):
+            with pytest.raises(RfclassError, match="^an attribution worker process exited"):
+                attribute(ens, rng.random((9, 3)))
+        assert multiprocessing.active_children() == []
+
+    def test_interrupt_in_the_caller_leaves_no_child(self, rng):
+        ens = random_class_ensemble(rng, 3, 2, 3, 4, zero_cover=0.0)
+        parent, contributions = os.getpid(), explain._PathGroup.contributions
+
+        def interrupted(*args):
+            if os.getpid() == parent:
+                assert len(multiprocessing.active_children()) == 1
+                raise KeyboardInterrupt
+            return contributions(*args)
+        with cpus(2), fork_at_rows(0, ens), \
+                mock.patch.object(explain._PathGroup, "contributions", interrupted):
+            with pytest.raises(KeyboardInterrupt):
+                attribute(ens, rng.random((9, 3)))
+        assert multiprocessing.active_children() == []
+
+    def test_workers_ignore_ctrl_c(self, rng, capfd):
+        ens = random_class_ensemble(rng, 3, 2, 3, 4, zero_cover=0.0)
+        X = rng.random((9, 3))
+        want = attribute(ens, X).phi.tobytes()
+        with cpus(3), fork_at_rows(0, ens), \
+                in_workers(lambda: os.kill(os.getpid(), signal.SIGINT)):
+            assert attribute(ens, X).phi.tobytes() == want
+        assert "Traceback" not in capfd.readouterr().err
 
 
 class TestEdgeCases:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rfclass import booster, cli, pipeline, tuner
+from rfclass import booster, cli, explain, pipeline, tuner
 from rfclass.cli import main
 from rfclass.errors import ConfigError, TrainingError
 from rfclass.booster import Hyperparameters
@@ -219,6 +219,20 @@ class TestRunPipeline:
         b = run_pipeline(tiny_config(seed=9), tmp_path / "b")
         assert (a.summary_path.read_bytes() == b.summary_path.read_bytes())
         assert (a.model_path.read_bytes() == b.model_path.read_bytes())
+
+    def test_importance_csv_is_the_same_at_one_and_two_cpus(self, tmp_path):
+        runs, forks = [], []
+        for n_cpus in (1, 2):
+            # every fit and attribution of the run forks its workers when it may
+            with mock.patch.object(os, "sched_getaffinity", return_value=set(range(n_cpus))), \
+                    mock.patch.dict(booster.FORK_AT, row_rounds=0, row_leaves=0), \
+                    mock.patch.object(os, "fork", wraps=os.fork) as fork:
+                result = run_pipeline(tiny_config(seed=9), tmp_path / f"cpus{n_cpus}")
+            runs.append([(result.run_dir / name).read_bytes()
+                         for name in ("reports/importance.csv", "model.json")])
+            forks.append(fork.call_count)
+        assert runs[0] == runs[1]
+        assert forks == [0, 2]  # at 2 CPUs, one tree worker and one attribution worker
 
     def test_different_seeds_differ(self, tmp_path):
         a = run_pipeline(tiny_config(seed=1), tmp_path / "a")
@@ -584,6 +598,26 @@ class TestCli:
                                  capfd.readouterr().err))
             assert multiprocessing.active_children() == []
         assert outcomes == [(4, "error [tune] no split left\n")] * 2
+
+    def test_an_attribution_worker_that_exits_is_one_error_line(self, trained_run, tmp_path,
+                                                              capfd):
+        parent, contributions = os.getpid(), explain._PathGroup.contributions
+
+        def exits_in_a_worker(*args):
+            if os.getpid() != parent:
+                os._exit(1)
+            return contributions(*args)
+        with mock.patch.object(os, "sched_getaffinity", return_value={0, 1}), \
+                mock.patch.dict(booster.FORK_AT, row_leaves=0), \
+                mock.patch.object(explain._PathGroup, "contributions", exits_in_a_worker):
+            code = main(["explain", "--config", str(self._write_config(tmp_path)),
+                         "--model", str(trained_run / "model.json"),
+                         "--data", str(trained_run / "train.csv"),
+                         "--out", str(tmp_path / "importance.csv")])
+        assert (code, capfd.readouterr().err) == (
+            3, "error [explain] an attribution worker process exited mid-call\n")
+        assert multiprocessing.active_children() == []
+        assert not (tmp_path / "importance.csv").exists()
 
     def test_tune_without_grid_removes_a_stale_trace(self, trained_run, tmp_path, capsys):
         assert self._tune(trained_run, tmp_path, 1, "hp") == 0
