@@ -32,7 +32,9 @@ grows them, and the others' once the round's trees are in. So no memory is
 shared and the caller allocates what a lone process would. Every float
 operation is the one a lone process does, so the models are bit-identical
 at any worker count. `forked` is the one lifecycle of forked workers, for
-tree growth and for attribution alike.
+tree growth, attribution and tuning folds alike: a worker's exception
+reaches the caller unchanged, and a worker that dies raises the caller's
+own error.
 """
 
 import json
@@ -604,9 +606,9 @@ def worker_count(n_tasks: int, **work: int) -> int:
     return min(len(os.sched_getaffinity(0)), n_tasks)
 
 
-def _worker_main(work, conn, parent_ends) -> None:
+def _worker_main(work, conn, errors, parent_ends) -> None:
     """A forked worker: run `work(conn)` until it returns or the parent
-    goes away."""
+    goes away, and send an exception it raises down `errors`."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles Ctrl-C
     for end in parent_ends:  # else they stay open here and hide the parent's exit
         end.close()
@@ -614,42 +616,54 @@ def _worker_main(work, conn, parent_ends) -> None:
         work(conn)
     except (EOFError, ConnectionError):  # the parent went away
         pass
+    except Exception as exc:  # the parent raises it once this child's end closes
+        errors.send(exc)
 
 
 @contextmanager
 def forked(works: list, lost: Exception):
     """Fork one child for each of `works` and yield the parent's ends of
     their pipes, in order; child i runs `works[i](conn)` on the other end.
+    This is the one place rfclass starts a process: `train`'s tree workers,
+    `attribute`'s row workers and the tuner's fold workers all come from it.
 
-    The children ignore Ctrl-C, and each closes the parent's ends it
-    inherited, so a parent that goes away gives it EOF. A child's end that
-    closes mid-exchange (EOF or a broken pipe in the block) raises `lost`.
-    When the block ends the children are joined, so the block must have let
-    each `work` return; however it exits, every child is terminated and
-    joined.
+    The children are daemonic, so they start no children of their own, and
+    they ignore Ctrl-C. Each closes the parent's ends it inherited, so a
+    parent that goes away gives it EOF. An `Exception` a child's work raises
+    goes down one error pipe the children share, and the child exits. A
+    child's end that closes mid-exchange (EOF or a broken pipe in the block)
+    raises the exception a child sent, unchanged, or `lost` if none was
+    sent, as when a child is killed; an EOF or connection error of the
+    block's own, such as a caller's callback raises while every child's
+    end is open, passes unchanged. When the block ends the children are
+    joined, so the block must have let each `work` return; however it
+    exits, every child is terminated and joined.
     """
     context = multiprocessing.get_context("fork")
+    errors, error_end = context.Pipe(duplex=False)
     conns, children = [], []
     try:
         for work in works:
             parent_end, child_end = context.Pipe()
             conns.append(parent_end)
-            child = context.Process(target=_worker_main, args=(work, child_end, conns),
-                                    daemon=True)
+            child = context.Process(target=_worker_main,
+                                    args=(work, child_end, error_end, conns), daemon=True)
             child.start()
             children.append(child)
             child_end.close()  # so a child that dies gives this end EOF
         try:
             yield conns
-        except (EOFError, ConnectionError):  # a child's end closed
-            raise lost from None
+        except (EOFError, ConnectionError):
+            if not any(conn.poll() for conn in conns):  # every child's end is open
+                raise
+            raise (errors.recv() if errors.poll() else lost) from None
         for child in children:
             child.join()
     finally:
         for child in children:
             child.terminate()  # a joined child is not signalled again
             child.join()
-        for conn in conns:
+        for conn in [*conns, errors, error_end]:
             conn.close()
 
 

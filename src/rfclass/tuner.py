@@ -19,25 +19,31 @@ costs folds x groups trainings instead of folds x candidates; one sweep of
 the default grid falls from about 13.8k to 11.4k boosting rounds per fold.
 
 The folds are independent, so every (group, fold) training of a pair is
-one task of one `map` over a pool of forked worker processes, one per
-available CPU, opened once per search. Losses are gathered by task index
-and each mean is taken in fold order, so scores do not depend on the
-worker count; with one CPU the tasks run in the calling process. A fold
-worker is daemonic, so the `train` calls in it grow their trees in it too.
+one task. A search forks its fold workers once, one per available CPU,
+through `booster.forked`, the lifecycle `train` and `attribute` use too.
+The workers get the matrix and the folds through the fork and train one
+task per message; the caller hands each task to whichever worker is free
+and keeps the result at the task's index. Each mean is taken in fold order,
+so scores do not depend on the worker count; with one CPU the tasks run in
+the calling process. A fold worker is daemonic, so the `train` calls in it
+grow their trees in it too. An exception a fold training raises reaches
+the caller unchanged, at any worker count, and a worker that dies ends the
+search with `TrainingError`.
 """
 
 import itertools
-import multiprocessing
-import signal
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
+from multiprocessing.connection import wait
 from typing import Callable
 
 import numpy as np
 
-from .booster import Ensemble, Hyperparameters, mlogloss, softmax_margins, train, worker_count
+from .booster import (Ensemble, Hyperparameters, forked, mlogloss, softmax_margins, train,
+                      worker_count)
 from .booster import predict_proba  # noqa: F401 -- unused; perfbench/tracing.py wraps it here
 from .dataset import Database
+from .errors import TrainingError
 from .preprocess import SplitSpec, stratified_kfold, to_matrix
 
 TUNABLE = tuple(f.name for f in fields(Hyperparameters))
@@ -108,17 +114,6 @@ def default_grid() -> SearchGrid:
     )
 
 
-@dataclass(frozen=True)
-class _Folds:
-    """What every fold training reads; a worker receives it once."""
-
-    X: np.ndarray
-    y: np.ndarray
-    folds: list[tuple[np.ndarray, np.ndarray]]  # (fit, validation) rows, validation non-empty
-    feature_names: tuple[str, ...]
-    seed: int
-
-
 def _prefix_losses(model: Ensemble, X: np.ndarray, y: np.ndarray, rounds: list[int]) -> list[float]:
     """mlogloss on (X, y) of the first r rounds of `model`, for each r listed.
 
@@ -137,29 +132,6 @@ def _prefix_losses(model: Ensemble, X: np.ndarray, y: np.ndarray, rounds: list[i
     return [losses[r] for r in rounds]
 
 
-def _fold_losses(data: _Folds, task: tuple[Hyperparameters, list[int], int]) -> list[float]:
-    """One fold training: (hp, rounds, fold) -> the fold's validation loss
-    at each listed prefix of a model trained at `hp.num_rounds`."""
-    hp, rounds, fold = task
-    fit_idx, val_idx = data.folds[fold]
-    model = train(data.X[fit_idx], data.y[fit_idx], hp, data.seed,
-                  feature_names=data.feature_names)
-    return _prefix_losses(model, data.X[val_idx], data.y[val_idx], rounds)
-
-
-_worker_folds: _Folds | None = None  # set in each pool worker by _init_worker
-
-
-def _init_worker(data: _Folds) -> None:
-    global _worker_folds
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles Ctrl-C
-    _worker_folds = data
-
-
-def _worker_fold_losses(task) -> list[float]:
-    return _fold_losses(_worker_folds, task)
-
-
 @contextmanager
 def _fold_pool(train_db: Database, k: int, seed: int):
     """Yield `means(jobs)`, which scores a list of (hp, rounds) jobs on the
@@ -167,39 +139,59 @@ def _fold_pool(train_db: Database, k: int, seed: int):
     mlogloss of each listed prefix of hp's model, folds averaged in fold
     order.
 
-    Every (job, fold) training of one call is one task of one `map`, over
-    `worker_count` forked workers that received the matrix and the folds
-    once; with one worker the tasks run in this process. Results are
-    gathered by task index, so the means do not depend on the worker
-    count. The workers are terminated and joined however the block exits.
+    Every (job, fold) training of one call is one task. With one worker
+    the tasks run in this process; otherwise `worker_count` workers are
+    `forked` once, each holding the matrix and the folds from the fork and
+    answering one (hp, rounds, fold) task per message until it is sent
+    None, and this process only hands the next task to a free worker and
+    files each result by task index. So the means do not depend on the
+    worker count, and this process forks no tree workers beside them.
     """
     X, y = to_matrix(train_db)
     folds = [(fit_idx, val_idx) for fit_idx, val_idx
              in stratified_kfold(train_db, SplitSpec(k_folds=k, seed=seed)) if val_idx.size]
-    data = _Folds(X, y, folds, train_db.schema.names, seed)
+
+    def fold_losses(hp: Hyperparameters, rounds: list[int], fold: int) -> list[float]:
+        """The fold's validation loss at each listed prefix of a model
+        trained at `hp.num_rounds`."""
+        fit_idx, val_idx = folds[fold]
+        model = train(X[fit_idx], y[fit_idx], hp, seed, feature_names=train_db.schema.names)
+        return _prefix_losses(model, X[val_idx], y[val_idx], rounds)
+
+    def serve(conn) -> None:  # a fold worker's whole task
+        while (task := conn.recv()) is not None:
+            conn.send(fold_losses(*task))
+
     workers = worker_count(len(folds))
-    pool = (multiprocessing.get_context("fork").Pool(
-        workers, initializer=_init_worker, initargs=(data,)) if workers > 1 else None)
+    works = [serve] * workers if workers > 1 else []
+    with forked(works, TrainingError("a fold worker process exited mid-search")) as conns:
+        def run(tasks: list) -> list[list[float]]:
+            if not conns:
+                return [fold_losses(*task) for task in tasks]
+            losses, busy, idle = [None] * len(tasks), {}, list(conns)
+            todo = list(enumerate(tasks))[::-1]
+            while todo or busy:
+                while idle and todo:
+                    conn, (i, task) = idle.pop(), todo.pop()
+                    conn.send(task)
+                    busy[conn] = i
+                for conn in wait(list(busy)):
+                    losses[busy.pop(conn)] = conn.recv()
+                    idle.append(conn)
+            return losses
 
-    def means(jobs: list[tuple[Hyperparameters, list[int]]]) -> list[list[float]]:
-        tasks = [(hp, rounds, fold) for hp, rounds in jobs for fold in range(len(folds))]
-        if pool is None:
-            losses = [_fold_losses(data, task) for task in tasks]
-        else:
-            losses = pool.map(_worker_fold_losses, tasks, chunksize=1)
-        out = []
-        for j, (_, rounds) in enumerate(jobs):
-            per_fold = losses[j * len(folds):(j + 1) * len(folds)]
-            out.append([float(sum(fold[i] for fold in per_fold) / len(per_fold))
-                        for i in range(len(rounds))])
-        return out
+        def means(jobs: list[tuple[Hyperparameters, list[int]]]) -> list[list[float]]:
+            losses = run([(hp, rounds, fold) for hp, rounds in jobs for fold in range(len(folds))])
+            out = []
+            for j, (_, rounds) in enumerate(jobs):
+                per_fold = losses[j * len(folds):(j + 1) * len(folds)]
+                out.append([float(sum(fold[i] for fold in per_fold) / len(per_fold))
+                            for i in range(len(rounds))])
+            return out
 
-    try:
         yield means
-    finally:
-        if pool is not None:
-            pool.terminate()
-            pool.join()
+        for conn in conns:
+            conn.send(None)
 
 
 def cross_validate(train_db: Database, hp: Hyperparameters, k: int, seed: int, *,
@@ -209,7 +201,8 @@ def cross_validate(train_db: Database, hp: Hyperparameters, k: int, seed: int, *
     With `rounds`, each fold's model is trained once at `hp.num_rounds` and
     scored on its first r rounds for every r listed; the result holds one
     mean per listed r, each equal to a plain call with `num_rounds=r`. The
-    folds train in `_fold_pool`'s workers.
+    folds train in `_fold_pool`'s workers, and an exception a fold training
+    raises reaches the caller unchanged.
     """
     prefixes = [hp.num_rounds] if rounds is None else list(rounds)
     if any(not 0 <= r <= hp.num_rounds for r in prefixes):

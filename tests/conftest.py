@@ -1,4 +1,6 @@
+import contextlib
 import multiprocessing
+import signal
 
 import numpy as np
 import pytest
@@ -57,6 +59,20 @@ def random_tree(rng, n_features, max_depth, min_cover=0.5, zero_cover=0.0):
     return builder.build()
 
 
+@contextlib.contextmanager
+def bounded_wait(seconds=60):
+    """Fail the block after `seconds`, where a lost worker would hang it."""
+    def timeout(signum, frame):
+        raise AssertionError(f"still waiting after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
@@ -64,8 +80,8 @@ def rng():
 
 @pytest.fixture(autouse=True)
 def leaves_no_child_process():
-    """Fail the test that leaves a child process running, from the tuner's
-    fold pool or the `booster.forked` workers of `train` and `attribute`,
+    """Fail the test that leaves a child process running, one of the
+    `booster.forked` workers of `train`, `attribute` or the tuner's folds,
     and stop the children it left."""
     yield
     left = multiprocessing.active_children()

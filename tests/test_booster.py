@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import multiprocessing
@@ -6,6 +7,7 @@ import signal
 import threading
 import tracemalloc
 from dataclasses import fields
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -735,6 +737,33 @@ class TestForkRule:
                 assert booster.worker_count(10, **{unit: bound - 1}) == 1
                 assert booster.worker_count(10, **{unit: bound}) == 3
             assert booster.worker_count(2) == 2  # no size given: the tuner's folds
+
+
+#: The names through which code could start a process of its own.
+PROCESS_STARTERS = {"Pool", "Process", "get_context", "os.fork"}
+
+
+def test_booster_is_the_only_module_that_starts_a_process():
+    """Every worker comes from `booster.forked`: no other module under
+    src/rfclass/ names a way to start a process."""
+    found = []
+    for path in sorted(Path(booster.__file__).parent.rglob("*.py")):
+        if path.name == "booster.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                base = node.value.id if isinstance(node.value, ast.Name) else ""
+                names = [node.attr, f"{base}.{node.attr}"]
+            elif isinstance(node, ast.ImportFrom):
+                names = [n for alias in node.names
+                         for n in (alias.name, f"{node.module}.{alias.name}")]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}"
+                      for name in names if name in PROCESS_STARTERS]
+    assert found == []
 
 
 # ---------------------------------------------------------------- predict

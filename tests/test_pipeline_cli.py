@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import functools
 import json
@@ -15,13 +16,15 @@ from hypothesis import strategies as st
 
 from rfclass import booster, cli, explain, pipeline, tuner
 from rfclass.cli import main
-from rfclass.errors import ConfigError, TrainingError
+from rfclass.errors import ConfigError, PipelineError, TrainingError
 from rfclass.booster import Hyperparameters
 from rfclass.pipeline import (INDEPENDENT_SOURCE, PipelineConfig, StageFailure,
                               SynthConfig, run_pipeline)
 from rfclass.dataset import DatabaseTag, serialize_database
 from rfclass.synth import generate, preset
 from rfclass.tuner import default_grid
+
+from conftest import bounded_wait
 
 FAST_HP = {
     "max_depth": 3, "min_child_weight": 1, "learning_rate": 0.2,
@@ -323,6 +326,38 @@ def _twelve_classes(doc):
         round_trees.extend(round_trees[:2])
 
 
+#: For each stage that forks workers: what its workers call, the exit code
+#: of a failure in them and the error of a worker that dies.
+WORKERS = {
+    "tune": ((tuner, "train"), 4, "a fold worker process exited mid-search"),
+    "train": ((booster._BoostState, "grow"), 4, "a tree worker process exited mid-round"),
+    "explain": ((explain._PathGroup, "contributions"), 3,
+                "an attribution worker process exited mid-call"),
+}
+
+
+def in_workers(stage, action, *, here=False):
+    """Patch what the stage's workers call to run `action()` first in a
+    forked worker, and in this process too when `here`."""
+    (owner, name), _, _ = WORKERS[stage]
+    parent, original = os.getpid(), getattr(owner, name)
+
+    def wrapped(*args, **kwargs):
+        if here or os.getpid() != parent:
+            action()
+        return original(*args, **kwargs)
+    return mock.patch.object(owner, name, wrapped)
+
+
+@contextlib.contextmanager
+def forking(cpus):
+    """Limit the workers to `cpus`, and let every fit and attribution fork
+    them whatever its size."""
+    with mock.patch.object(os, "sched_getaffinity", return_value=set(range(cpus))), \
+            mock.patch.dict(booster.FORK_AT, row_rounds=0, row_leaves=0):
+        yield
+
+
 @pytest.fixture(scope="module")
 def trained_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("trained") / "run"
@@ -569,13 +604,16 @@ class TestCli:
         assert not (prep / "independent.csv").exists()
         assert "independent.csv not written" in capsys.readouterr().out
 
-    def _tune(self, trained_run, tmp_path, cpus, out):
-        """`rfclass tune --trace` on the trained run's training set, with the
-        fold workers limited to `cpus`."""
-        config = self._write_config(
+    def _grid_config(self, tmp_path):
+        return self._write_config(
             tmp_path, hyperparameters=None, split={"test_fraction": 0.2, "k_folds": 3},
             grid={"candidates": {"max_depth": [2, 3], "num_rounds": [2, 4]},
                   "pairs": [["max_depth", "num_rounds"]], "max_sweeps": 1})
+
+    def _tune(self, trained_run, tmp_path, cpus, out):
+        """`rfclass tune --trace` on the trained run's training set, with the
+        fold workers limited to `cpus`."""
+        config = self._grid_config(tmp_path)
         with mock.patch.object(os, "sched_getaffinity", return_value=set(range(cpus))):
             assert booster.worker_count(3) == cpus
             return main(["tune", "--config", str(config), "--train", str(trained_run / "train.csv"),
@@ -589,35 +627,45 @@ class TestCli:
             assert ((tmp_path / f"cpus1{suffix}").read_bytes()
                     == (tmp_path / f"cpus2{suffix}").read_bytes())
 
-    def test_training_error_in_a_worker_exits_like_one_in_process(self, trained_run, tmp_path,
-                                                                 capfd):
+    def _worker_stage(self, stage, trained_run, tmp_path):
+        """The argv of `rfclass <stage>` on the trained run, and the files it
+        writes."""
+        out, trace = tmp_path / f"{stage}.out", tmp_path / "trace.jsonl"
+        train_csv = str(trained_run / "train.csv")
+        if stage == "tune":
+            return (["tune", "--config", str(self._grid_config(tmp_path)), "--train", train_csv,
+                     "--out", str(out), "--trace", str(trace)], [out, trace])
+        config = str(self._write_config(tmp_path))
+        if stage == "train":
+            return ["train", "--config", config, "--train", train_csv, "--out", str(out)], [out]
+        return (["explain", "--config", config, "--model", str(trained_run / "model.json"),
+                 "--data", train_csv, "--out", str(out)], [out])
+
+    @pytest.mark.parametrize("stage, error", [("tune", TrainingError("no split left")),
+                                              ("train", TrainingError("no split left")),
+                                              ("explain", PipelineError("no path left"))],
+                             ids=["tune", "train", "explain"])
+    def test_an_error_in_a_worker_exits_like_one_in_process(self, trained_run, tmp_path, capfd,
+                                                            stage, error):
+        argv, _ = self._worker_stage(stage, trained_run, tmp_path)
+
+        def fail():
+            raise error
         outcomes = []
-        for cpus in (1, 2):
-            with mock.patch.object(tuner, "train", side_effect=TrainingError("no split left")):
-                outcomes.append((self._tune(trained_run, tmp_path, cpus, "hp"),
-                                 capfd.readouterr().err))
+        for cpus in (1, 2):  # at 2 CPUs only a forked worker raises
+            with forking(cpus), in_workers(stage, fail, here=cpus == 1), bounded_wait():
+                outcomes.append((main(argv), capfd.readouterr().err))
             assert multiprocessing.active_children() == []
-        assert outcomes == [(4, "error [tune] no split left\n")] * 2
+        assert outcomes == [(WORKERS[stage][1], f"error [{stage}] {error}\n")] * 2
 
-    def test_an_attribution_worker_that_exits_is_one_error_line(self, trained_run, tmp_path,
-                                                              capfd):
-        parent, contributions = os.getpid(), explain._PathGroup.contributions
-
-        def exits_in_a_worker(*args):
-            if os.getpid() != parent:
-                os._exit(1)
-            return contributions(*args)
-        with mock.patch.object(os, "sched_getaffinity", return_value={0, 1}), \
-                mock.patch.dict(booster.FORK_AT, row_leaves=0), \
-                mock.patch.object(explain._PathGroup, "contributions", exits_in_a_worker):
-            code = main(["explain", "--config", str(self._write_config(tmp_path)),
-                         "--model", str(trained_run / "model.json"),
-                         "--data", str(trained_run / "train.csv"),
-                         "--out", str(tmp_path / "importance.csv")])
-        assert (code, capfd.readouterr().err) == (
-            3, "error [explain] an attribution worker process exited mid-call\n")
+    @pytest.mark.parametrize("stage", WORKERS)
+    def test_a_worker_that_exits_is_one_error_line(self, trained_run, tmp_path, capfd, stage):
+        argv, outs = self._worker_stage(stage, trained_run, tmp_path)
+        _, code, message = WORKERS[stage]
+        with forking(2), in_workers(stage, lambda: os._exit(1)), bounded_wait():
+            assert (main(argv), capfd.readouterr().err) == (code, f"error [{stage}] {message}\n")
         assert multiprocessing.active_children() == []
-        assert not (tmp_path / "importance.csv").exists()
+        assert not [out for out in outs if out.exists()]
 
     def test_tune_without_grid_removes_a_stale_trace(self, trained_run, tmp_path, capsys):
         assert self._tune(trained_run, tmp_path, 1, "hp") == 0

@@ -17,7 +17,7 @@ from rfclass.preprocess import SplitSpec, stratified_kfold, to_matrix
 from rfclass.tuner import (SearchGrid, TuningResult, cross_validate,
                            default_grid, pairwise_grid_search)
 
-from conftest import make_database, make_record
+from conftest import bounded_wait, make_database, make_record
 
 
 # ---------------------------------------------------------------- oracles
@@ -401,14 +401,14 @@ def small_search(trace_sink=None):
 class TestFoldPool:
     def test_one_worker_gives_the_same_result_and_trace_as_two(self):
         runs = []
-        for n in (1, 2):
+        for n in (1, 2, 3):
             trace = []
             with cpus(n):
                 assert booster.worker_count(3) == n
                 runs.append((small_search(trace.append), trace,
                              cross_validate(labeled_database(30, 16), fast_hp(), k=3, seed=1,
                                             rounds=[8, 0, 3])))
-        assert runs[0] == runs[1]
+        assert runs[0] == runs[1] == runs[2]
         assert multiprocessing.active_children() == []
 
     def test_worker_error_reaches_the_caller_and_leaves_no_child(self):
@@ -416,6 +416,26 @@ class TestFoldPool:
                                         side_effect=TrainingError("no split left")):
             with pytest.raises(TrainingError, match="^no split left$"):
                 small_search()
+        assert multiprocessing.active_children() == []
+
+    def test_a_worker_that_dies_raises_training_error_and_leaves_no_child(self):
+        parent = os.getpid()
+
+        def dies_in_a_worker(*args, **kwargs):
+            assert os.getpid() != parent  # with workers, this process trains nothing
+            os._exit(1)
+        with cpus(2), mock.patch.object(tuner, "train", dies_in_a_worker), bounded_wait():
+            with pytest.raises(TrainingError, match="^a fold worker process exited mid-search$"):
+                small_search()
+        assert multiprocessing.active_children() == []
+
+    def test_a_connection_error_of_the_trace_sink_is_not_taken_for_a_lost_worker(self):
+        def sink(entry):
+            if entry["event"] == "pair":
+                raise BrokenPipeError("the trace's reader went away")
+        for n in (1, 2):
+            with cpus(n), pytest.raises(BrokenPipeError, match="^the trace's reader went away$"):
+                small_search(sink)
         assert multiprocessing.active_children() == []
 
     def test_interrupt_mid_search_leaves_no_child(self):
