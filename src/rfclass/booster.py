@@ -22,19 +22,19 @@ are packed into one complex array, so one gather and one cumulative sum give
 both prefix sums, with the bits of two float sums.
 
 A round's class trees read only that round's probabilities, so `train`
-grows them on up to `min(CPUs, 10)` processes, unless rows times rounds is
+grows them on up to `min(CPUs, 10)` children, unless rows times rounds is
 too little work to pay for a fork (`worker_count`). It forks its tree
 workers once per call, after the workspace is built, so they share the
-matrix and its sort without copying them. The caller makes every random
-draw in class order, and worker `w` grows the classes k = w (mod workers).
-Each process keeps its own margins: it adds its own trees' walks as it
-grows them, and the others' once the round's trees are in. So no memory is
-shared and the caller allocates what a lone process would. Every float
-operation is the one a lone process does, so the models are bit-identical
-at any worker count. `forked` is the one lifecycle of forked workers, for
-tree growth, attribution and tuning folds alike: a worker's exception
-reaches the caller unchanged, and a worker that dies raises the caller's
-own error.
+matrix and its sort without copying them. The caller keeps the only
+margins and makes every random draw in class order. Each round it hands
+child w the draws of the classes k = w (mod workers), each with its
+class's probabilities, then adds the trees' walks to the margins in class
+order. Column k gets its walks in round order whoever grew the tree, so
+every float operation is the one a lone process does and the models are
+bit-identical at any worker count. `forked` is the one task map of forked
+workers, for tree growth, attribution and tuning folds alike: the caller
+hands out tasks and runs none itself, a worker's exception reaches the
+caller unchanged, and a worker that dies raises the caller's own error.
 """
 
 import json
@@ -46,7 +46,8 @@ import sys
 import threading
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields
-from functools import cached_property, partial
+from functools import cached_property
+from multiprocessing.connection import wait
 from types import NoneType, UnionType
 from typing import ClassVar, get_args
 
@@ -577,28 +578,31 @@ def predict_class(ensemble: Ensemble, X) -> np.ndarray | int:
 
 
 #: The least work of each kind worth forking workers for, in the units
-#: `worker_count` takes. A fork round trip (fork, one message each way, join)
-#: costs 3.8-6.1 ms, and each bound is where two processes began to beat
-#: one, measured on a 2-CPU host (Python 3.11.7, numpy 2.4.6):
+#: `worker_count` takes. A forking call starts `workers` children; at two, a
+#: fork round trip (fork both, one task each, stop and join) costs 8-12 ms.
+#: Each bound is where two children began to beat the calling process
+#: alone, measured on a 2-CPU host (Python 3.11.7, numpy 2.4.6):
 #: - `row_rounds`, rows times boosting rounds of `train`: on 11 columns at
-#:   depth 4, 3000 row-rounds (95-150 ms alone) gained nothing and 7000
-#:   (200 ms) a fifth to a third. pipeline_tc trains 3561 rows for 60 rounds.
+#:   depth 4 and 10 rounds, 3000 row-rounds (120-130 ms alone) gained 4-6%,
+#:   5000 (170 ms) 18-22% and 7000 (205 ms) a fifth. pipeline_tc trains
+#:   3561 rows for 60 rounds.
 #: - `row_leaves`, rows times ensemble leaves of `attribute`: on a 600-tree
-#:   model of 7941 leaves, 6 rows (48k, 40 ms alone) took longer and 12 rows
-#:   (95k, 81 ms) a quarter less. pipeline_tc explains 40 rows of that model.
+#:   model of 7941 leaves, 8 rows (64k, 64-74 ms alone) took as long or
+#:   longer and 12 rows (95k, 84 ms) 6-7% less. pipeline_tc explains 40 rows
+#:   of that model.
 FORK_AT = {"row_rounds": 5_000, "row_leaves": 100_000}
 
 
 def worker_count(n_tasks: int, **work: int) -> int:
-    """Processes to share `n_tasks` independent tasks: one per CPU this
-    process may run on, at most one per task. It is 1 when the call's work,
-    given in the units of `FORK_AT` (`row_rounds=` for `train`,
-    `row_leaves=` for `attribute`), is below the bound for its unit, since
-    the fork would cost more than it saves. It is also 1 on a platform
-    without `sched_getaffinity` (where `fork` is missing or unsafe), in a
-    process running other threads, since a forked child could inherit a lock
-    one of them holds, and in a daemonic process, such as a tuning fold
-    worker, which may not start children."""
+    """Children to share `n_tasks` independent tasks: one per CPU this
+    process may run on, at most one per task, where 1 means the tasks run in
+    the calling process. It is 1 when the call's work, given in the units of
+    `FORK_AT` (`row_rounds=` for `train`, `row_leaves=` for `attribute`), is
+    below the bound for its unit, since the fork would cost more than it
+    saves. It is also 1 on a platform without `sched_getaffinity` (where
+    `fork` is missing or unsafe), in a process running other threads, since
+    a forked child could inherit a lock one of them holds, and in a daemonic
+    process, such as a tuning fold worker, which may not start children."""
     if not hasattr(os, "sched_getaffinity") or threading.active_count() > 1 \
             or multiprocessing.current_process().daemon \
             or any(size < FORK_AT[unit] for unit, size in work.items()):
@@ -606,14 +610,16 @@ def worker_count(n_tasks: int, **work: int) -> int:
     return min(len(os.sched_getaffinity(0)), n_tasks)
 
 
-def _worker_main(work, conn, errors, parent_ends) -> None:
-    """A forked worker: run `work(conn)` until it returns or the parent
-    goes away, and send an exception it raises down `errors`."""
+def _worker_main(task, conn, errors, parent_ends) -> None:
+    """A forked child: send back `task(*args)` for each `args` the parent
+    sends, until it sends None or goes away, and send an exception a task
+    raises down `errors`."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles Ctrl-C
     for end in parent_ends:  # else they stay open here and hide the parent's exit
         end.close()
     try:
-        work(conn)
+        while (args := conn.recv()) is not None:
+            conn.send(task(*args))
     except (EOFError, ConnectionError):  # the parent went away
         pass
     except Exception as exc:  # the parent raises it once this child's end closes
@@ -621,42 +627,65 @@ def _worker_main(work, conn, errors, parent_ends) -> None:
 
 
 @contextmanager
-def forked(works: list, lost: Exception):
-    """Fork one child for each of `works` and yield the parent's ends of
-    their pipes, in order; child i runs `works[i](conn)` on the other end.
+def forked(task, workers: int, lost: Exception):
+    """Yield `run(tasks)`, which returns `[task(*args) for args in tasks]`.
     This is the one place rfclass starts a process: `train`'s tree workers,
     `attribute`'s row workers and the tuner's fold workers all come from it.
 
-    The children are daemonic, so they start no children of their own, and
-    they ignore Ctrl-C. Each closes the parent's ends it inherited, so a
-    parent that goes away gives it EOF. An `Exception` a child's work raises
-    goes down one error pipe the children share, and the child exits. A
-    child's end that closes mid-exchange (EOF or a broken pipe in the block)
-    raises the exception a child sent, unchanged, or `lost` if none was
-    sent, as when a child is killed; an EOF or connection error of the
-    block's own, such as a caller's callback raises while every child's
-    end is open, passes unchanged. When the block ends the children are
-    joined, so the block must have let each `work` return; however it
-    exits, every child is terminated and joined.
+    With one worker the tasks run in this process. Otherwise `workers`
+    children are forked on entry and get `task`, and all it refers to,
+    through the fork. `run` sends each task's arguments to whichever child
+    is free and files each result by the task's index; this process runs no
+    task itself. The children are daemonic, so they start no children of
+    their own, and they ignore Ctrl-C. An `Exception` a task raises goes
+    down one error pipe the children share, and its child exits. A child
+    that goes away while `run` waits on it, or before the stop message it is
+    sent when the block ends, raises the exception a child sent, unchanged,
+    or `lost` if none was sent, as when a child is killed. The block's own
+    exceptions pass unchanged, and however it exits, every child is
+    terminated and joined.
     """
+    if workers <= 1:
+        yield lambda tasks: [task(*args) for args in tasks]
+        return
     context = multiprocessing.get_context("fork")
     errors, error_end = context.Pipe(duplex=False)
     conns, children = [], []
+
+    def gone() -> Exception:  # once a child's end has closed
+        return errors.recv() if errors.poll() else lost
+
+    def run(tasks: list) -> list:
+        results, busy, idle = [None] * len(tasks), {}, list(conns)
+        todo = list(enumerate(tasks))[::-1]
+        try:
+            while todo or busy:
+                while idle and todo:
+                    conn, (i, args) = idle.pop(), todo.pop()
+                    conn.send(args)
+                    busy[conn] = i
+                for conn in wait(list(busy)):
+                    results[busy.pop(conn)] = conn.recv()
+                    idle.append(conn)
+        except (EOFError, ConnectionError):
+            raise gone() from None
+        return results
+
     try:
-        for work in works:
+        for _ in range(workers):
             parent_end, child_end = context.Pipe()
             conns.append(parent_end)
             child = context.Process(target=_worker_main,
-                                    args=(work, child_end, error_end, conns), daemon=True)
+                                    args=(task, child_end, error_end, conns), daemon=True)
             child.start()
             children.append(child)
             child_end.close()  # so a child that dies gives this end EOF
+        yield run
         try:
-            yield conns
-        except (EOFError, ConnectionError):
-            if not any(conn.poll() for conn in conns):  # every child's end is open
-                raise
-            raise (errors.recv() if errors.poll() else lost) from None
+            for conn in conns:
+                conn.send(None)
+        except ConnectionError:
+            raise gone() from None
         for child in children:
             child.join()
     finally:
@@ -665,80 +694,6 @@ def forked(works: list, lost: Exception):
             child.join()
         for conn in [*conns, errors, error_end]:
             conn.close()
-
-
-class _BoostState:
-    """One process's margins over the training rows and the round's
-    probabilities, and the growth of one class's tree from them.
-
-    A forked tree worker keeps a copy of its own, so no memory is shared:
-    each process adds the walk of every tree to its margins, its own trees'
-    as it grows them and the others' at the start of the next round, with
-    the float operations of a single process.
-    """
-
-    def __init__(self, ws: _Workspace, X, y, hp: Hyperparameters):
-        self.ws, self.X, self.y, self.hp = ws, X, y, hp
-        self.margins = np.zeros((X.shape[0], hp.num_class))
-        self.proba = np.empty_like(self.margins)
-        self.begin_round([])
-
-    def begin_round(self, others: list[tuple[int, Tree]]) -> None:
-        """Add the walks of the (class, tree) pairs other processes grew in
-        the last round, then compute the probabilities from the margins."""
-        for k, tree in others:
-            self.margins[:, k] += tree.predict_margin(self.X)
-        softmax_margins(self.margins, out=self.proba)
-
-    def grow(self, k: int, mask: np.ndarray | None, cols_by_depth: list[np.ndarray]) -> Tree:
-        p = self.proba[:, k]
-        g = p - (self.y == k)
-        h = p * (1.0 - p)
-        tree = _grow_tree(self.ws, g, h, _mask_rows(mask, self.X.shape[0]), self.hp,
-                          cols_by_depth)
-        self.margins[:, k] += tree.predict_margin(self.X)
-        return tree
-
-
-def _tree_worker(conn, state: _BoostState) -> None:
-    """A forked tree worker: grow a tree for each draw of a round and send
-    them back, then begin the next round with the (class, tree) pairs the
-    other processes grew, until the parent sends None."""
-    while (draws := conn.recv()) is not None:
-        conn.send([state.grow(*draw) for draw in draws])
-        state.begin_round(conn.recv())
-
-
-@contextmanager
-def _tree_workers(state: _BoostState, workers: int):
-    """Yield `grow_round(draws)`, which grows one tree for each (class,
-    mask, columns) draw of a round, returns them in draw order and begins
-    the next round in `state`.
-
-    `workers - 1` children are `forked` here, each with its own copy of
-    `state`: child `w` grows the draws at positions w (mod workers), this
-    process the rest. Once a round's trees are in, each child is sent the
-    trees it did not grow and begins the next round while this process
-    does. With one worker every tree grows in this process. The children
-    are stopped by a message when the block ends.
-    """
-    works = [partial(_tree_worker, state=state)] * (workers - 1)
-    with forked(works, TrainingError("a tree worker process exited mid-round")) as conns:
-        def grow_round(draws: list) -> list[Tree]:
-            trees = [None] * len(draws)
-            for w, conn in enumerate(conns, 1):
-                conn.send(draws[w::workers])
-            trees[::workers] = [state.grow(*draw) for draw in draws[::workers]]
-            for w, conn in enumerate(conns, 1):
-                trees[w::workers] = conn.recv()
-            for w, conn in enumerate(conns, 1):
-                conn.send([(k, tree) for k, tree in enumerate(trees) if k % workers != w])
-            state.begin_round([(k, tree) for k, tree in enumerate(trees) if k % workers])
-            return trees
-
-        yield grow_round
-        for conn in conns:
-            conn.send(None)
 
 
 def train(
@@ -761,8 +716,8 @@ def train(
     improved for `patience` rounds and the ensemble is truncated to the best
     round; the eval margins are updated tree by tree, so each round walks
     only its own trees over the eval set. A round's trees grow on
-    `worker_count(10, row_rounds=rows * rounds)` processes, and the model
-    does not depend on how many.
+    `worker_count(10, row_rounds=rows * rounds)` children, or in this
+    process if that is 1, and the model does not depend on how many.
 
     training_loss holds the training mlogloss before each round plus a
     final entry, so it has num_rounds + 1 values.
@@ -795,7 +750,9 @@ def train(
     rng = np.random.default_rng(seed)
 
     ensemble = Ensemble(hp=hp, num_features=d, feature_names=names)
-    state = _BoostState(_Workspace(X), X, y, hp)
+    ws = _Workspace(X)
+    margins = np.zeros((n, k_classes))
+    proba = softmax_margins(margins)
     if early_stopping:
         X_eval = np.ascontiguousarray(ensemble._as_matrix(eval_set[0]))
         eval_margins = np.zeros((X_eval.shape[0], k_classes))
@@ -803,13 +760,23 @@ def train(
     best_round = 0
     rounds_since_best = 0
 
+    def grow_trees(draws: list) -> list[Tree]:
+        """A tree for each (class, its probabilities, row mask, columns) draw."""
+        return [_grow_tree(ws, p - (y == k), p * (1.0 - p), _mask_rows(mask, n), hp, cols)
+                for k, p, mask, cols in draws]
+
     workers = worker_count(k_classes, row_rounds=n * hp.num_rounds)
-    with _tree_workers(state, workers) as grow_round:
+    with forked(grow_trees, workers, TrainingError("a tree worker process exited mid-round")) as run:
         for _ in range(hp.num_rounds):
-            ensemble.training_loss.append(mlogloss(state.proba, y))
-            draws = [(k, _subsample_mask(rng, n, hp.subsample), _sample_columns(rng, d, hp))
-                     for k in range(k_classes)]
-            round_trees = grow_round(draws)
+            ensemble.training_loss.append(mlogloss(proba, y))
+            draws = [(k, proba[:, k], _subsample_mask(rng, n, hp.subsample),
+                      _sample_columns(rng, d, hp)) for k in range(k_classes)]
+            round_trees = [None] * k_classes
+            for w, trees in enumerate(run([(draws[w::workers],) for w in range(workers)])):
+                round_trees[w::workers] = trees
+            for k, tree in enumerate(round_trees):
+                margins[:, k] += tree.predict_margin(X)
+            softmax_margins(margins, out=proba)
             ensemble.trees.append(round_trees)
 
             if early_stopping:
@@ -829,9 +796,9 @@ def train(
         del ensemble.trees[best_round:]
         del ensemble.training_loss[best_round:]
         ensemble.best_round = best_round
-        softmax_margins(ensemble.margins(X), out=state.proba)
+        softmax_margins(ensemble.margins(X), out=proba)
 
-    ensemble.training_loss.append(mlogloss(state.proba, y))
+    ensemble.training_loss.append(mlogloss(proba, y))
     return ensemble
 
 

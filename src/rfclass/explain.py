@@ -25,16 +25,14 @@ splits; working memory is a few (D, ROW_BLOCK, paths) arrays and a
 over hot/cold feature patterns is built, so deep trees cost D^2, not 2^D.
 
 Since a row's phi does not depend on the other rows, a call shares its rows
-among up to `min(CPUs, blocks)` processes. It builds the path groups once,
-then `forked` workers each attribute one contiguous slice of whole blocks
-and send its phi back as raw bytes, while the caller attributes the first
-slice; the slices go into phi in row order, so phi is bit-identical at any
+among up to `min(CPUs, blocks)` children. It builds the path groups once,
+then hands each `forked` worker one contiguous slice of whole blocks to
+attribute and joins their phi in row order, so phi is bit-identical at any
 worker count. `booster.worker_count` keeps a call whose rows times leaves
-would not pay for a fork in one process.
+would not pay for a fork in the calling process.
 """
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -291,8 +289,7 @@ def _path_shap(ensemble: Ensemble, X: np.ndarray) -> tuple[np.ndarray, np.ndarra
     attributes a slice of the rows.
     """
     groups, base, n_leaves = _paths(ensemble)
-    phi = np.zeros((X.shape[0], base.size, ensemble.num_features))
-    width = phi[0].size
+    width = base.size * ensemble.num_features
     slots = max((group.target.shape[0] for group in groups), default=0)
     # the elements' bins of every path, one row per path, and a zero row for
     # the positions no path fills
@@ -301,10 +298,12 @@ def _path_shap(ensemble: Ensemble, X: np.ndarray) -> tuple[np.ndarray, np.ndarra
     for group, first in zip(groups, first_path):
         targets[first:first + group.value.size, :group.target.shape[0]] = group.target.T
 
-    def attribute_rows(rows: slice) -> np.ndarray:
+    def attribute_rows(start: int, stop: int) -> np.ndarray:
+        """phi of the rows [start, stop): whole blocks, unless `stop` ends X."""
+        phi = np.zeros((stop - start, base.size, ensemble.num_features))
         with np.errstate(divide="ignore", invalid="ignore"):  # in lanes np.where drops
-            for start in range(rows.start, rows.stop, ROW_BLOCK):
-                block = X[start:start + ROW_BLOCK]  # rows.stop ends a block
+            for at in range(0, stop - start, ROW_BLOCK):
+                block = X[start + at:start + at + ROW_BLOCK]  # stop ends a block
                 row = np.arange(block.shape[0])[:, None]
                 # each row's attributions in the recursion's order of addition
                 values = np.zeros((block.shape[0], n_leaves, slots))
@@ -314,23 +313,17 @@ def _path_shap(ensemble: Ensemble, X: np.ndarray) -> tuple[np.ndarray, np.ndarra
                     values[row, order, :contributions.shape[0]] = contributions.transpose(1, 2, 0)
                     path[row, order] = first + np.arange(group.value.size)
                 bins = targets[path] + width * row[:, :, None]
-                out = phi[start:start + ROW_BLOCK].reshape(-1)
+                out = phi[at:at + ROW_BLOCK].reshape(-1)
                 out += np.bincount(bins.ravel(), weights=values.ravel(), minlength=out.size)
-        return phi[rows]
+        return phi
 
-    def send_rows(rows: slice, conn) -> None:  # a forked worker's whole task
-        conn.send_bytes(attribute_rows(rows))
-
-    # one contiguous slice of whole blocks per process, this one's first
+    # one contiguous slice of whole blocks per worker
     blocks = -(-X.shape[0] // ROW_BLOCK)
     workers = worker_count(blocks, row_leaves=X.shape[0] * n_leaves)
     ends = [min(ROW_BLOCK * (blocks * w // workers), X.shape[0]) for w in range(workers + 1)]
-    slices = [slice(start, stop) for start, stop in zip(ends, ends[1:])]
-    works = [partial(send_rows, rows) for rows in slices[1:]]
-    with forked(works, RfclassError("an attribution worker process exited mid-call")) as conns:
-        attribute_rows(slices[0])
-        for rows, conn in zip(slices[1:], conns):
-            phi[rows] = np.frombuffer(conn.recv_bytes()).reshape(phi[rows].shape)
+    with forked(attribute_rows, workers,
+                RfclassError("an attribution worker process exited mid-call")) as run:
+        phi = np.concatenate(run(list(zip(ends, ends[1:]))))
     return phi, base
 
 

@@ -20,21 +20,20 @@ the default grid falls from about 13.8k to 11.4k boosting rounds per fold.
 
 The folds are independent, so every (group, fold) training of a pair is
 one task. A search forks its fold workers once, one per available CPU,
-through `booster.forked`, the lifecycle `train` and `attribute` use too.
-The workers get the matrix and the folds through the fork and train one
-task per message; the caller hands each task to whichever worker is free
-and keeps the result at the task's index. Each mean is taken in fold order,
-so scores do not depend on the worker count; with one CPU the tasks run in
-the calling process. A fold worker is daemonic, so the `train` calls in it
-grow their trees in it too. An exception a fold training raises reaches
-the caller unchanged, at any worker count, and a worker that dies ends the
-search with `TrainingError`.
+through `booster.forked`, the task map `train` and `attribute` use too.
+The workers get the matrix and the folds through the fork, and `forked`
+hands each task to whichever worker is free and keeps the result at the
+task's index. Each mean is taken in fold order, so scores do not depend on
+the worker count; with one CPU the tasks run in the calling process. A
+fold worker is daemonic, so the `train` calls in it grow their trees in it
+too. An exception a fold training raises reaches the caller unchanged, at
+any worker count, and a worker that dies ends the search with
+`TrainingError`.
 """
 
 import itertools
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
-from multiprocessing.connection import wait
 from typing import Callable
 
 import numpy as np
@@ -139,13 +138,12 @@ def _fold_pool(train_db: Database, k: int, seed: int):
     mlogloss of each listed prefix of hp's model, folds averaged in fold
     order.
 
-    Every (job, fold) training of one call is one task. With one worker
-    the tasks run in this process; otherwise `worker_count` workers are
-    `forked` once, each holding the matrix and the folds from the fork and
-    answering one (hp, rounds, fold) task per message until it is sent
-    None, and this process only hands the next task to a free worker and
-    files each result by task index. So the means do not depend on the
-    worker count, and this process forks no tree workers beside them.
+    Every (job, fold) training of one call is one task of `fold_losses`,
+    which `booster.forked` runs on `worker_count` children forked once,
+    each holding the matrix and the folds from the fork, or in this process
+    with one worker. Results come back by task index, so the means do not
+    depend on the worker count, and this process forks no tree workers
+    beside the fold workers.
     """
     X, y = to_matrix(train_db)
     folds = [(fit_idx, val_idx) for fit_idx, val_idx
@@ -158,28 +156,8 @@ def _fold_pool(train_db: Database, k: int, seed: int):
         model = train(X[fit_idx], y[fit_idx], hp, seed, feature_names=train_db.schema.names)
         return _prefix_losses(model, X[val_idx], y[val_idx], rounds)
 
-    def serve(conn) -> None:  # a fold worker's whole task
-        while (task := conn.recv()) is not None:
-            conn.send(fold_losses(*task))
-
-    workers = worker_count(len(folds))
-    works = [serve] * workers if workers > 1 else []
-    with forked(works, TrainingError("a fold worker process exited mid-search")) as conns:
-        def run(tasks: list) -> list[list[float]]:
-            if not conns:
-                return [fold_losses(*task) for task in tasks]
-            losses, busy, idle = [None] * len(tasks), {}, list(conns)
-            todo = list(enumerate(tasks))[::-1]
-            while todo or busy:
-                while idle and todo:
-                    conn, (i, task) = idle.pop(), todo.pop()
-                    conn.send(task)
-                    busy[conn] = i
-                for conn in wait(list(busy)):
-                    losses[busy.pop(conn)] = conn.recv()
-                    idle.append(conn)
-            return losses
-
+    lost = TrainingError("a fold worker process exited mid-search")
+    with forked(fold_losses, worker_count(len(folds)), lost) as run:
         def means(jobs: list[tuple[Hyperparameters, list[int]]]) -> list[list[float]]:
             losses = run([(hp, rounds, fold) for hp, rounds in jobs for fold in range(len(folds))])
             out = []
@@ -190,8 +168,6 @@ def _fold_pool(train_db: Database, k: int, seed: int):
             return out
 
         yield means
-        for conn in conns:
-            conn.send(None)
 
 
 def cross_validate(train_db: Database, hp: Hyperparameters, k: int, seed: int, *,
@@ -201,8 +177,9 @@ def cross_validate(train_db: Database, hp: Hyperparameters, k: int, seed: int, *
     With `rounds`, each fold's model is trained once at `hp.num_rounds` and
     scored on its first r rounds for every r listed; the result holds one
     mean per listed r, each equal to a plain call with `num_rounds=r`. The
-    folds train in `_fold_pool`'s workers, and an exception a fold training
-    raises reaches the caller unchanged.
+    folds train as `_fold_pool`'s tasks, in its forked workers or in this
+    process, and an exception a fold training raises reaches the caller
+    unchanged.
     """
     prefixes = [hp.num_rounds] if rounds is None else list(rounds)
     if any(not 0 <= r <= hp.num_rounds for r in prefixes):

@@ -1,10 +1,12 @@
 import contextlib
 import multiprocessing
 import signal
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from rfclass import booster
 from rfclass.booster import _TreeBuilder
 from rfclass.dataset import (Database, DatabaseTag, ReservoirRecord,
                              canonical_schema)
@@ -73,6 +75,21 @@ def bounded_wait(seconds=60):
         signal.signal(signal.SIGALRM, previous)
 
 
+def interrupting_wait(call, children):
+    """Patch `booster.wait`, where the caller of forked workers waits for
+    their results, to raise KeyboardInterrupt on its `call`-th call, after
+    checking that `children` children are alive."""
+    calls, wait = [], booster.wait
+
+    def interrupted(*args):
+        calls.append(None)
+        if len(calls) == call:
+            assert len(multiprocessing.active_children()) == children
+            raise KeyboardInterrupt
+        return wait(*args)
+    return mock.patch.object(booster, "wait", interrupted)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
@@ -81,8 +98,8 @@ def rng():
 @pytest.fixture(autouse=True)
 def leaves_no_child_process():
     """Fail the test that leaves a child process running, one of the
-    `booster.forked` workers of `train`, `attribute` or the tuner's folds,
-    and stop the children it left."""
+    children `booster.forked` starts to run the tasks of `train`,
+    `attribute` or the tuner's folds, and stop the children it left."""
     yield
     left = multiprocessing.active_children()
     for child in left:

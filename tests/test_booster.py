@@ -25,6 +25,8 @@ from rfclass.explain import attribute
 from rfclass.pipeline import PipelineConfig, ingest, preprocess
 from rfclass.preprocess import to_matrix
 
+from conftest import interrupting_wait
+
 
 def hp_with(**kwargs) -> Hyperparameters:
     defaults = dict(max_depth=3, min_child_weight=0.0, learning_rate=0.1,
@@ -648,20 +650,16 @@ class TestTreeWorkers:
         assert docs[0] == docs[1] == docs[2]
 
     def test_children_share_the_round_and_none_outlives_train(self):
-        seen = []
-        grow = booster._grow_tree
-
-        def grow_tree(*args):
-            seen.append(len(multiprocessing.active_children()))
-            return grow(*args)
+        parent, grow = os.getpid(), booster._grow_tree
         X, y = worker_data()
         for n_cpus in (1, 2, 3, 12):
-            seen.clear()
-            with cpus(n_cpus), mock.patch.object(booster, "_grow_tree", grow_tree):
+            def grow_tree(*args, forking=n_cpus > 1):
+                assert (os.getpid() != parent) == forking  # the caller grows no tree
+                return grow(*args)
+            with cpus(n_cpus), mock.patch.object(booster, "_grow_tree", grow_tree), \
+                    mock.patch.object(os, "fork", wraps=os.fork) as fork:
                 train(X, y, hp_with(num_rounds=2), seed=0)
-            # the parent grows the classes k = 0 (mod workers), two rounds of them
-            workers = min(n_cpus, 10)
-            assert seen == [workers - 1] * len(range(0, 10, workers)) * 2
+            assert fork.call_count == (min(n_cpus, 10) if n_cpus > 1 else 0)
             assert multiprocessing.active_children() == []
 
     def test_a_thread_or_a_daemonic_process_forks_nothing(self, monkeypatch):
@@ -690,16 +688,27 @@ class TestTreeWorkers:
                 train(X, y, hp_with(num_rounds=3), seed=0)
         assert multiprocessing.active_children() == []
 
+    def test_children_that_die_before_their_stop_message_raise_training_error(self):
+        X, y = worker_data()
+        parent, calls, softmax = os.getpid(), [], booster.softmax_margins
+
+        def softmax_then_kill(*args, **kwargs):
+            calls.append(None)
+            if os.getpid() == parent and len(calls) == 4:  # after the last of three rounds
+                for child in multiprocessing.active_children():
+                    os.kill(child.pid, signal.SIGKILL)
+                    child.join(10)
+                    assert child.exitcode == -signal.SIGKILL
+            return softmax(*args, **kwargs)
+        with cpus(2), mock.patch.object(booster, "softmax_margins", softmax_then_kill):
+            with pytest.raises(TrainingError, match="^a tree worker process exited mid-round$"):
+                train(X, y, hp_with(num_rounds=3), seed=0)
+        assert len(calls) == 4
+        assert multiprocessing.active_children() == []
+
     def test_interrupt_mid_train_leaves_no_child(self):
         X, y = worker_data()
-        parent, calls, grow = os.getpid(), [], booster._grow_tree
-
-        def grow_tree(*args):
-            calls.append(None)
-            if os.getpid() == parent and len(calls) == 7:  # the parent's second round
-                raise KeyboardInterrupt
-            return grow(*args)
-        with cpus(2), mock.patch.object(booster, "_grow_tree", grow_tree):
+        with cpus(2), interrupting_wait(3, children=2):  # in the second round or later
             with pytest.raises(KeyboardInterrupt):
                 train(X, y, hp_with(num_rounds=3), seed=0)
         assert multiprocessing.active_children() == []
@@ -739,13 +748,15 @@ class TestForkRule:
             assert booster.worker_count(2) == 2  # no size given: the tuner's folds
 
 
-#: The names through which code could start a process of its own.
-PROCESS_STARTERS = {"Pool", "Process", "get_context", "os.fork"}
+#: The names through which code could start a process of its own or
+#: message one.
+PROCESS_NAMES = {"Pool", "Process", "get_context", "os.fork", "Pipe", "wait", "multiprocessing"}
 
 
 def test_booster_is_the_only_module_that_starts_a_process():
     """Every worker comes from `booster.forked`: no other module under
-    src/rfclass/ names a way to start a process."""
+    src/rfclass/ imports multiprocessing or names a way to start a process
+    or to send or wait for a message."""
     found = []
     for path in sorted(Path(booster.__file__).parent.rglob("*.py")):
         if path.name == "booster.py":
@@ -756,13 +767,15 @@ def test_booster_is_the_only_module_that_starts_a_process():
             elif isinstance(node, ast.Attribute):
                 base = node.value.id if isinstance(node.value, ast.Name) else ""
                 names = [node.attr, f"{base}.{node.attr}"]
+            elif isinstance(node, ast.Import):
+                names = [alias.name.partition(".")[0] for alias in node.names]
             elif isinstance(node, ast.ImportFrom):
-                names = [n for alias in node.names
-                         for n in (alias.name, f"{node.module}.{alias.name}")]
+                names = [(node.module or "").partition(".")[0]] + [
+                    n for alias in node.names for n in (alias.name, f"{node.module}.{alias.name}")]
             else:
                 continue
             found += [f"{path.name}:{node.lineno} {name}"
-                      for name in names if name in PROCESS_STARTERS]
+                      for name in names if name in PROCESS_NAMES]
     assert found == []
 
 

@@ -17,7 +17,7 @@ from rfclass.explain import (ROW_BLOCK, Attribution, _child_fractions,
                              aggregate_importance, attribute,
                              importance_from_database)
 
-from conftest import complete_database, random_tree
+from conftest import complete_database, interrupting_wait, random_tree
 
 
 def expected_margin(tree, x, coalition):
@@ -407,7 +407,7 @@ class TestAttributionWorkers:
             forks.append(fork.call_count)
         assert results[0] == results[1] == results[2]
         blocks = -(-n_rows // ROW_BLOCK)
-        want = [min(n, blocks) - 1 if n_rows >= FORK_ROWS else 0 for n in (1, 2, 3)]
+        want = [min(n, blocks) if n_rows >= FORK_ROWS and n > 1 else 0 for n in (1, 2, 3)]
         assert forks == want
 
     def test_a_worker_that_exits_raises_a_clean_error_and_leaves_no_child(self, rng):
@@ -419,15 +419,7 @@ class TestAttributionWorkers:
 
     def test_interrupt_in_the_caller_leaves_no_child(self, rng):
         ens = random_class_ensemble(rng, 3, 2, 3, 4, zero_cover=0.0)
-        parent, contributions = os.getpid(), explain._PathGroup.contributions
-
-        def interrupted(*args):
-            if os.getpid() == parent:
-                assert len(multiprocessing.active_children()) == 1
-                raise KeyboardInterrupt
-            return contributions(*args)
-        with cpus(2), fork_at_rows(0, ens), \
-                mock.patch.object(explain._PathGroup, "contributions", interrupted):
+        with cpus(2), fork_at_rows(0, ens), interrupting_wait(1, children=2):
             with pytest.raises(KeyboardInterrupt):
                 attribute(ens, rng.random((9, 3)))
         assert multiprocessing.active_children() == []

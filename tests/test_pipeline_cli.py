@@ -235,7 +235,7 @@ class TestRunPipeline:
                          for name in ("reports/importance.csv", "model.json")])
             forks.append(fork.call_count)
         assert runs[0] == runs[1]
-        assert forks == [0, 2]  # at 2 CPUs, one tree worker and one attribution worker
+        assert forks == [0, 4]  # at 2 CPUs, two tree workers and two attribution workers
 
     def test_different_seeds_differ(self, tmp_path):
         a = run_pipeline(tiny_config(seed=1), tmp_path / "a")
@@ -330,7 +330,7 @@ def _twelve_classes(doc):
 #: of a failure in them and the error of a worker that dies.
 WORKERS = {
     "tune": ((tuner, "train"), 4, "a fold worker process exited mid-search"),
-    "train": ((booster._BoostState, "grow"), 4, "a tree worker process exited mid-round"),
+    "train": ((booster, "_grow_tree"), 4, "a tree worker process exited mid-round"),
     "explain": ((explain._PathGroup, "contributions"), 3,
                 "an attribution worker process exited mid-call"),
 }
