@@ -27,14 +27,16 @@ too little work to pay for a fork (`worker_count`). It forks its tree
 workers once per call, after the workspace is built, so they share the
 matrix and its sort without copying them. The caller keeps the only
 margins and makes every random draw in class order. Each round it hands
-child w the draws of the classes k = w (mod workers), each with its
-class's probabilities, then adds the trees' walks to the margins in class
-order. Column k gets its walks in round order whoever grew the tree, so
-every float operation is the one a lone process does and the models are
-bit-identical at any worker count. `forked` is the one task map of forked
-workers, for tree growth, attribution and tuning folds alike: the caller
-hands out tasks and runs none itself, a worker's exception reaches the
-caller unchanged, and a worker that dies raises the caller's own error.
+`forked` one task per class, the class's draws and probabilities, then
+adds the trees' walks to the margins in class order. Column k gets its
+walks in round order whoever grew the tree, so every float operation is
+the one a lone process does and the models are bit-identical at any
+worker count. `forked` is the one task map of forked workers, for tree
+growth, attribution and tuning folds alike, and the one place that sizes
+them: it deals task i to worker i mod workers and gives the results back
+in task order, so callers never see the worker count. A task's exception
+reaches the caller unchanged, and a worker that dies raises the caller's
+own error.
 """
 
 import json
@@ -47,7 +49,6 @@ import threading
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields
 from functools import cached_property
-from multiprocessing.connection import wait
 from types import NoneType, UnionType
 from typing import ClassVar, get_args
 
@@ -594,12 +595,12 @@ FORK_AT = {"row_rounds": 5_000, "row_leaves": 100_000}
 
 
 def worker_count(n_tasks: int, **work: int) -> int:
-    """Children to share `n_tasks` independent tasks: one per CPU this
-    process may run on, at most one per task, where 1 means the tasks run in
-    the calling process. It is 1 when the call's work, given in the units of
-    `FORK_AT` (`row_rounds=` for `train`, `row_leaves=` for `attribute`), is
-    below the bound for its unit, since the fork would cost more than it
-    saves. It is also 1 on a platform without `sched_getaffinity` (where
+    """Children for `forked` to deal `n_tasks` independent tasks to: one per
+    CPU this process may run on, at most one per task, where 1 means the
+    tasks run in the calling process. It is 1 when the call's work, given in
+    the units of `FORK_AT` (`row_rounds=` for `train`, `row_leaves=` for
+    `attribute`), is below the bound for its unit, since the fork would cost
+    more than it saves. It is also 1 on a platform without `sched_getaffinity` (where
     `fork` is missing or unsafe), in a process running other threads, since
     a forked child could inherit a lock one of them holds, and in a daemonic
     process, such as a tuning fold worker, which may not start children."""
@@ -610,73 +611,78 @@ def worker_count(n_tasks: int, **work: int) -> int:
     return min(len(os.sched_getaffinity(0)), n_tasks)
 
 
-def _worker_main(task, conn, errors, parent_ends) -> None:
-    """A forked child: send back `task(*args)` for each `args` the parent
-    sends, until it sends None or goes away, and send an exception a task
-    raises down `errors`."""
+def _worker_main(task, conn, parent_ends) -> None:
+    """A forked child: for each list of task arguments the parent sends,
+    send back `(True, results)`, or `(False, exc)` for the first `Exception`
+    a task raises, until the parent sends None or goes away. Only the task
+    call is guarded, so a task's own `EOFError` or `ConnectionError` is a
+    reply like any other error, not the parent going away."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles Ctrl-C
     for end in parent_ends:  # else they stay open here and hide the parent's exit
         end.close()
     try:
-        while (args := conn.recv()) is not None:
-            conn.send(task(*args))
+        while (chunk := conn.recv()) is not None:
+            try:
+                reply = True, [task(*args) for args in chunk]
+            except Exception as exc:
+                reply = False, exc
+            conn.send(reply)
     except (EOFError, ConnectionError):  # the parent went away
         pass
-    except Exception as exc:  # the parent raises it once this child's end closes
-        errors.send(exc)
 
 
 @contextmanager
-def forked(task, workers: int, lost: Exception):
+def forked(task, lost: Exception, n_tasks: int, **work: int):
     """Yield `run(tasks)`, which returns `[task(*args) for args in tasks]`.
     This is the one place rfclass starts a process: `train`'s tree workers,
-    `attribute`'s row workers and the tuner's fold workers all come from it.
+    `attribute`'s row workers and the tuner's fold workers all come from it,
+    and the caller never sees how many there are.
 
-    With one worker the tasks run in this process. Otherwise `workers`
-    children are forked on entry and get `task`, and all it refers to,
-    through the fork. `run` sends each task's arguments to whichever child
-    is free and files each result by the task's index; this process runs no
-    task itself. The children are daemonic, so they start no children of
-    their own, and they ignore Ctrl-C. An `Exception` a task raises goes
-    down one error pipe the children share, and its child exits. A child
-    that goes away while `run` waits on it, or before the stop message it is
-    sent when the block ends, raises the exception a child sent, unchanged,
-    or `lost` if none was sent, as when a child is killed. The block's own
-    exceptions pass unchanged, and however it exits, every child is
-    terminated and joined.
+    `worker_count(n_tasks, **work)` sets the workers: `n_tasks` caps them,
+    as workers beyond the tasks of a `run` call would sit idle, and `work`
+    is the call's size in `FORK_AT`'s units. With one worker the tasks run
+    in this process. Otherwise that many children are forked on entry and
+    get `task`, and all it refers to, through the fork. `run` deals the tasks by index: worker w
+    gets `tasks[w::workers]` as one message and sends back one reply on its
+    own pipe, and its results go back at the same indices, so the caller
+    sees them in task order. Each worker gets a task of every stretch of
+    `workers` consecutive tasks, so tasks whose cost changes slowly along
+    the list are shared evenly. This process runs no task itself. The
+    children are daemonic, so they start no children of their own, and they
+    ignore Ctrl-C. An `Exception` a task raises is raised here unchanged,
+    the first in worker order once every worker has replied. A child that
+    goes away while `run` talks to it, or before the stop message it is
+    sent when the block ends, raises `lost`, as when a child is killed. The
+    block's own exceptions pass unchanged, and however it exits, every
+    child is terminated and joined.
     """
+    workers = worker_count(n_tasks, **work)
     if workers <= 1:
         yield lambda tasks: [task(*args) for args in tasks]
         return
     context = multiprocessing.get_context("fork")
-    errors, error_end = context.Pipe(duplex=False)
     conns, children = [], []
 
-    def gone() -> Exception:  # once a child's end has closed
-        return errors.recv() if errors.poll() else lost
-
     def run(tasks: list) -> list:
-        results, busy, idle = [None] * len(tasks), {}, list(conns)
-        todo = list(enumerate(tasks))[::-1]
         try:
-            while todo or busy:
-                while idle and todo:
-                    conn, (i, args) = idle.pop(), todo.pop()
-                    conn.send(args)
-                    busy[conn] = i
-                for conn in wait(list(busy)):
-                    results[busy.pop(conn)] = conn.recv()
-                    idle.append(conn)
+            for w, conn in enumerate(conns):
+                conn.send(tasks[w::workers])
+            replies = [conn.recv() for conn in conns]
         except (EOFError, ConnectionError):
-            raise gone() from None
+            raise lost from None
+        results = [None] * len(tasks)
+        for w, (done, out) in enumerate(replies):
+            if not done:
+                raise out
+            results[w::workers] = out
         return results
 
     try:
         for _ in range(workers):
             parent_end, child_end = context.Pipe()
             conns.append(parent_end)
-            child = context.Process(target=_worker_main,
-                                    args=(task, child_end, error_end, conns), daemon=True)
+            child = context.Process(target=_worker_main, args=(task, child_end, conns),
+                                    daemon=True)
             child.start()
             children.append(child)
             child_end.close()  # so a child that dies gives this end EOF
@@ -685,14 +691,14 @@ def forked(task, workers: int, lost: Exception):
             for conn in conns:
                 conn.send(None)
         except ConnectionError:
-            raise gone() from None
+            raise lost from None
         for child in children:
             child.join()
     finally:
         for child in children:
             child.terminate()  # a joined child is not signalled again
             child.join()
-        for conn in [*conns, errors, error_end]:
+        for conn in conns:
             conn.close()
 
 
@@ -715,9 +721,10 @@ def train(
     other is refused), training stops once validation mlogloss has not
     improved for `patience` rounds and the ensemble is truncated to the best
     round; the eval margins are updated tree by tree, so each round walks
-    only its own trees over the eval set. A round's trees grow on
-    `worker_count(10, row_rounds=rows * rounds)` children, or in this
-    process if that is 1, and the model does not depend on how many.
+    only its own trees over the eval set. A round's ten trees are ten
+    `forked` tasks, which grow on `worker_count(10, row_rounds=rows *
+    rounds)` children, or in this process if that is 1, and the model does
+    not depend on how many.
 
     training_loss holds the training mlogloss before each round plus a
     final entry, so it has num_rounds + 1 values.
@@ -760,20 +767,16 @@ def train(
     best_round = 0
     rounds_since_best = 0
 
-    def grow_trees(draws: list) -> list[Tree]:
-        """A tree for each (class, its probabilities, row mask, columns) draw."""
-        return [_grow_tree(ws, p - (y == k), p * (1.0 - p), _mask_rows(mask, n), hp, cols)
-                for k, p, mask, cols in draws]
+    def grow_tree(k: int, p: np.ndarray, mask, cols) -> Tree:
+        """Class k's tree from its probabilities p, row mask and columns."""
+        return _grow_tree(ws, p - (y == k), p * (1.0 - p), _mask_rows(mask, n), hp, cols)
 
-    workers = worker_count(k_classes, row_rounds=n * hp.num_rounds)
-    with forked(grow_trees, workers, TrainingError("a tree worker process exited mid-round")) as run:
+    with forked(grow_tree, TrainingError("a tree worker process exited mid-round"), k_classes,
+                row_rounds=n * hp.num_rounds) as run:
         for _ in range(hp.num_rounds):
             ensemble.training_loss.append(mlogloss(proba, y))
-            draws = [(k, proba[:, k], _subsample_mask(rng, n, hp.subsample),
-                      _sample_columns(rng, d, hp)) for k in range(k_classes)]
-            round_trees = [None] * k_classes
-            for w, trees in enumerate(run([(draws[w::workers],) for w in range(workers)])):
-                round_trees[w::workers] = trees
+            round_trees = run([(k, proba[:, k], _subsample_mask(rng, n, hp.subsample),
+                                _sample_columns(rng, d, hp)) for k in range(k_classes)])
             for k, tree in enumerate(round_trees):
                 margins[:, k] += tree.predict_margin(X)
             softmax_margins(margins, out=proba)

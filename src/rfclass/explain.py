@@ -26,17 +26,18 @@ over hot/cold feature patterns is built, so deep trees cost D^2, not 2^D.
 
 Since a row's phi does not depend on the other rows, a call shares its rows
 among up to `min(CPUs, blocks)` children. It builds the path groups once,
-then hands each `forked` worker one contiguous slice of whole blocks to
-attribute and joins their phi in row order, so phi is bit-identical at any
-worker count. `booster.worker_count` keeps a call whose rows times leaves
-would not pay for a fork in the calling process.
+then hands `booster.forked` one task per block and joins the blocks' phi
+in row order, so phi is bit-identical at any worker count. `forked` deals
+block b to worker b mod workers, and every block costs about the same, so
+each worker gets an even share of the rows. A call whose rows times
+leaves would not pay for a fork runs in the calling process.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .booster import Ensemble, Tree, forked, worker_count
+from .booster import Ensemble, Tree, forked
 from .dataset import Database, csv_text
 from .errors import RfclassError
 
@@ -285,8 +286,8 @@ def _path_shap(ensemble: Ensemble, X: np.ndarray) -> tuple[np.ndarray, np.ndarra
     """phi (rows, classes, features) and base (classes,).
 
     A row's results do not depend on the other rows, so one row reproduces
-    its slice of a call on many bit for bit, and so does a worker that
-    attributes a slice of the rows.
+    its slice of a call on many bit for bit, and so does each task, which
+    attributes one block of the rows.
     """
     groups, base, n_leaves = _paths(ensemble)
     width = base.size * ensemble.num_features
@@ -298,32 +299,26 @@ def _path_shap(ensemble: Ensemble, X: np.ndarray) -> tuple[np.ndarray, np.ndarra
     for group, first in zip(groups, first_path):
         targets[first:first + group.value.size, :group.target.shape[0]] = group.target.T
 
-    def attribute_rows(start: int, stop: int) -> np.ndarray:
-        """phi of the rows [start, stop): whole blocks, unless `stop` ends X."""
-        phi = np.zeros((stop - start, base.size, ensemble.num_features))
+    def attribute_block(start: int) -> np.ndarray:
+        """phi of the ROW_BLOCK rows from `start`, or of the rows up to the end of X."""
+        block = X[start:start + ROW_BLOCK]
+        row = np.arange(block.shape[0])[:, None]
+        # each row's attributions in the recursion's order of addition
+        values = np.zeros((block.shape[0], n_leaves, slots))
+        path = np.full((block.shape[0], n_leaves), targets.shape[0] - 1)
         with np.errstate(divide="ignore", invalid="ignore"):  # in lanes np.where drops
-            for at in range(0, stop - start, ROW_BLOCK):
-                block = X[start + at:start + at + ROW_BLOCK]  # stop ends a block
-                row = np.arange(block.shape[0])[:, None]
-                # each row's attributions in the recursion's order of addition
-                values = np.zeros((block.shape[0], n_leaves, slots))
-                path = np.full((block.shape[0], n_leaves), targets.shape[0] - 1)
-                for group, first in zip(groups, first_path):
-                    contributions, order = group.contributions(block)
-                    values[row, order, :contributions.shape[0]] = contributions.transpose(1, 2, 0)
-                    path[row, order] = first + np.arange(group.value.size)
-                bins = targets[path] + width * row[:, :, None]
-                out = phi[at:at + ROW_BLOCK].reshape(-1)
-                out += np.bincount(bins.ravel(), weights=values.ravel(), minlength=out.size)
-        return phi
+            for group, first in zip(groups, first_path):
+                contributions, order = group.contributions(block)
+                values[row, order, :contributions.shape[0]] = contributions.transpose(1, 2, 0)
+                path[row, order] = first + np.arange(group.value.size)
+        bins = targets[path] + width * row[:, :, None]
+        phi = np.bincount(bins.ravel(), weights=values.ravel(), minlength=block.shape[0] * width)
+        return phi.reshape(block.shape[0], base.size, ensemble.num_features)
 
-    # one contiguous slice of whole blocks per worker
-    blocks = -(-X.shape[0] // ROW_BLOCK)
-    workers = worker_count(blocks, row_leaves=X.shape[0] * n_leaves)
-    ends = [min(ROW_BLOCK * (blocks * w // workers), X.shape[0]) for w in range(workers + 1)]
-    with forked(attribute_rows, workers,
-                RfclassError("an attribution worker process exited mid-call")) as run:
-        phi = np.concatenate(run(list(zip(ends, ends[1:]))))
+    starts = range(0, X.shape[0], ROW_BLOCK)
+    with forked(attribute_block, RfclassError("an attribution worker process exited mid-call"),
+                len(starts), row_leaves=X.shape[0] * n_leaves) as run:
+        phi = np.concatenate(run([(start,) for start in starts]))
     return phi, base
 
 

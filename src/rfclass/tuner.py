@@ -19,16 +19,18 @@ costs folds x groups trainings instead of folds x candidates; one sweep of
 the default grid falls from about 13.8k to 11.4k boosting rounds per fold.
 
 The folds are independent, so every (group, fold) training of a pair is
-one task. A search forks its fold workers once, one per available CPU,
-through `booster.forked`, the task map `train` and `attribute` use too.
-The workers get the matrix and the folds through the fork, and `forked`
-hands each task to whichever worker is free and keeps the result at the
-task's index. Each mean is taken in fold order, so scores do not depend on
-the worker count; with one CPU the tasks run in the calling process. A
-fold worker is daemonic, so the `train` calls in it grow their trees in it
-too. An exception a fold training raises reaches the caller unchanged, at
-any worker count, and a worker that dies ends the search with
-`TrainingError`.
+one task, listed group by group. A search forks its fold workers once,
+one per available CPU, through `booster.forked`, the task map `train` and
+`attribute` use too. The workers get the matrix and the folds through the
+fork, and `forked` deals task i to worker i mod workers and gives the
+results back in task order. There are never more workers than folds, so
+each worker gets about the same share of every group's folds, and the
+load stays even though groups cost different amounts. Each mean is taken
+in fold order, so scores do not depend on the worker count; with one CPU
+the tasks run in the calling process. A fold worker is daemonic, so the
+`train` calls in it grow their trees in it too. An exception a fold
+training raises reaches the caller unchanged, at any worker count, and a
+worker that dies ends the search with `TrainingError`.
 """
 
 import itertools
@@ -38,8 +40,7 @@ from typing import Callable
 
 import numpy as np
 
-from .booster import (Ensemble, Hyperparameters, forked, mlogloss, softmax_margins, train,
-                      worker_count)
+from .booster import Ensemble, Hyperparameters, forked, mlogloss, softmax_margins, train
 from .booster import predict_proba  # noqa: F401 -- unused; perfbench/tracing.py wraps it here
 from .dataset import Database
 from .errors import TrainingError
@@ -139,11 +140,12 @@ def _fold_pool(train_db: Database, k: int, seed: int):
     order.
 
     Every (job, fold) training of one call is one task of `fold_losses`,
-    which `booster.forked` runs on `worker_count` children forked once,
-    each holding the matrix and the folds from the fork, or in this process
-    with one worker. Results come back by task index, so the means do not
-    depend on the worker count, and this process forks no tree workers
-    beside the fold workers.
+    job j's fold f being task j * folds + f. `booster.forked` deals them to
+    up to one child per fold, forked once, each holding the matrix and the
+    folds from the fork, or runs them in this process with one worker.
+    Results come back in task order, so the means do not depend on the
+    worker count, and this process forks no tree workers beside the fold
+    workers.
     """
     X, y = to_matrix(train_db)
     folds = [(fit_idx, val_idx) for fit_idx, val_idx
@@ -157,7 +159,7 @@ def _fold_pool(train_db: Database, k: int, seed: int):
         return _prefix_losses(model, X[val_idx], y[val_idx], rounds)
 
     lost = TrainingError("a fold worker process exited mid-search")
-    with forked(fold_losses, worker_count(len(folds)), lost) as run:
+    with forked(fold_losses, lost, len(folds)) as run:
         def means(jobs: list[tuple[Hyperparameters, list[int]]]) -> list[list[float]]:
             losses = run([(hp, rounds, fold) for hp, rounds in jobs for fold in range(len(folds))])
             out = []
@@ -170,23 +172,16 @@ def _fold_pool(train_db: Database, k: int, seed: int):
         yield means
 
 
-def cross_validate(train_db: Database, hp: Hyperparameters, k: int, seed: int, *,
-                   rounds: list[int] | None = None) -> float | list[float]:
+def cross_validate(train_db: Database, hp: Hyperparameters, k: int, seed: int) -> float:
     """Mean validation mlogloss over k stratified folds.
 
-    With `rounds`, each fold's model is trained once at `hp.num_rounds` and
-    scored on its first r rounds for every r listed; the result holds one
-    mean per listed r, each equal to a plain call with `num_rounds=r`. The
-    folds train as `_fold_pool`'s tasks, in its forked workers or in this
-    process, and an exception a fold training raises reaches the caller
-    unchanged.
+    The folds train as `_fold_pool`'s tasks, in its forked workers or in
+    this process, and an exception a fold training raises reaches the
+    caller unchanged.
     """
-    prefixes = [hp.num_rounds] if rounds is None else list(rounds)
-    if any(not 0 <= r <= hp.num_rounds for r in prefixes):
-        raise ValueError(f"prefix round counts must lie in [0, {hp.num_rounds}]")
     with _fold_pool(train_db, k, seed) as means:
-        [scores] = means([(hp, prefixes)])
-    return scores[0] if rounds is None else scores
+        [[score]] = means([(hp, [hp.num_rounds])])
+    return score
 
 
 def _scores(means: Callable, candidates: list[Hyperparameters],

@@ -1,12 +1,13 @@
 import contextlib
 import multiprocessing
+import os
 import signal
+from multiprocessing.connection import Connection
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from rfclass import booster
 from rfclass.booster import _TreeBuilder
 from rfclass.dataset import (Database, DatabaseTag, ReservoirRecord,
                              canonical_schema)
@@ -76,18 +77,20 @@ def bounded_wait(seconds=60):
 
 
 def interrupting_wait(call, children):
-    """Patch `booster.wait`, where the caller of forked workers waits for
-    their results, to raise KeyboardInterrupt on its `call`-th call, after
-    checking that `children` children are alive."""
-    calls, wait = [], booster.wait
+    """Patch `Connection.recv`, where the caller of forked workers waits for
+    their results, to raise KeyboardInterrupt on the caller's `call`-th
+    call, after checking that `children` children are alive. The children
+    inherit the patch, so only this process's calls count."""
+    calls, parent, recv = [], os.getpid(), Connection.recv
 
-    def interrupted(*args):
-        calls.append(None)
-        if len(calls) == call:
-            assert len(multiprocessing.active_children()) == children
-            raise KeyboardInterrupt
-        return wait(*args)
-    return mock.patch.object(booster, "wait", interrupted)
+    def interrupted(conn):
+        if os.getpid() == parent:
+            calls.append(None)
+            if len(calls) == call:
+                assert len(multiprocessing.active_children()) == children
+                raise KeyboardInterrupt
+        return recv(conn)
+    return mock.patch.object(Connection, "recv", interrupted)
 
 
 @pytest.fixture

@@ -748,15 +748,47 @@ class TestForkRule:
             assert booster.worker_count(2) == 2  # no size given: the tuner's folds
 
 
-#: The names through which code could start a process of its own or
-#: message one.
-PROCESS_NAMES = {"Pool", "Process", "get_context", "os.fork", "Pipe", "wait", "multiprocessing"}
+class TestForked:
+    LOST = RuntimeError("a worker process exited")
+
+    @pytest.mark.parametrize("n_tasks", [2, 3, 7])  # fewer tasks than workers, as many, more
+    def test_results_come_back_in_task_order_from_the_workers(self, n_tasks):
+        parent = os.getpid()
+        with cpus(3), booster.forked(lambda i: (i, os.getpid()), self.LOST, 3) as run:
+            results = run([(i,) for i in range(n_tasks)])
+            assert run([]) == []
+        assert [i for i, _ in results] == list(range(n_tasks))
+        assert parent not in {pid for _, pid in results}
+        assert len({pid for _, pid in results}) == min(n_tasks, 3)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("error", [BrokenPipeError("the task's own error"),
+                                       EOFError("the task's own error")],
+                             ids=["BrokenPipeError", "EOFError"])
+    @pytest.mark.parametrize("n_cpus", [1, 2])
+    def test_a_tasks_connection_error_reaches_the_caller_unchanged(self, n_cpus, error):
+        def task(i):
+            if i == 1:
+                raise error
+            return i
+        with cpus(n_cpus), pytest.raises(type(error)) as raised:
+            with booster.forked(task, self.LOST, 2) as run:
+                run([(0,), (1,), (2,)])
+        assert type(raised.value) is type(error)
+        assert raised.value.args == error.args
+        assert multiprocessing.active_children() == []
+
+
+#: The names through which code could start a process of its own, message
+#: one or size a pool of them: `forked` alone decides how many workers run.
+PROCESS_NAMES = {"Pool", "Process", "get_context", "os.fork", "Pipe", "wait", "multiprocessing",
+                 "worker_count"}
 
 
 def test_booster_is_the_only_module_that_starts_a_process():
     """Every worker comes from `booster.forked`: no other module under
-    src/rfclass/ imports multiprocessing or names a way to start a process
-    or to send or wait for a message."""
+    src/rfclass/ imports multiprocessing or names a way to start a process,
+    to send or wait for a message, or to count workers."""
     found = []
     for path in sorted(Path(booster.__file__).parent.rglob("*.py")):
         if path.name == "booster.py":
