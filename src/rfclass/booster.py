@@ -28,15 +28,27 @@ workers once per call, after the workspace is built, so they share the
 matrix and its sort without copying them. The caller keeps the only
 margins and makes every random draw in class order. Each round it hands
 `forked` one task per class, the class's draws and probabilities, then
-adds the trees' walks to the margins in class order. Column k gets its
-walks in round order whoever grew the tree, so every float operation is
-the one a lone process does and the models are bit-identical at any
-worker count. `forked` is the one task map of forked workers, for tree
-growth, attribution and tuning folds alike, and the one place that sizes
-them: it deals task i to worker i mod workers and gives the results back
-in task order, so callers never see the worker count. A task's exception
-reaches the caller unchanged, and a worker that dies raises the caller's
+adds the round's walks to the margins (`_add_round`), so every float
+operation is the one a lone process does and the models are
+bit-identical at any worker count. `forked` is the one task map of forked
+workers, for tree growth, attribution and tuning folds alike, and the one
+place that sizes them: it deals task i to worker i mod workers and gives
+the results back in task order, so callers never see the worker count. A
+task's exception reaches the caller unchanged (as a `RuntimeError` naming
+it if it cannot be pickled), and a worker that dies raises the caller's
 own error.
+
+`_add_round` is the one place a tree's walk is added to margins: from
+zero, round by round, class k's walk to column k. Training, the
+early-stopping eval set, `Ensemble.margins` and `Ensemble.staged_margins`
+all sum through it, so the margins after r rounds are the same bits
+whichever way they were reached. That is what makes a prefix of a longer
+model exact: the first r rounds of a model trained for R are the r-round
+model (each round's draws do not depend on R), `staged_margins` yields
+its margins on the way to R, and the tuner scores every shorter round
+count of a candidate on one training. It is also why early stopping
+keeps the training loss it measured at the best round instead of walking
+the kept trees again.
 """
 
 import json
@@ -49,6 +61,7 @@ import threading
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields
 from functools import cached_property
+from multiprocessing.reduction import ForkingPickler
 from types import NoneType, UnionType
 from typing import ClassVar, get_args
 
@@ -545,13 +558,19 @@ class Ensemble:
     def class_trees(self, class_index: int) -> list[Tree]:
         return [round_trees[class_index] for round_trees in self.trees]
 
-    def margins(self, X: np.ndarray) -> np.ndarray:
+    def staged_margins(self, X: np.ndarray):
+        """Yield the margins of X after 0, 1, ..., R rounds: one array, which
+        `_add_round` updates in place between yields, so the r-th yield is
+        the r-round prefix's margins bit for bit while each tree walks X once."""
         X = np.ascontiguousarray(self._as_matrix(X))  # once, not once per tree
-        out = np.zeros((X.shape[0], self.hp.num_class))
+        margins = np.zeros((X.shape[0], self.hp.num_class))
+        yield margins
         for round_trees in self.trees:
-            for k, tree in enumerate(round_trees):
-                out[:, k] += tree.predict_margin(X)
-        return out
+            _add_round(margins, round_trees, X)
+            yield margins
+
+    def margins(self, X: np.ndarray) -> np.ndarray:
+        return list(self.staged_margins(X))[-1]
 
     def _as_matrix(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -564,6 +583,14 @@ class Ensemble:
         return X
 
 
+def _add_round(margins: np.ndarray, round_trees: list[Tree], X: np.ndarray) -> None:
+    """Add each class tree's walk over X to that class's column, in class
+    order: the one margin update, so margins reached in any way are the same
+    bits (see the module docstring)."""
+    for k, tree in enumerate(round_trees):
+        margins[:, k] += tree.predict_margin(X)
+
+
 def predict_proba(ensemble: Ensemble, X) -> np.ndarray:
     """Per-class probabilities; a single row yields a length-num_class vector."""
     single = np.asarray(X).ndim == 1
@@ -573,9 +600,8 @@ def predict_proba(ensemble: Ensemble, X) -> np.ndarray:
 
 def predict_class(ensemble: Ensemble, X) -> np.ndarray | int:
     """Most probable class; ties resolve to the lowest index."""
-    single = np.asarray(X).ndim == 1
-    pred = np.argmax(softmax_margins(ensemble.margins(X)), axis=1)
-    return int(pred[0]) if single else pred
+    pred = np.argmax(predict_proba(ensemble, X), axis=-1)
+    return pred if pred.ndim else int(pred)
 
 
 #: The least work of each kind worth forking workers for, in the units
@@ -616,7 +642,10 @@ def _worker_main(task, conn, parent_ends) -> None:
     send back `(True, results)`, or `(False, exc)` for the first `Exception`
     a task raises, until the parent sends None or goes away. Only the task
     call is guarded, so a task's own `EOFError` or `ConnectionError` is a
-    reply like any other error, not the parent going away."""
+    reply like any other error, not the parent going away. A reply that
+    does not pickle is replaced by `(False, RuntimeError)` naming the
+    task's exception, or saying the results could not be sent; the reply is
+    pickled whole before a byte is written, so the pipe stays in step."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles Ctrl-C
     for end in parent_ends:  # else they stay open here and hide the parent's exit
         end.close()
@@ -626,7 +655,13 @@ def _worker_main(task, conn, parent_ends) -> None:
                 reply = True, [task(*args) for args in chunk]
             except Exception as exc:
                 reply = False, exc
-            conn.send(reply)
+            try:
+                message = ForkingPickler.dumps(reply)
+            except Exception as exc:  # pickling runs the objects' own code
+                what = "results" if reply[0] else f"{type(reply[1]).__name__}: {reply[1]}"
+                message = ForkingPickler.dumps((False, RuntimeError(
+                    f"a task's {what} could not be sent from its worker process ({exc!r})")))
+            conn.send_bytes(message)
     except (EOFError, ConnectionError):  # the parent went away
         pass
 
@@ -720,14 +755,17 @@ def train(
     re-drawn per depth. With an eval_set and a patience (one without the
     other is refused), training stops once validation mlogloss has not
     improved for `patience` rounds and the ensemble is truncated to the best
-    round; the eval margins are updated tree by tree, so each round walks
-    only its own trees over the eval set. A round's ten trees are ten
-    `forked` tasks, which grow on `worker_count(10, row_rounds=rows *
-    rounds)` children, or in this process if that is 1, and the model does
-    not depend on how many.
+    round; the training and eval margins each take one `_add_round` per
+    round, so each round walks only its own trees over either set. A
+    round's ten trees are ten `forked` tasks, which grow on
+    `worker_count(10, row_rounds=rows * rounds)` children, or in this
+    process if that is 1, and the model does not depend on how many.
 
     training_loss holds the training mlogloss before each round plus a
-    final entry, so it has num_rounds + 1 values.
+    final entry, so it has num_rounds + 1 values. Early stopping keeps the
+    first best_round + 1 of them: entry r is the loss of the r-round
+    margins, the same bits as the truncated model's, so no tree is walked
+    again.
     """
     X = np.ascontiguousarray(X, dtype=float)  # every tree walks it
     y = np.asarray(y, dtype=np.int64)
@@ -763,9 +801,7 @@ def train(
     if early_stopping:
         X_eval = np.ascontiguousarray(ensemble._as_matrix(eval_set[0]))
         eval_margins = np.zeros((X_eval.shape[0], k_classes))
-    best_eval = math.inf
-    best_round = 0
-    rounds_since_best = 0
+    best_eval, best_round = math.inf, 0
 
     def grow_tree(k: int, p: np.ndarray, mask, cols) -> Tree:
         """Class k's tree from its probabilities p, row mask and columns."""
@@ -777,31 +813,23 @@ def train(
             ensemble.training_loss.append(mlogloss(proba, y))
             round_trees = run([(k, proba[:, k], _subsample_mask(rng, n, hp.subsample),
                                 _sample_columns(rng, d, hp)) for k in range(k_classes)])
-            for k, tree in enumerate(round_trees):
-                margins[:, k] += tree.predict_margin(X)
+            _add_round(margins, round_trees, X)
             softmax_margins(margins, out=proba)
             ensemble.trees.append(round_trees)
 
             if early_stopping:
-                for k, tree in enumerate(round_trees):
-                    eval_margins[:, k] += tree.predict_margin(X_eval)
+                _add_round(eval_margins, round_trees, X_eval)
                 eval_loss = mlogloss(softmax_margins(eval_margins), eval_set[1])
                 if eval_loss < best_eval:
-                    best_eval = eval_loss
-                    best_round = len(ensemble.trees)
-                    rounds_since_best = 0
-                else:
-                    rounds_since_best += 1
-                    if rounds_since_best >= early_stopping_patience:
-                        break
-
-    if early_stopping and ensemble.trees:
-        del ensemble.trees[best_round:]
-        del ensemble.training_loss[best_round:]
-        ensemble.best_round = best_round
-        softmax_margins(ensemble.margins(X), out=proba)
+                    best_eval, best_round = eval_loss, len(ensemble.trees)
+                elif len(ensemble.trees) - best_round >= early_stopping_patience:
+                    break
 
     ensemble.training_loss.append(mlogloss(proba, y))
+    if early_stopping and ensemble.trees:
+        del ensemble.trees[best_round:]
+        del ensemble.training_loss[best_round + 1:]
+        ensemble.best_round = best_round
     return ensemble
 
 

@@ -6,17 +6,19 @@ held at the current values) and adopts the minimizer, earliest candidate on
 ties. Full sweeps repeat until a sweep changes nothing or the sweep budget
 runs out.
 
-No setting is trained twice within one search. A memo maps each scored
-setting to its CV score, so the start setting, each pair's current
-combination and settings revisited in a later sweep are lookups. The
-settings a pair still has to score are grouped by every field except
-`num_rounds`: `train` draws its per-round random numbers independently of
-the round count, so the first r rounds of a longer model are exactly the
-r-round model. Each group trains one model per fold at its largest round
-count and scores every smaller count on a prefix of its trees, and the
-scores are bit-identical to training each count on its own. A pair then
-costs folds x groups trainings instead of folds x candidates; one sweep of
-the default grid falls from about 13.8k to 11.4k boosting rounds per fold.
+No setting is trained twice within one search. A search scores every
+candidate through one fold pool (`_fold_pool`), which turns settings into
+CV scores and keeps a memo of each setting it has scored, so the start
+setting, each pair's current combination and settings revisited in a
+later sweep are lookups. The settings a pair still has to score are
+grouped by every field except `num_rounds`: `train` draws its per-round
+random numbers independently of the round count, so the first r rounds of
+a longer model are exactly the r-round model. Each group trains one model
+per fold at its largest round count and reads every smaller count's
+margins off `Ensemble.staged_margins` on the way, so the scores are
+bit-identical to training each count on its own. A pair then costs
+folds x groups trainings instead of folds x candidates; one sweep of the
+default grid falls from about 13.8k to 11.4k boosting rounds per fold.
 
 The folds are independent, so every (group, fold) training of a pair is
 one task, listed group by group. A search forks its fold workers once,
@@ -38,9 +40,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable
 
-import numpy as np
-
-from .booster import Ensemble, Hyperparameters, forked, mlogloss, softmax_margins, train
+from .booster import Hyperparameters, forked, mlogloss, softmax_margins, train
 from .booster import predict_proba  # noqa: F401 -- unused; perfbench/tracing.py wraps it here
 from .dataset import Database
 from .errors import TrainingError
@@ -114,94 +114,63 @@ def default_grid() -> SearchGrid:
     )
 
 
-def _prefix_losses(model: Ensemble, X: np.ndarray, y: np.ndarray, rounds: list[int]) -> list[float]:
-    """mlogloss on (X, y) of the first r rounds of `model`, for each r listed.
-
-    The margins are added up round by round in round order, as
-    `Ensemble.margins` adds them, so each loss equals `predict_proba` on the
-    r-round prefix bit for bit while every tree is walked once.
-    """
-    X = np.ascontiguousarray(X)
-    margins = np.zeros((X.shape[0], model.hp.num_class))
-    losses, done = {}, 0
-    for r in sorted(set(rounds)):
-        for round_trees in model.trees[done:r]:
-            for k, tree in enumerate(round_trees):
-                margins[:, k] += tree.predict_margin(X)
-        losses[r], done = mlogloss(softmax_margins(margins), y), r
-    return [losses[r] for r in rounds]
-
-
 @contextmanager
 def _fold_pool(train_db: Database, k: int, seed: int):
-    """Yield `means(jobs)`, which scores a list of (hp, rounds) jobs on the
-    k stratified folds of `train_db`: for each job, the mean validation
-    mlogloss of each listed prefix of hp's model, folds averaged in fold
-    order.
+    """Yield `scores(candidates)`, the CV scores of a list of settings on
+    the k stratified folds of `train_db`, in order: each the mean validation
+    mlogloss over the folds, taken in fold order.
 
-    Every (job, fold) training of one call is one task of `fold_losses`,
-    job j's fold f being task j * folds + f. `booster.forked` deals them to
-    up to one child per fold, forked once, each holding the matrix and the
-    folds from the fork, or runs them in this process with one worker.
-    Results come back in task order, so the means do not depend on the
-    worker count, and this process forks no tree workers beside the fold
-    workers.
+    The pool's memo answers every setting it has scored before. The others
+    are grouped by every field except `num_rounds`, and each group is one
+    job: one model per fold at the group's largest round count, scored at
+    each of the group's counts off `Ensemble.staged_margins`. Every (job,
+    fold) training of one call is one task of `fold_losses`, job j's fold f
+    being task j * folds + f. `booster.forked` deals them to up to one child
+    per fold, forked once, each holding the matrix and the folds from the
+    fork, or runs them in this process with one worker. Results come back in
+    task order, so the scores do not depend on the worker count, and this
+    process forks no tree workers beside the fold workers.
     """
     X, y = to_matrix(train_db)
     folds = [(fit_idx, val_idx) for fit_idx, val_idx
              in stratified_kfold(train_db, SplitSpec(k_folds=k, seed=seed)) if val_idx.size]
+    memo: dict[Hyperparameters, float] = {}
 
     def fold_losses(hp: Hyperparameters, rounds: list[int], fold: int) -> list[float]:
-        """The fold's validation loss at each listed prefix of a model
-        trained at `hp.num_rounds`."""
+        """The fold's validation loss at each of the ascending round counts
+        `rounds` of a model trained at `hp.num_rounds`, their largest."""
         fit_idx, val_idx = folds[fold]
         model = train(X[fit_idx], y[fit_idx], hp, seed, feature_names=train_db.schema.names)
-        return _prefix_losses(model, X[val_idx], y[val_idx], rounds)
+        return [mlogloss(softmax_margins(margins), y[val_idx])
+                for r, margins in enumerate(model.staged_margins(X[val_idx])) if r in rounds]
 
     lost = TrainingError("a fold worker process exited mid-search")
     with forked(fold_losses, lost, len(folds)) as run:
-        def means(jobs: list[tuple[Hyperparameters, list[int]]]) -> list[list[float]]:
+        def scores(candidates: list[Hyperparameters]) -> list[float]:
+            groups: dict[Hyperparameters, set[int]] = {}
+            for hp in candidates:
+                if hp not in memo:
+                    groups.setdefault(replace(hp, num_rounds=0), set()).add(hp.num_rounds)
+            jobs = [(replace(base, num_rounds=max(counts)), sorted(counts))
+                    for base, counts in groups.items()]
             losses = run([(hp, rounds, fold) for hp, rounds in jobs for fold in range(len(folds))])
-            out = []
-            for j, (_, rounds) in enumerate(jobs):
+            for j, (hp, rounds) in enumerate(jobs):
                 per_fold = losses[j * len(folds):(j + 1) * len(folds)]
-                out.append([float(sum(fold[i] for fold in per_fold) / len(per_fold))
-                            for i in range(len(rounds))])
-            return out
+                for r, at_r in zip(rounds, zip(*per_fold)):  # at_r: one loss a fold
+                    memo[replace(hp, num_rounds=r)] = float(sum(at_r) / len(per_fold))
+            return [memo[hp] for hp in candidates]
 
-        yield means
+        yield scores
 
 
 def cross_validate(train_db: Database, hp: Hyperparameters, k: int, seed: int) -> float:
-    """Mean validation mlogloss over k stratified folds.
-
-    The folds train as `_fold_pool`'s tasks, in its forked workers or in
-    this process, and an exception a fold training raises reaches the
-    caller unchanged.
+    """Mean validation mlogloss over k stratified folds: `_fold_pool`'s
+    score of `hp`, its folds trained in the pool's forked workers or in this
+    process. An exception a fold training raises reaches the caller
+    unchanged.
     """
-    with _fold_pool(train_db, k, seed) as means:
-        [[score]] = means([(hp, [hp.num_rounds])])
-    return score
-
-
-def _scores(means: Callable, candidates: list[Hyperparameters],
-            memo: dict[Hyperparameters, float]) -> list[float]:
-    """CV scores of `candidates` in order, filling `memo` with those not in it.
-
-    Unscored candidates that differ only in `num_rounds` form one job,
-    trained at their largest round count, and every job of the call is
-    scored in one `means` call.
-    """
-    groups: dict[Hyperparameters, set[int]] = {}
-    for hp in candidates:
-        if hp not in memo:
-            groups.setdefault(replace(hp, num_rounds=0), set()).add(hp.num_rounds)
-    jobs = [(replace(base, num_rounds=max(counts)), sorted(counts))
-            for base, counts in groups.items()]
-    for (hp, rounds), scores in zip(jobs, means(jobs)):
-        for r, score in zip(rounds, scores):
-            memo[replace(hp, num_rounds=r)] = score
-    return [memo[hp] for hp in candidates]
+    with _fold_pool(train_db, k, seed) as scores:
+        return scores([hp])[0]
 
 
 @dataclass(frozen=True)
@@ -225,15 +194,14 @@ def pairwise_grid_search(
 
     Deterministic in (train_db, grid, seed): every candidate is scored on
     the same folds, so scores are comparable across the search, and one
-    pool of fold workers serves the whole search. Every adopted value comes
-    from its candidate list. `evaluations` counts the candidates scored,
-    memo lookups included.
+    fold pool, its workers and its memo serve the whole search. Every
+    adopted value comes from its candidate list. `evaluations` counts the
+    candidates scored, those the pool's memo answered included.
     """
     hp = start if start is not None else Hyperparameters()
-    memo: dict[Hyperparameters, float] = {}
     evaluations = 0
-    with _fold_pool(train_db, k, seed) as means:
-        [current_score] = _scores(means, [hp], memo)
+    with _fold_pool(train_db, k, seed) as scores_of:
+        [current_score] = scores_of([hp])
         if trace_sink:
             trace_sink({"event": "start", "score": current_score, "hyperparameters": hp.to_dict()})
 
@@ -244,7 +212,7 @@ def pairwise_grid_search(
             for pair in grid.pairs:
                 combos = list(itertools.product(*(grid.candidates[name] for name in pair)))
                 candidates = [replace(hp, **dict(zip(pair, combo))) for combo in combos]
-                scores = _scores(means, candidates, memo)
+                scores = scores_of(candidates)
                 evaluations += len(scores)
                 best = min(range(len(scores)), key=scores.__getitem__)  # earliest of ties
                 changed |= candidates[best] != hp

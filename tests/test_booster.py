@@ -577,6 +577,9 @@ class TestTrain:
         truncated = booster.Ensemble(hp=hp, num_features=4, feature_names=full.feature_names,
                                      trees=full.trees[:best_round])
         assert np.array_equal(model.margins(X_val), truncated.margins(X_val))
+        # the loss kept for the best round is the truncated model's, bit for bit
+        assert len(model.training_loss) == model.best_round + 1
+        assert model.training_loss[-1] == mlogloss(predict_proba(truncated, X), y)
 
     @pytest.mark.parametrize("kwargs, message", [
         ({"eval_set": "eval"}, "not one alone"),
@@ -643,11 +646,16 @@ class TestTreeWorkers:
         if early_stopping:
             stop = dict(eval_set=(X[::2], data.integers(0, 10, X[::2].shape[0])),
                         early_stopping_patience=2)
-        docs = []
+        models = []
         for n_cpus in (1, 2, 3):
             with cpus(n_cpus):
-                docs.append(serialize_ensemble(train(X, y, hp, seed, **stop)))
+                models.append(train(X, y, hp, seed, **stop))
+        docs = [serialize_ensemble(model) for model in models]
         assert docs[0] == docs[1] == docs[2]
+        if early_stopping:  # the best round may be the last one grown
+            model = models[0]
+            assert len(model.training_loss) == model.best_round + 1
+            assert model.training_loss[-1] == mlogloss(predict_proba(model, X), y)
 
     def test_children_share_the_round_and_none_outlives_train(self):
         parent, grow = os.getpid(), booster._grow_tree
@@ -778,6 +786,36 @@ class TestForked:
         assert raised.value.args == error.args
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.parametrize("fails", ["raises", "returns"])
+    @pytest.mark.parametrize("n_cpus", [1, 2])
+    def test_a_reply_that_does_not_pickle_reaches_the_caller_as_an_error(
+            self, n_cpus, fails, capfd):
+        class Local(Exception):  # a class defined in a function does not pickle
+            pass
+
+        def task(i):
+            if i == 1 and fails == "raises":
+                raise Local("the task's own error")
+            return Local if i == 1 else i
+        results = raised = None
+        with cpus(n_cpus), booster.forked(task, self.LOST, 2) as run:
+            try:
+                results = run([(0,), (1,), (2,)])
+            except Exception as exc:
+                raised = exc
+            assert run([(0,), (2,)]) == [0, 2]  # the workers stay in step
+        if n_cpus == 1 and fails == "returns":
+            assert results == [0, Local, 2]
+        elif n_cpus == 1:
+            assert type(raised) is Local and raised.args == ("the task's own error",)
+        else:
+            what = "Local: the task's own error" if fails == "raises" else "results"
+            assert type(raised) is RuntimeError
+            assert str(raised).startswith(
+                f"a task's {what} could not be sent from its worker process (")
+        assert "Traceback" not in capfd.readouterr().err
+        assert multiprocessing.active_children() == []
+
 
 #: The names through which code could start a process of its own, message
 #: one or size a pool of them: `forked` alone decides how many workers run.
@@ -785,10 +823,10 @@ PROCESS_NAMES = {"Pool", "Process", "get_context", "os.fork", "Pipe", "wait", "m
                  "worker_count"}
 
 
-def test_booster_is_the_only_module_that_starts_a_process():
-    """Every worker comes from `booster.forked`: no other module under
-    src/rfclass/ imports multiprocessing or names a way to start a process,
-    to send or wait for a message, or to count workers."""
+def names_outside_booster(wanted: set[str]) -> list[str]:
+    """`file:line name` for each name in `wanted` that a module under
+    src/rfclass/ other than booster.py imports, assigns or reads, as a
+    plain name, an attribute or `base.attribute`."""
     found = []
     for path in sorted(Path(booster.__file__).parent.rglob("*.py")):
         if path.name == "booster.py":
@@ -807,8 +845,22 @@ def test_booster_is_the_only_module_that_starts_a_process():
             else:
                 continue
             found += [f"{path.name}:{node.lineno} {name}"
-                      for name in names if name in PROCESS_NAMES]
-    assert found == []
+                      for name in names if name in wanted]
+    return found
+
+
+def test_booster_is_the_only_module_that_starts_a_process():
+    """Every worker comes from `booster.forked`: no other module under
+    src/rfclass/ imports multiprocessing or names a way to start a process,
+    to send or wait for a message, or to count workers."""
+    assert names_outside_booster(PROCESS_NAMES) == []
+
+
+def test_booster_is_the_only_module_that_walks_a_tree_into_margins():
+    """Every margin is summed by `booster._add_round`, from zero and round by
+    round, which is what keeps a prefix of a model bit-identical to the
+    shorter model: no other module walks a tree itself."""
+    assert names_outside_booster({"predict_margin"}) == []
 
 
 # ---------------------------------------------------------------- predict

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rfclass import booster, tuner
-from rfclass.booster import Hyperparameters, mlogloss, predict_proba, train
+from rfclass.booster import Hyperparameters, mlogloss, predict_proba, softmax_margins, train
 from rfclass.errors import TrainingError
 from rfclass.preprocess import SplitSpec, stratified_kfold, to_matrix
 from rfclass.tuner import (SearchGrid, TuningResult, cross_validate,
@@ -155,8 +155,8 @@ class TestCrossValidate:
         db = labeled_database(40, seed=12)
         hp = fast_hp(num_rounds=6, subsample=0.7, colsample_bylevel=0.6)
         rounds = [6, 0, 3, 3, 1]
-        with tuner._fold_pool(db, 3, 2) as means:
-            [got] = means([(hp, rounds)])
+        with tuner._fold_pool(db, 3, 2) as scores:
+            got = scores([replace(hp, num_rounds=r) for r in rounds])
         assert got == [oracle_cross_validate(db, replace(hp, num_rounds=r), 3, 2)
                        for r in rounds]
         assert cross_validate(db, hp, k=3, seed=2) == got[0]
@@ -371,13 +371,19 @@ class TestMemoAndPrefixScoring:
 class TestPrefixLosses:
     @pytest.mark.parametrize("rounds", [[0], [5], [0, 5], [5, 2, 0, 2], [1, 3, 4]])
     def test_equal_to_predict_proba_on_each_prefix(self, rounds):
+        """The fold pool reads each listed prefix off `Ensemble.staged_margins`:
+        its r-th yield is the r-round prefix's margins and loss, bit for bit."""
         db = small_database(40, seed=14)
         X, y = to_matrix(db)
         model = train(X[:30], y[:30], property_start(3, 5), seed=3,
                       feature_names=db.schema.names)
-        want = [mlogloss(predict_proba(replace(model, trees=model.trees[:r]), X[30:]), y[30:])
-                for r in rounds]
-        assert tuner._prefix_losses(model, X[30:], y[30:], rounds) == want
+        staged = [(margins.tobytes(), mlogloss(softmax_margins(margins), y[30:]))
+                  for margins in model.staged_margins(X[30:])]
+        assert len(staged) == 6
+        for r in rounds:
+            prefix = replace(model, trees=model.trees[:r])
+            assert staged[r] == (prefix.margins(X[30:]).tobytes(),
+                                 mlogloss(predict_proba(prefix, X[30:]), y[30:]))
 
 
 def cpus(n):
