@@ -642,10 +642,13 @@ def _worker_main(task, conn, parent_ends) -> None:
     send back `(True, results)`, or `(False, exc)` for the first `Exception`
     a task raises, until the parent sends None or goes away. Only the task
     call is guarded, so a task's own `EOFError` or `ConnectionError` is a
-    reply like any other error, not the parent going away. A reply that
-    does not pickle is replaced by `(False, RuntimeError)` naming the
-    task's exception, or saying the results could not be sent; the reply is
-    pickled whole before a byte is written, so the pipe stays in step."""
+    reply like any other error, not the parent going away. Each reply is
+    pickled whole and loaded back before a byte is written: one that does
+    not pickle, or does not load (an exception whose `__init__` takes other
+    arguments than its `args`), is replaced by `(False, RuntimeError)`
+    naming the task's exception, or saying the results could not be sent,
+    so the parent always reads a reply it can load and the pipe stays in
+    step."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles Ctrl-C
     for end in parent_ends:  # else they stay open here and hide the parent's exit
         end.close()
@@ -657,7 +660,8 @@ def _worker_main(task, conn, parent_ends) -> None:
                 reply = False, exc
             try:
                 message = ForkingPickler.dumps(reply)
-            except Exception as exc:  # pickling runs the objects' own code
+                ForkingPickler.loads(message)  # as the parent will
+            except Exception as exc:  # pickling and loading run the objects' own code
                 what = "results" if reply[0] else f"{type(reply[1]).__name__}: {reply[1]}"
                 message = ForkingPickler.dumps((False, RuntimeError(
                     f"a task's {what} could not be sent from its worker process ({exc!r})")))

@@ -1,6 +1,7 @@
 """Command-line entry point.
 
-Each stage subcommand loads the config, reads the previous stage's on-disk
+`main` checks the output paths, loads `--config` and hands the config to
+the subcommand. Each stage subcommand reads the previous stage's on-disk
 artifacts, makes one call to the stage function `run_pipeline` also calls
 (`rfclass.pipeline`), and writes the result to `--out`. Its output equals
 the matching file of a run directory byte for byte.
@@ -107,7 +108,7 @@ def _read_for(model, path: str, config: PipelineConfig):
     return db
 
 
-def cmd_synth(args) -> int:
+def cmd_synth(args, config: None) -> int:
     spec = preset(args.preset, args.divergence)
     db = generate(spec, args.n, args.seed)
     Path(args.out).write_text(serialize_database(db))
@@ -115,15 +116,14 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def cmd_ingest(args) -> int:
-    merged = ingest(_load_config(args.config))
+def cmd_ingest(args, config: PipelineConfig) -> int:
+    merged = ingest(config)
     Path(args.out).write_text(serialize_database(merged))
     print(f"merged {merged.tag.value}: {len(merged)} records -> {args.out}")
     return EXIT_OK
 
 
-def cmd_preprocess(args) -> int:
-    config = _load_config(args.config)
+def cmd_preprocess(args, config: PipelineConfig) -> int:
     merged = _read(args.data, "merged database (run `ingest` first)", config)
     prepared = preprocess(merged, config, held_out(config))
     out = Path(args.out)
@@ -138,8 +138,7 @@ def cmd_preprocess(args) -> int:
     return EXIT_OK
 
 
-def cmd_tune(args) -> int:
-    config = _load_config(args.config)
+def cmd_tune(args, config: PipelineConfig) -> int:
     train_db = _read(args.train, "training CSV (run `preprocess` first)", config)
     hp, trace = tune(train_db, config)
     if args.trace and trace is not None:
@@ -153,8 +152,7 @@ def cmd_tune(args) -> int:
     return EXIT_OK
 
 
-def cmd_train(args) -> int:
-    config = _load_config(args.config)
+def cmd_train(args, config: PipelineConfig) -> int:
     train_db = _read(args.train, "training CSV (run `preprocess` first)", config)
     if args.hp:
         hp = Hyperparameters.from_dict(_read_json(args.hp, "hyperparameters JSON"))
@@ -170,8 +168,7 @@ def _load_model(path: str):
     return _read_json(path, "model JSON (run `train` first)", load_ensemble)
 
 
-def cmd_evaluate(args) -> int:
-    config = _load_config(args.config)
+def cmd_evaluate(args, config: PipelineConfig) -> int:
     model = _load_model(args.model)
     report = evaluate(model, _read_for(model, args.data, config), args.role, config)
     _dump_json(Path(args.out), report.to_dict())
@@ -180,8 +177,7 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-def cmd_explain(args) -> int:
-    config = _load_config(args.config)
+def cmd_explain(args, config: PipelineConfig) -> int:
     model = _load_model(args.model)
     summary = explain(model, _read_for(model, args.data, config), config)
     Path(args.out).write_text(summary.to_csv())
@@ -189,8 +185,7 @@ def cmd_explain(args) -> int:
     return EXIT_OK
 
 
-def cmd_run(args) -> int:
-    config = _load_config(args.config)
+def cmd_run(args, config: PipelineConfig) -> int:
     if args.seed is not None:
         config = replace(config, seed=args.seed)
     result = run_pipeline(config, args.out)
@@ -269,7 +264,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with _stage(args.command):
             _check_outputs(args)
-            return args.func(args)
+            config = _load_config(args.config) if "config" in args else None
+            return args.func(args, config)
     except StageFailure as exc:
         print(f"error {exc}", file=sys.stderr)
         return _exit_code(exc)

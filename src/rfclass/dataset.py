@@ -6,6 +6,11 @@ per-row arrays of normalized keys, recovery factors and source tags (so
 merged databases remain auditable). Operations are array operations that
 return new databases. `Database.records` and `Database.from_records`
 convert to and from ReservoirRecord rows, with None for a missing cell.
+
+One table, `_TAG_TOKENS`, maps the spellings of every tag for `parse_tag`
+and for a CSV's `source` column, which takes only source tags. CSVs are
+written with 17 significant digits, one `%` per row's numbers, so
+`parse_database` reads back the same float64 bits.
 """
 
 import csv
@@ -57,15 +62,16 @@ _MERGE_SOURCES = {
 }
 
 
-#: A `source` cell's accepted spellings, compared in lower case.
-_SOURCE_TOKENS = {name.lower(): tag for tag in _SOURCE_PRIORITY for name in (tag.value, tag.name)}
+#: Every tag by its value and its name, in lower case: the spellings
+#: `parse_tag` and a `source` cell accept, ignoring case and padding.
+_TAG_TOKENS = {name.lower(): tag for tag in DatabaseTag for name in (tag.value, tag.name)}
 
 
 def parse_tag(text: str) -> DatabaseTag:
-    for tag in DatabaseTag:
-        if text.strip().lower() in (tag.value.lower(), tag.name.lower()):
-            return tag
-    raise ValueError(f"unknown database tag: {text!r}")
+    try:
+        return _TAG_TOKENS[text.strip().lower()]
+    except KeyError:
+        raise ValueError(f"unknown database tag: {text!r}") from None
 
 
 @dataclass(frozen=True)
@@ -85,7 +91,6 @@ class Feature:
 @dataclass(frozen=True)
 class FeatureSchema:
     features: tuple[Feature, ...]
-    target: str = RF_COLUMN
 
     def __post_init__(self):
         names = [f.name for f in self.features]
@@ -102,7 +107,7 @@ class FeatureSchema:
     def subset(self, keep: list[str]) -> "FeatureSchema":
         """Schema restricted to `keep`, preserving the original feature order."""
         kept = tuple(f for f in self.features if f.name in set(keep))
-        return FeatureSchema(features=kept, target=self.target)
+        return FeatureSchema(features=kept)
 
 
 #: The eleven input features every source database reports, with the
@@ -316,8 +321,8 @@ def parse_database(
         key = normalize_key(row[key_pos])
         if not key:
             raise IngestError(f"line {line}, column {key_column!r}: empty key")
-        source = tag if source_pos is None else _SOURCE_TOKENS.get(row[source_pos].strip().lower())
-        if source is None:
+        source = tag if source_pos is None else _TAG_TOKENS.get(row[source_pos].strip().lower())
+        if source is None or not source.is_source:
             raise IngestError(f"line {line}, column 'source': {row[source_pos]!r} is not a source tag")
         keys.append(key)
         rfs.append(rf)
@@ -327,11 +332,6 @@ def parse_database(
     return Database(tag, schema, np.array(rows, dtype=float).reshape(len(rows), len(feature_cols)),
                     np.array(keys, dtype=object), np.array(rfs, dtype=float),
                     np.array(sources, dtype=object))
-
-
-def format_real(x: float) -> str:
-    """Decimal rendering at 17 significant digits (round-trips float64 exactly)."""
-    return format(float(x), ".17g")
 
 
 #: Rows serialized at a time, each block into its own string. Converting a
@@ -350,15 +350,21 @@ def csv_text(rows) -> str:
 
 
 def serialize_database(db: Database) -> str:
-    """Canonical CSV form: key, source, features in schema order, RF."""
+    """Canonical CSV form: key, source, features in schema order, RF.
+
+    One `%` formats a row's numbers at 17 significant digits, which read
+    back as the same float64, and a missing cell is written blank. The
+    numbers never need quoting; `csv_text` quotes the key as it needs.
+    """
+    template = ",".join(["%.17g"] * (len(db.schema.features) + 1))
     parts = [csv_text([["key", "source", *db.schema.names, RF_COLUMN]])]
-    numbers = np.column_stack([db.values, db.rf])
+    cells = np.column_stack([db.values, db.rf])
     for start in range(0, len(db), SERIALIZE_BLOCK):
         block = slice(start, start + SERIALIZE_BLOCK)
         parts.append(csv_text(
-            [key, source.value, *("" if x != x else format_real(x) for x in cells)]
-            for key, source, cells in zip(db.keys[block].tolist(), db.sources[block].tolist(),
-                                          numbers[block].tolist())))
+            [key, source.value, *(template % tuple(row)).replace("nan", "").split(",")]
+            for key, source, row in zip(db.keys[block].tolist(), db.sources[block].tolist(),
+                                        cells[block].tolist())))
     return "".join(parts)
 
 

@@ -285,33 +285,31 @@ def _paths(ensemble: Ensemble) -> tuple[list[_PathGroup], np.ndarray, int]:
 def _path_shap(ensemble: Ensemble, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """phi (rows, classes, features) and base (classes,).
 
-    A row's results do not depend on the other rows, so one row reproduces
-    its slice of a call on many bit for bit, and so does each task, which
-    attributes one block of the rows.
+    A task attributes one block of the rows: it scatters each path's
+    contributions to the positions of the path's leaf in the recursion's
+    visiting order, and each one's bin of phi (`_PathGroup.target`) beside
+    it, then adds them all with one `np.bincount`. A row's results do not
+    depend on the other rows, so one row reproduces its slice of a call on
+    many bit for bit, and so does each task.
     """
     groups, base, n_leaves = _paths(ensemble)
     width = base.size * ensemble.num_features
     slots = max((group.target.shape[0] for group in groups), default=0)
-    # the elements' bins of every path, one row per path, and a zero row for
-    # the positions no path fills
-    targets = np.zeros((sum(group.value.size for group in groups) + 1, slots), dtype=np.int64)
-    first_path = np.cumsum([0] + [group.value.size for group in groups])
-    for group, first in zip(groups, first_path):
-        targets[first:first + group.value.size, :group.target.shape[0]] = group.target.T
 
     def attribute_block(start: int) -> np.ndarray:
         """phi of the ROW_BLOCK rows from `start`, or of the rows up to the end of X."""
         block = X[start:start + ROW_BLOCK]
         row = np.arange(block.shape[0])[:, None]
-        # each row's attributions in the recursion's order of addition
+        # each row's attributions in the recursion's order of addition, each
+        # beside its bin of the row's phi; a position no path fills adds 0
         values = np.zeros((block.shape[0], n_leaves, slots))
-        path = np.full((block.shape[0], n_leaves), targets.shape[0] - 1)
+        bins = np.zeros((block.shape[0], n_leaves, slots), dtype=np.int64)
         with np.errstate(divide="ignore", invalid="ignore"):  # in lanes np.where drops
-            for group, first in zip(groups, first_path):
+            for group in groups:
                 contributions, order = group.contributions(block)
                 values[row, order, :contributions.shape[0]] = contributions.transpose(1, 2, 0)
-                path[row, order] = first + np.arange(group.value.size)
-        bins = targets[path] + width * row[:, :, None]
+                bins[row, order, :contributions.shape[0]] = group.target.T
+        bins += width * row[:, :, None]
         phi = np.bincount(bins.ravel(), weights=values.ravel(), minlength=block.shape[0] * width)
         return phi.reshape(block.shape[0], base.size, ensemble.num_features)
 

@@ -369,10 +369,10 @@ def tune(train_t: Database, config: PipelineConfig) -> tuple[Hyperparameters, st
     has a `grid`, else the fixed `hyperparameters` or the defaults and no trace."""
     if config.grid is None:
         return config.hyperparameters or Hyperparameters(), None
-    trace: list[dict] = []
     result = pairwise_grid_search(train_t, config.grid, _stage_seed(config.seed, 20),
-                                  k=config.split.k_folds, trace_sink=trace.append)
-    return result.hyperparameters, "".join(json.dumps(e, sort_keys=True) + "\n" for e in trace)
+                                  k=config.split.k_folds)
+    return result.hyperparameters, "".join(json.dumps(e, sort_keys=True) + "\n"
+                                           for e in result.trace)
 
 
 def fit(train_t: Database, hp: Hyperparameters, config: PipelineConfig) -> Ensemble:

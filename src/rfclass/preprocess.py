@@ -282,45 +282,38 @@ def stratified_split(db: Database, spec: SplitSpec) -> tuple[Database, Database]
         raise ValueError("cannot split an empty database")
     labels = class_labels(db)
     rng = np.random.default_rng(spec.seed)
-    test_idx: list[int] = []
+    is_test = np.zeros(len(db), dtype=bool)
     for c in np.unique(labels):
         members = np.flatnonzero(labels == c)
         n_test = int(math.floor(spec.test_fraction * members.size + 0.5))
         if members.size >= 2:
             n_test = max(1, n_test)
         n_test = min(n_test, members.size - 1)
-        chosen = rng.permutation(members)[:n_test]
-        test_idx.extend(int(i) for i in chosen)
-    is_test = np.zeros(len(db), dtype=bool)
-    is_test[test_idx] = True
+        is_test[rng.permutation(members)[:n_test]] = True
     return db.take(~is_test), db.take(is_test)
 
 
 def stratified_kfold(train: Database, spec: SplitSpec) -> list[tuple[np.ndarray, np.ndarray]]:
-    """k disjoint, covering (fit, validate) index partitions, stratified by class.
+    """k disjoint, covering (fit, validate) index partitions, stratified by
+    class, each in ascending order.
 
-    Per-class counts across folds differ by at most one; classes smaller
-    than k distribute round-robin.
+    Each class's members, shuffled, are dealt round-robin to the folds, the
+    deal going on where the previous class's ended. So per-class counts
+    across folds differ by at most one, and with k at most the record count
+    no fold is empty.
     """
     k = spec.k_folds
     if k > len(train):
         raise ValueError(f"k_folds={k} exceeds the {len(train)} training records")
     labels = class_labels(train)
     rng = np.random.default_rng(spec.seed)
-    folds: list[list[int]] = [[] for _ in range(k)]
+    fold_of = np.empty(len(train), dtype=np.int64)
     offset = 0
     for c in np.unique(labels):
         members = rng.permutation(np.flatnonzero(labels == c))
-        for j, idx in enumerate(members):
-            folds[(offset + j) % k].append(int(idx))
+        fold_of[members] = (offset + np.arange(members.size)) % k
         offset = (offset + members.size) % k
-    partitions = []
-    all_idx = np.arange(len(train))
-    for fold in folds:
-        val = np.array(sorted(fold), dtype=np.int64)
-        fit = np.setdiff1d(all_idx, val)
-        partitions.append((fit, val))
-    return partitions
+    return [(np.flatnonzero(fold_of != f), np.flatnonzero(fold_of == f)) for f in range(k)]
 
 
 def to_matrix(db: Database) -> tuple[np.ndarray, np.ndarray]:

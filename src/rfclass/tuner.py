@@ -4,7 +4,8 @@ The search walks an ordered schedule of hyperparameter pairs. For each pair
 it scores the Cartesian product of the pair's candidates (everything else
 held at the current values) and adopts the minimizer, earliest candidate on
 ties. Full sweeps repeat until a sweep changes nothing or the sweep budget
-runs out.
+runs out. The search returns its trace with its pick: a start event, one
+event per pair scored and a done event, the lines of `tuning_trace.jsonl`.
 
 No setting is trained twice within one search. A search scores every
 candidate through one fold pool (`_fold_pool`), which turns settings into
@@ -38,7 +39,6 @@ worker that dies ends the search with `TrainingError`.
 import itertools
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
-from typing import Callable
 
 from .booster import Hyperparameters, forked, mlogloss, softmax_margins, train
 from .booster import predict_proba  # noqa: F401 -- unused; perfbench/tracing.py wraps it here
@@ -132,8 +132,7 @@ def _fold_pool(train_db: Database, k: int, seed: int):
     process forks no tree workers beside the fold workers.
     """
     X, y = to_matrix(train_db)
-    folds = [(fit_idx, val_idx) for fit_idx, val_idx
-             in stratified_kfold(train_db, SplitSpec(k_folds=k, seed=seed)) if val_idx.size]
+    folds = stratified_kfold(train_db, SplitSpec(k_folds=k, seed=seed))
     memo: dict[Hyperparameters, float] = {}
 
     def fold_losses(hp: Hyperparameters, rounds: list[int], fold: int) -> list[float]:
@@ -179,6 +178,7 @@ class TuningResult:
     cv_score: float
     sweeps: int
     evaluations: int
+    trace: list[dict]  # the search's events in order, each a JSON object
 
 
 def pairwise_grid_search(
@@ -188,7 +188,6 @@ def pairwise_grid_search(
     *,
     k: int = SplitSpec.k_folds,
     start: Hyperparameters | None = None,
-    trace_sink: Callable[[dict], None] | None = None,
 ) -> TuningResult:
     """Coordinate-descent over hyperparameter pairs, minimizing CV mlogloss.
 
@@ -196,14 +195,16 @@ def pairwise_grid_search(
     the same folds, so scores are comparable across the search, and one
     fold pool, its workers and its memo serve the whole search. Every
     adopted value comes from its candidate list. `evaluations` counts the
-    candidates scored, those the pool's memo answered included.
+    candidates scored, those the pool's memo answered included. `trace`
+    holds a `start` event with the start setting's score, a `pair` event
+    for each pair scored, with every candidate's score and the adopted
+    values, and a `done` event with the result.
     """
     hp = start if start is not None else Hyperparameters()
     evaluations = 0
     with _fold_pool(train_db, k, seed) as scores_of:
         [current_score] = scores_of([hp])
-        if trace_sink:
-            trace_sink({"event": "start", "score": current_score, "hyperparameters": hp.to_dict()})
+        trace = [{"event": "start", "score": current_score, "hyperparameters": hp.to_dict()}]
 
         sweeps_run = 0
         for sweep in range(grid.max_sweeps):
@@ -217,30 +218,29 @@ def pairwise_grid_search(
                 best = min(range(len(scores)), key=scores.__getitem__)  # earliest of ties
                 changed |= candidates[best] != hp
                 hp, current_score = candidates[best], scores[best]
-                if trace_sink:
-                    trace_sink({
-                        "event": "pair",
-                        "sweep": sweep,
-                        "pair": list(pair),
-                        "scores": [{"values": list(combo), "score": score}
-                                   for combo, score in zip(combos, scores)],
-                        "adopted": list(combos[best]),
-                        "score": current_score,
-                    })
+                trace.append({
+                    "event": "pair",
+                    "sweep": sweep,
+                    "pair": list(pair),
+                    "scores": [{"values": list(combo), "score": score}
+                               for combo, score in zip(combos, scores)],
+                    "adopted": list(combos[best]),
+                    "score": current_score,
+                })
             if not changed:
                 break
 
-    if trace_sink:
-        trace_sink({
-            "event": "done",
-            "score": current_score,
-            "sweeps": sweeps_run,
-            "evaluations": evaluations,
-            "hyperparameters": hp.to_dict(),
-        })
+    trace.append({
+        "event": "done",
+        "score": current_score,
+        "sweeps": sweeps_run,
+        "evaluations": evaluations,
+        "hyperparameters": hp.to_dict(),
+    })
     return TuningResult(
         hyperparameters=hp,
         cv_score=current_score,
         sweeps=sweeps_run,
         evaluations=evaluations,
+        trace=trace,
     )

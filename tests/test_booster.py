@@ -756,6 +756,13 @@ class TestForkRule:
             assert booster.worker_count(2) == 2  # no size given: the tuner's folds
 
 
+class TwoArgs(Exception):
+    """Pickles, but does not load: loading calls `TwoArgs(*args)` with its one message."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a} and {b}")
+
+
 class TestForked:
     LOST = RuntimeError("a worker process exited")
 
@@ -786,7 +793,7 @@ class TestForked:
         assert raised.value.args == error.args
         assert multiprocessing.active_children() == []
 
-    @pytest.mark.parametrize("fails", ["raises", "returns"])
+    @pytest.mark.parametrize("fails", ["raises", "returns", "raises_what_does_not_load"])
     @pytest.mark.parametrize("n_cpus", [1, 2])
     def test_a_reply_that_does_not_pickle_reaches_the_caller_as_an_error(
             self, n_cpus, fails, capfd):
@@ -796,6 +803,8 @@ class TestForked:
         def task(i):
             if i == 1 and fails == "raises":
                 raise Local("the task's own error")
+            if i == 1 and fails == "raises_what_does_not_load":
+                raise TwoArgs("x", "y")
             return Local if i == 1 else i
         results = raised = None
         with cpus(n_cpus), booster.forked(task, self.LOST, 2) as run:
@@ -807,9 +816,12 @@ class TestForked:
         if n_cpus == 1 and fails == "returns":
             assert results == [0, Local, 2]
         elif n_cpus == 1:
-            assert type(raised) is Local and raised.args == ("the task's own error",)
+            error = Local if fails == "raises" else TwoArgs
+            message = "the task's own error" if fails == "raises" else "x and y"
+            assert type(raised) is error and raised.args == (message,)
         else:
-            what = "Local: the task's own error" if fails == "raises" else "results"
+            what = {"raises": "Local: the task's own error", "returns": "results",
+                    "raises_what_does_not_load": "TwoArgs: x and y"}[fails]
             assert type(raised) is RuntimeError
             assert str(raised).startswith(
                 f"a task's {what} could not be sent from its worker process (")

@@ -1,9 +1,15 @@
+import csv
+import io
+
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rfclass import dataset
 from rfclass.dataset import (Database, DatabaseTag, Feature, canonical_schema,
-                             deduplicate, format_real, merge, normalize_key,
-                             parse_database, serialize_database)
+                             deduplicate, merge, normalize_key, parse_database,
+                             parse_tag, serialize_database)
 from rfclass.errors import IngestError
 
 from conftest import make_database, make_record
@@ -130,6 +136,22 @@ class TestParse:
         with pytest.raises(IngestError, match=r"line 3, column 'source': 'XX' is not a source"):
             parse_database(csv_with(rows, header), DatabaseTag.TC, SCHEMA)
 
+    @pytest.mark.parametrize("token", ["TC", " tca ", "Ca"])
+    def test_a_merged_tag_is_not_a_source_tag(self, token):
+        header = ["key", "source", *NAMES, "RF"]
+        rows = [["a", token, *full_row("a", 0.3)[1:]]]
+        with pytest.raises(IngestError, match=f"^line 2, column 'source': {token!r} is not a "
+                                              f"source tag$"):
+            parse_database(csv_with(rows, header), DatabaseTag.TC, SCHEMA)
+
+    @given(tag=st.sampled_from(DatabaseTag.TCA.source_tags), data=st.data())
+    def test_source_cell_takes_every_spelling_of_a_source_tag(self, tag, data):
+        cell = data.draw(spellings(tag))
+        header = ["key", "source", *NAMES, "RF"]
+        db = parse_database(csv_with([["a", cell, *full_row("a", 0.3)[1:]]], header),
+                            DatabaseTag.TC, SCHEMA)
+        assert db.sources.tolist() == [tag]
+
     def test_repeated_header_column_rejected(self):
         header = ["key", *NAMES, "RF", "bo"]
         with pytest.raises(IngestError, match=r"repeated column\(s\) in header: \['bo'\]"):
@@ -141,6 +163,57 @@ class TestParse:
         db = parse_database(csv_with([[*full_row("a", 0.3), "", ""]], header),
                             DatabaseTag.TORIS, SCHEMA)
         assert len(db) == 1 and db.rf[0] == 0.3
+
+
+def oracle_serialize(db):
+    """The CSV text of `db`, each number formatted on its own at 17
+    significant digits and each missing one blank."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["key", "source", *db.schema.names, "RF"])
+    for key, source, values, rf in zip(db.keys, db.sources, db.values.tolist(), db.rf.tolist()):
+        writer.writerow([key, source.value,
+                         *("" if x != x else format(x, ".17g") for x in [*values, rf])])
+    return buf.getvalue()
+
+
+def canonical_bits(array):
+    """The array's bytes with every NaN as the one NaN the parser writes."""
+    return np.where(np.isnan(array), np.nan, array).tobytes()
+
+
+#: Numbers at the edges of float64 that `%.17g` must write as `format` does.
+EDGE_NUMBERS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1e308, -1e308,
+                1.7976931348623157e308, 0.1, 1 / 3, 1e16, 123456789012345680.0]
+
+
+@st.composite
+def databases(draw, parseable=False):
+    """Small databases over a subset of the features. Keys may hold `,`,
+    `"`, a line break or the text `nan`; values may be NaN (missing),
+    signed zeros, subnormals or near the float64 limits. With `parseable`,
+    keys are normalized and non-empty and RF is present and non-negative,
+    as `parse_database` requires to give a row back."""
+    names = draw(st.lists(st.sampled_from(NAMES), unique=True, max_size=len(NAMES)))
+    schema = SCHEMA.subset(names)
+    n = draw(st.integers(0, 6))
+    numbers = st.one_of(st.sampled_from(EDGE_NUMBERS + [float("nan")]),
+                        st.floats(allow_nan=True, allow_infinity=False))
+    text = st.one_of(st.sampled_from(["nan", "NaN", "a,b", 'say "hi"', "x\ny", " pad "]),
+                     st.text(alphabet='abn ,"\n.-1', max_size=8))
+    keys = [draw(text) for _ in range(n)]
+    if parseable:
+        keys = [normalize_key(key) or "k" for key in keys]
+    rf = st.one_of(st.sampled_from(EDGE_NUMBERS), st.floats(0, 5))
+    if parseable:
+        rf = rf.map(abs)
+    else:
+        rf = st.one_of(rf, numbers)
+    values = [[draw(numbers) for _ in names] for _ in range(n)]
+    return Database(DatabaseTag.TC, schema, np.array(values, dtype=float).reshape(n, len(names)),
+                    np.array(keys, dtype=object), np.array([draw(rf) for _ in range(n)]),
+                    np.array([draw(st.sampled_from(DatabaseTag.TCA.source_tags))
+                              for _ in range(n)], dtype=object))
 
 
 class TestSerializeRoundTrip:
@@ -171,9 +244,17 @@ class TestSerializeRoundTrip:
         assert serialize_database(db) == whole
         assert whole.count("\n") == len(records) + 1
 
-    def test_format_real_round_trips(self, rng):
-        for x in [1 / 3, 1e-300, 5.0e11, 0.1, -0.0, 2.32, *rng.normal(size=20).tolist()]:
-            assert float(format_real(x)) == x
+    @given(db=databases())
+    def test_text_equals_the_per_cell_oracle(self, db):
+        assert serialize_database(db) == oracle_serialize(db)
+
+    @given(db=databases(parseable=True))
+    def test_parse_gives_back_the_value_bits(self, db):
+        back = parse_database(serialize_database(db), db.tag, db.schema)
+        assert back.keys.tolist() == db.keys.tolist()
+        assert back.sources.tolist() == db.sources.tolist()
+        assert canonical_bits(back.values) == canonical_bits(db.values)
+        assert canonical_bits(back.rf) == canonical_bits(db.rf)
 
     def test_source_column_round_trip(self):
         records = [
@@ -281,6 +362,26 @@ class TestDeduplicate:
 
 def test_normalize_key():
     assert normalize_key("  Big\tWell  7 ") == "big well 7"
+
+
+@st.composite
+def spellings(draw, tag):
+    """The tag's value or name, each letter in either case, padded by blanks."""
+    word = draw(st.sampled_from([tag.value, tag.name]))
+    cased = "".join(c.upper() if draw(st.booleans()) else c.lower() for c in word)
+    pad = st.text(alphabet=" \t", max_size=3)
+    return draw(pad) + cased + draw(pad)
+
+
+@given(tag=st.sampled_from(DatabaseTag), data=st.data())
+def test_parse_tag_takes_every_spelling_of_every_tag(tag, data):
+    assert parse_tag(data.draw(spellings(tag))) is tag
+
+
+@pytest.mark.parametrize("text", ["", "T", "TORIS-C", "TC A", "source"])
+def test_parse_tag_rejects_other_text(text):
+    with pytest.raises(ValueError, match=f"^unknown database tag: {text!r}$"):
+        parse_tag(text)
 
 
 def test_tag_source_sets():

@@ -51,3 +51,24 @@ def test_every_workload_runs_correct_at_tiny_size(tmp_path):
                                         "ingest_tca_large"]
     for name, correct, failed, *detail in rows:
         assert correct == "True" and failed == "0", (name, detail)
+
+
+TRACED_INGEST = """
+import sys
+from pathlib import Path
+import run
+m, wl = run.run("ingest_tca_large", seed=7, seconds=0.0, trace=True, work=Path(sys.argv[1]),
+                sizes="tiny")
+result, lines = run.summarize("ingest_tca_large", 7, True, m, wl, run.metric_units(True))
+print(*(result["metrics"][name]["value"]
+        for name in ("dataset.serialize_s", "dataset.serialize_bytes")))
+"""
+
+
+def test_a_traced_run_times_its_csv_writing(tmp_path):
+    """The benchmark times CSV writing by wrapping `pipeline.serialize_database`,
+    so a run must write its CSVs through that name."""
+    proc = _perfbench(TRACED_INGEST, str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    seconds, size = map(float, proc.stdout.split())
+    assert seconds > 0 and size > 0

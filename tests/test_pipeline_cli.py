@@ -705,6 +705,15 @@ class TestCli:
             assert err.startswith("error [ingest] line 2: expected "), err
             assert err.rstrip().endswith(f"(source Commercial: {tmp_path / 'Commercial.csv'})")
 
+    def test_a_source_cell_naming_a_merged_tag_exits_3(self, tmp_path, capfd):
+        sources = _write_sources(tmp_path, ["TORIS", "Commercial"], n=20)
+        path = tmp_path / "TORIS.csv"
+        path.write_text(path.read_text().replace(",TORIS,", ",TC,", 1))
+        config = self._write_config(tmp_path, synth=None, sources=sources)
+        assert main(["ingest", "--config", str(config), "--out", str(tmp_path / "m.csv")]) == 3
+        assert capfd.readouterr().err == (f"error [ingest] line 2, column 'source': 'TC' is not "
+                                          f"a source tag (source TORIS: {path})\n")
+
     @pytest.mark.parametrize("argv, code, message", [
         (["ingest", "--out", "{tmp}/absent/merged.csv"], 3, ""),
         (["run", "--out", "{tmp}/file"], 3, ""),

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rfclass.dataset import canonical_schema
+from rfclass.dataset import Database, DatabaseTag, canonical_schema
 from rfclass.errors import FitError, PipelineError
 from rfclass.preprocess import (PruneSpec, SplitSpec, apply_transforms,
                                 class_labels, complete_cases,
@@ -352,7 +352,72 @@ class TestApplyTransforms:
             apply_transforms(narrowed, params)
 
 
+def stratified_split_oracle(labels, spec):
+    """The test rows of `stratified_split`, gathered per class in a list."""
+    rng = np.random.default_rng(spec.seed)
+    test_idx = []
+    for c in np.unique(labels):
+        members = np.flatnonzero(labels == c)
+        n_test = int(math.floor(spec.test_fraction * members.size + 0.5))
+        if members.size >= 2:
+            n_test = max(1, n_test)
+        n_test = min(n_test, members.size - 1)
+        test_idx.extend(int(i) for i in rng.permutation(members)[:n_test])
+    return sorted(test_idx)
+
+
+def stratified_kfold_oracle(labels, spec):
+    """`stratified_kfold`'s partitions, dealt into one list per fold."""
+    k = spec.k_folds
+    rng = np.random.default_rng(spec.seed)
+    folds = [[] for _ in range(k)]
+    offset = 0
+    for c in np.unique(labels):
+        members = rng.permutation(np.flatnonzero(labels == c))
+        for j, idx in enumerate(members):
+            folds[(offset + j) % k].append(int(idx))
+        offset = (offset + members.size) % k
+    all_idx = np.arange(len(labels))
+    return [(np.setdiff1d(all_idx, np.array(sorted(fold), dtype=np.int64)),
+             np.array(sorted(fold), dtype=np.int64)) for fold in folds]
+
+
+def labelled_database(labels):
+    """Rows keyed by their position whose RF falls in class `labels[i]`."""
+    n = len(labels)
+    return Database(DatabaseTag.TORIS, canonical_schema(), np.zeros((n, len(NAMES))),
+                    np.array([str(i) for i in range(n)], dtype=object),
+                    np.asarray(labels, dtype=float) / 10 + 0.05,
+                    np.array([DatabaseTag.TORIS] * n, dtype=object))
+
+
 # ---------------------------------------------------------------- splits
+
+class TestSplitsEqualTheirOracles:
+    @given(labels=st.lists(st.integers(0, 9), min_size=1, max_size=60),
+           fraction=st.floats(0.01, 0.99), seed=st.integers(0, 2**32 - 1))
+    def test_stratified_split(self, labels, fraction, seed):
+        spec = SplitSpec(test_fraction=fraction, seed=seed)
+        db = labelled_database(labels)
+        assert np.array_equal(class_labels(db), labels)
+        train, test = stratified_split(db, spec)
+        want = stratified_split_oracle(np.array(labels), spec)
+        assert [int(key) for key in test.keys] == want
+        assert [int(key) for key in train.keys] == sorted(set(range(len(labels))) - set(want))
+
+    @given(data=st.data(), labels=st.lists(st.integers(0, 9), min_size=2, max_size=60),
+           seed=st.integers(0, 2**32 - 1))
+    def test_stratified_kfold(self, data, labels, seed):
+        spec = SplitSpec(k_folds=data.draw(st.integers(2, len(labels))), seed=seed)
+        got = stratified_kfold(labelled_database(labels), spec)
+        want = stratified_kfold_oracle(np.array(labels), spec)
+        assert len(got) == len(want) == spec.k_folds
+        for (fit, val), (fit_want, val_want) in zip(got, want):
+            assert fit.dtype == val.dtype == np.int64
+            assert fit.tolist() == fit_want.tolist() and val.tolist() == val_want.tolist()
+            assert val.size >= 1
+
+
 
 class TestStratifiedSplit:
     def test_even_class_allocation(self):

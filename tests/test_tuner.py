@@ -2,6 +2,7 @@ import itertools
 import multiprocessing
 import os
 import signal
+from contextlib import contextmanager
 from dataclasses import replace
 from unittest import mock
 
@@ -36,15 +37,14 @@ def oracle_cross_validate(train_db, hp, k, seed):
     return float(sum(losses) / len(losses))
 
 
-def oracle_pairwise_grid_search(train_db, grid, seed, *, k=10, start=None, trace_sink=None):
+def oracle_pairwise_grid_search(train_db, grid, seed, *, k=10, start=None):
     """The search with no memo and no prefix scoring: every candidate,
     the start and each pair's current combination included, is trained
     from scratch in every fold."""
     hp = start if start is not None else Hyperparameters()
     evaluations = 0
     current_score = oracle_cross_validate(train_db, hp, k, seed)
-    if trace_sink:
-        trace_sink({"event": "start", "score": current_score, "hyperparameters": hp.to_dict()})
+    trace = [{"event": "start", "score": current_score, "hyperparameters": hp.to_dict()}]
 
     sweeps_run = 0
     for sweep in range(grid.max_sweeps):
@@ -68,28 +68,26 @@ def oracle_pairwise_grid_search(train_db, grid, seed, *, k=10, start=None, trace
             current_score = best_score
             if tuple(getattr(hp, name) for name in pair) != previous:
                 changed = True
-            if trace_sink:
-                trace_sink({
-                    "event": "pair",
-                    "sweep": sweep,
-                    "pair": list(pair),
-                    "scores": scores,
-                    "adopted": list(best_combo),
-                    "score": best_score,
-                })
+            trace.append({
+                "event": "pair",
+                "sweep": sweep,
+                "pair": list(pair),
+                "scores": scores,
+                "adopted": list(best_combo),
+                "score": best_score,
+            })
         if not changed:
             break
 
-    if trace_sink:
-        trace_sink({
-            "event": "done",
-            "score": current_score,
-            "sweeps": sweeps_run,
-            "evaluations": evaluations,
-            "hyperparameters": hp.to_dict(),
-        })
+    trace.append({
+        "event": "done",
+        "score": current_score,
+        "sweeps": sweeps_run,
+        "evaluations": evaluations,
+        "hyperparameters": hp.to_dict(),
+    })
     return TuningResult(hyperparameters=hp, cv_score=current_score,
-                        sweeps=sweeps_run, evaluations=evaluations)
+                        sweeps=sweeps_run, evaluations=evaluations, trace=trace)
 
 
 def labeled_database(n, seed, informative=True):
@@ -268,9 +266,7 @@ class TestPairwiseGridSearch:
         db = labeled_database(30, seed=10)
         grid = SearchGrid(candidates={"max_depth": [2, 3]},
                           pairs=(("max_depth",),), max_sweeps=1)
-        entries = []
-        pairwise_grid_search(db, grid, seed=0, k=3, start=fast_hp(),
-                             trace_sink=entries.append)
+        entries = pairwise_grid_search(db, grid, seed=0, k=3, start=fast_hp()).trace
         events = [e["event"] for e in entries]
         assert events[0] == "start" and events[-1] == "done"
         pair_events = [e for e in entries if e["event"] == "pair"]
@@ -341,13 +337,10 @@ class TestMemoAndPrefixScoring:
         property_start(2, 1), 3, 11))
     def test_bit_identical_to_search_without_memo_or_prefixes(self, search):
         db, grid, start, k, seed = search
-        got_trace, want_trace = [], []
-        got = pairwise_grid_search(db, grid, seed, k=k, start=start,
-                                   trace_sink=got_trace.append)
-        want = oracle_pairwise_grid_search(db, grid, seed, k=k, start=start,
-                                           trace_sink=want_trace.append)
+        got = pairwise_grid_search(db, grid, seed, k=k, start=start)
+        want = oracle_pairwise_grid_search(db, grid, seed, k=k, start=start)
+        assert got.trace == want.trace
         assert got == want
-        assert got_trace == want_trace
 
     def test_trains_each_fold_model_once(self):
         db = labeled_database(40, seed=11)
@@ -391,23 +384,41 @@ def cpus(n):
     return mock.patch.object(os, "sched_getaffinity", return_value=set(range(n)))
 
 
-def small_search(trace_sink=None):
+def small_search():
     db = labeled_database(40, seed=15)
     grid = SearchGrid(candidates={"learning_rate": [0.1, 0.2], "num_rounds": [2, 4],
                                   "max_depth": [2, 3]},
                       pairs=(("learning_rate", "num_rounds"), ("max_depth",)), max_sweeps=2)
     start = property_start(2, 2)
-    return pairwise_grid_search(db, grid, seed=6, k=3, start=start, trace_sink=trace_sink)
+    return pairwise_grid_search(db, grid, seed=6, k=3, start=start)
+
+
+def after_each_scoring(hook):
+    """Patch the search's fold pool so that `hook(call)` runs in this process
+    after its `call`-th scoring call (the start's is call 0) has returned:
+    between two maps of the fold workers, while they are alive."""
+    pool = tuner._fold_pool
+
+    @contextmanager
+    def hooked(*args):
+        with pool(*args) as scores:
+            calls = itertools.count()
+
+            def scores_then_hook(candidates):
+                result = scores(candidates)
+                hook(next(calls))
+                return result
+            yield scores_then_hook
+    return mock.patch.object(tuner, "_fold_pool", hooked)
 
 
 class TestFoldPool:
     def test_one_worker_gives_the_same_result_and_trace_as_two(self):
         runs = []
         for n in (1, 2, 3):
-            trace = []
             with cpus(n):
                 assert booster.worker_count(3) == n
-                runs.append((small_search(trace.append), trace,
+                runs.append((small_search(),
                              cross_validate(labeled_database(30, 16), fast_hp(), k=3, seed=1)))
         assert runs[0] == runs[1] == runs[2]
         assert multiprocessing.active_children() == []
@@ -430,28 +441,33 @@ class TestFoldPool:
                 small_search()
         assert multiprocessing.active_children() == []
 
-    def test_a_connection_error_of_the_trace_sink_is_not_taken_for_a_lost_worker(self):
-        def sink(entry):
-            if entry["event"] == "pair":
-                raise BrokenPipeError("the trace's reader went away")
+    def test_a_connection_error_between_maps_is_not_taken_for_a_lost_worker(self):
+        def reader_gone(call):
+            if call == 1:
+                raise BrokenPipeError("the caller's reader went away")
         for n in (1, 2):
-            with cpus(n), pytest.raises(BrokenPipeError, match="^the trace's reader went away$"):
-                small_search(sink)
+            with cpus(n), after_each_scoring(reader_gone), \
+                    pytest.raises(BrokenPipeError, match="^the caller's reader went away$"):
+                small_search()
         assert multiprocessing.active_children() == []
 
     def test_interrupt_mid_search_leaves_no_child(self):
-        def interrupt(entry):
-            if entry["event"] == "pair":
+        def interrupt(call):
+            if call == 1:
                 raise KeyboardInterrupt
-        with cpus(2), pytest.raises(KeyboardInterrupt):
-            small_search(interrupt)
+        with cpus(2), after_each_scoring(interrupt), pytest.raises(KeyboardInterrupt):
+            small_search()
         assert multiprocessing.active_children() == []
 
     def test_workers_ignore_ctrl_c(self, capfd):
-        def ctrl_c(entry):  # between two maps, as a terminal's Ctrl-C reaches the workers
-            if entry["event"] == "start":
-                for child in multiprocessing.active_children():
+        def ctrl_c(call):  # between two maps, as a terminal's Ctrl-C reaches the workers
+            if call == 0:
+                workers = multiprocessing.active_children()
+                assert len(workers) == 2
+                for child in workers:
                     os.kill(child.pid, signal.SIGINT)
         with cpus(2):
-            assert small_search(ctrl_c) == small_search()
+            with after_each_scoring(ctrl_c):
+                interrupted = small_search()
+            assert interrupted == small_search()
         assert "Traceback" not in capfd.readouterr().err
