@@ -49,6 +49,16 @@ its margins on the way to R, and the tuner scores every shorter round
 count of a candidate on one training. It is also why early stopping
 keeps the training loss it measured at the best round instead of walking
 the kept trees again.
+
+Every JSON document rfclass reads is checked by one pair of functions: the
+config and its sections, a `--hp` file, and a saved model with its tree
+nodes. `json_value` checks a value against a field type (`int`, `float`,
+`str`, `list[T]`, `tuple[T, ...]`, `dict[str, T]`, `T | None`), and
+`json_object` refuses unknown and missing keys, then checks each value.
+`json_fields` reads a dataclass's init fields that way, and `load_ensemble`
+and `Tree.from_dict` read a model through key-to-type tables (`_DOCUMENT`,
+`_LEAF`, `_SPLIT`), so a model is accepted only if `serialize_ensemble`
+could have written it.
 """
 
 import json
@@ -63,7 +73,7 @@ from dataclasses import MISSING, dataclass, field, fields
 from functools import cached_property
 from multiprocessing.reduction import ForkingPickler
 from types import NoneType, UnionType
-from typing import ClassVar, get_args
+from typing import ClassVar, get_args, get_origin
 
 import numpy as np
 
@@ -76,41 +86,68 @@ PROB_CLIP = 1e-15
 FIXED_SETTINGS = {"objective": "multi:softmax", "eval_metric": "mlogloss",
                   "num_class": N_CLASSES}
 
+_MAX = sys.float_info.max
 
-def json_number(value, kind, name: str):
-    """`value`, checked against the field type `kind`: an `int` takes a JSON
-    integer (not a bool), a `float` a finite number, and a type that admits
-    None also null. Values of other types pass unchecked."""
-    kinds = get_args(kind) if isinstance(kind, UnionType) else (kind,)
-    if value is None and NoneType in kinds:
+#: For each JSON type of a field: how an error message says it, and the
+#: test of a value. `int` takes no bool, and `float` a finite number, an
+#: integer only if a float holds it exactly.
+_JSON_KINDS = {
+    int: ("a number written as a JSON integer", lambda v: type(v) is int),
+    float: ("a number", lambda v: type(v) in (int, float) and abs(v) <= _MAX and float(v) == v),
+    str: ("a string", lambda v: type(v) is str),
+    list: ("a JSON array", lambda v: isinstance(v, (list, tuple))),
+    dict: ("a JSON object", lambda v: isinstance(v, dict)),
+}
+_JSON_KINDS[tuple] = _JSON_KINDS[list]
+
+
+def json_value(value, kind, name: str):
+    """`value`, checked against the field type `kind`: `int` takes a JSON
+    integer, `float` a finite number, `str` a string, `list[T]` and
+    `tuple[T, ...]` an array of T, `dict[str, T]` an object of T, and
+    `T | None` also null. Other types, such as dataclasses and enums, pass
+    unchecked: their own readers check them."""
+    if type(kind) is UnionType:  # T | None
+        kind = next(k for k in get_args(kind) if k is not NoneType)
+        if value is None:
+            return value
+    origin = kind if kind in _JSON_KINDS else get_origin(kind)
+    what, test = _JSON_KINDS.get(origin, (None, None))
+    if test is None:
         return value
-    if int in kinds and (isinstance(value, bool) or not isinstance(value, int)):
-        raise ValueError(f"{name} must be a number written as a JSON integer, got {value!r}")
-    if float in kinds and (isinstance(value, bool) or not isinstance(value, (int, float))
-                           or not abs(value) <= sys.float_info.max):
-        raise ValueError(f"{name} must be a number, got {value!r}")
+    if not test(value):
+        got = type(value).__name__ if isinstance(value, (dict, list)) else repr(value)
+        raise ValueError(f"{name} must be {what}, got {got}")
+    if origin is not kind:  # list[T], tuple[T, ...] or dict[str, T]
+        item_kind = get_args(kind)[origin is dict]
+        for key, item in value.items() if origin is dict else enumerate(value):
+            json_value(item, item_kind, f"{name}.{key}" if origin is dict else f"{name}[{key}]")
     return value
 
 
-def json_fields(cls, data, where: str, skip=()) -> dict:
-    """The keyword arguments that the JSON object `data` gives the dataclass `cls`.
+def json_object(data, kinds: dict, where: str, optional=()) -> dict:
+    """A new dict of the JSON object `data`, whose keys are those of `kinds`:
+    each key outside `optional` is present, no other key is, and each value
+    passes `json_value` for its key's type."""
+    json_value(data, dict, where)
+    if data.keys() != kinds.keys():  # else no key is unknown or missing
+        unknown = sorted(data.keys() - kinds)
+        if unknown:
+            raise ValueError(f"unknown key in {where}: {', '.join(map(repr, unknown))}")
+        for key in kinds:
+            if key not in data and key not in optional:
+                raise ValueError(f"{where} needs a {key!r}")
+    return {key: json_value(value, kinds[key], f"{where}.{key}") for key, value in data.items()}
 
-    Every key names an init field of `cls` outside `skip`, every field
-    without a default is present, and each value passes `json_number` for its
-    field's type. An absent key keeps its field's default; the constructor
-    checks ranges and the values `json_number` passes unchecked.
-    """
-    if not isinstance(data, dict):
-        raise ValueError(f"{where} must be a JSON object, got {type(data).__name__}")
-    known = {f.name: f for f in fields(cls) if f.init and f.name not in skip}
-    unknown = sorted(set(data) - set(known))
-    if unknown:
-        raise ValueError(f"unknown key in {where}: {', '.join(map(repr, unknown))}")
-    for name, f in known.items():
-        if name not in data and f.default is MISSING and f.default_factory is MISSING:
-            raise ValueError(f"{where} needs a {name!r}")
-    return {name: json_number(value, known[name].type, f"{where}.{name}")
-            for name, value in data.items()}
+
+def json_fields(cls, data, where: str, skip=()) -> dict:
+    """The keyword arguments that the JSON object `data` gives the dataclass
+    `cls`: `json_object` over its init fields outside `skip`, where a field
+    with a default may be absent. The constructor checks ranges and the
+    values `json_value` passes unchecked."""
+    known = [f for f in fields(cls) if f.init and f.name not in skip]
+    return json_object(data, {f.name: f.type for f in known}, where, optional=[
+        f.name for f in known if f.default is not MISSING or f.default_factory is not MISSING])
 
 
 @dataclass(frozen=True)
@@ -150,9 +187,10 @@ class Hyperparameters:
     @classmethod
     def from_dict(cls, data: dict) -> "Hyperparameters":
         """The settings of a JSON object, which may also list `FIXED_SETTINGS`
-        and name `lambda_` "lambda", as `to_dict` writes it."""
-        if not isinstance(data, dict):
-            raise ValueError(f"hyperparameters must be a JSON object, got {type(data).__name__}")
+        and name `lambda_` "lambda", as `to_dict` writes it, but not both."""
+        json_value(data, dict, "hyperparameters")
+        if "lambda" in data and "lambda_" in data:
+            raise ValueError("hyperparameters name both 'lambda' and 'lambda_'")
         data = {("lambda_" if key == "lambda" else key): value for key, value in data.items()}
         for key, fixed in FIXED_SETTINGS.items():
             value = data.pop(key, fixed)
@@ -237,49 +275,49 @@ class Tree:
 
     @classmethod
     def from_dict(cls, root: dict, num_features: int, hp: Hyperparameters) -> "Tree":
-        """Tree of a `to_dict` document. Raises ValueError for a malformed node,
-        a non-finite number, a feature outside [0, num_features), or a tree
-        `train` cannot grow under `hp`: one deeper than max_depth, a split of
-        negative gain, a child covering less than min_child_weight, or a leaf
-        beyond the learning_rate * max_delta_step clip. The cover and leaf
-        bounds allow 1e-12 for the trainer's summation order."""
+        """Tree of a `to_dict` document. Each node is a leaf (`_LEAF`) or a
+        split (`_SPLIT`) with exactly the keys `to_dict` writes, read by
+        `json_object`, so numbers are finite and a feature is a JSON integer.
+        Raises ValueError for a node that is neither, a feature outside
+        [0, num_features), or a tree `train` cannot grow under `hp`: one
+        deeper than max_depth, a split of negative gain, a child covering
+        less than min_child_weight, or a leaf beyond the learning_rate *
+        max_delta_step clip. The cover and leaf bounds allow 1e-12 for the
+        trainer's summation order."""
         builder = _TreeBuilder()
         leaf_clip = hp.learning_rate * hp.max_delta_step if hp.max_delta_step > 0 else math.inf
 
-        def field_of(node, key: str):
-            value = node.get(key)
-            if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-                raise ValueError(f"tree node needs a finite numeric {key!r}, got {value!r}")
-            return value
-
         def walk(node, depth: int) -> int:
-            if not isinstance(node, dict):
-                raise ValueError(f"tree node must be an object, got {type(node).__name__}")
+            node = json_object(node, _LEAF if isinstance(node, dict) and "leaf" in node
+                               else _SPLIT, "tree node")
             if depth > hp.max_depth:
                 raise ValueError(f"tree is deeper than max_depth = {hp.max_depth}")
-            cover = field_of(node, "cover")
+            cover = node["cover"]
             if depth and cover < hp.min_child_weight - 1e-12:
                 raise ValueError(f"child cover {cover!r} is below "
                                  f"min_child_weight = {hp.min_child_weight!r}")
             if "leaf" in node:
-                value = field_of(node, "leaf")
-                if abs(value) > leaf_clip + 1e-12:
-                    raise ValueError(f"leaf {value!r} exceeds the learning_rate * "
+                if abs(node["leaf"]) > leaf_clip + 1e-12:
+                    raise ValueError(f"leaf {node['leaf']!r} exceeds the learning_rate * "
                                      f"max_delta_step clip {leaf_clip!r}")
-                return builder.add_leaf(value, cover)
-            feature = field_of(node, "feature")
-            if not isinstance(feature, int) or not 0 <= feature < num_features:
-                raise ValueError(f"tree node feature {feature!r} is outside [0, {num_features})")
-            gain = field_of(node, "gain")
-            if gain < 0:
-                raise ValueError(f"split gain {gain!r} is negative")
-            idx = builder.add_internal(feature, field_of(node, "threshold"), gain, cover)
-            builder.attach(idx, walk(node.get("left"), depth + 1),
-                           walk(node.get("right"), depth + 1))
+                return builder.add_leaf(node["leaf"], cover)
+            if not 0 <= node["feature"] < num_features:
+                raise ValueError(f"tree node feature {node['feature']!r} is outside "
+                                 f"[0, {num_features})")
+            if node["gain"] < 0:
+                raise ValueError(f"split gain {node['gain']!r} is negative")
+            idx = builder.add_internal(node["feature"], node["threshold"], node["gain"], cover)
+            builder.attach(idx, walk(node["left"], depth + 1), walk(node["right"], depth + 1))
             return idx
 
         walk(root, 0)
         return builder.build()
+
+
+#: The keys and JSON types of a `Tree.to_dict` leaf and split node.
+_LEAF = {"leaf": float, "cover": float}
+_SPLIT = {"feature": int, "threshold": float, "gain": float, "cover": float,
+          "left": dict, "right": dict}
 
 
 class _TreeBuilder:
@@ -816,7 +854,7 @@ def train(
         for _ in range(hp.num_rounds):
             ensemble.training_loss.append(mlogloss(proba, y))
             round_trees = run([(k, proba[:, k], _subsample_mask(rng, n, hp.subsample),
-                                _sample_columns(rng, d, hp)) for k in range(k_classes)])
+                                _sample_columns(rng, n, d, hp)) for k in range(k_classes)])
             _add_round(margins, round_trees, X)
             softmax_margins(margins, out=proba)
             ensemble.trees.append(round_trees)
@@ -849,14 +887,17 @@ def _mask_rows(mask: np.ndarray | None, n: int) -> np.ndarray:
     return rows if rows.size else np.arange(n)
 
 
-def _sample_columns(rng, d: int, hp: Hyperparameters) -> list[np.ndarray]:
+def _sample_columns(rng, n: int, d: int, hp: Hyperparameters) -> list[np.ndarray]:
+    """One tree's columns for each depth at which a node may split: below
+    max_depth, and below n - 1, as a node at depth k holds at most n - k of
+    the n rows and a split needs two."""
     if hp.colsample_bytree < 1.0:
         m = max(1, math.ceil(hp.colsample_bytree * d))
         tree_cols = np.sort(rng.choice(d, size=m, replace=False))
     else:
         tree_cols = np.arange(d)
     cols_by_depth = []
-    for _ in range(hp.max_depth):
+    for _ in range(max(1, min(hp.max_depth, n - 1))):
         if hp.colsample_bylevel < 1.0:
             m = max(1, math.ceil(hp.colsample_bylevel * tree_cols.size))
             cols_by_depth.append(np.sort(rng.choice(tree_cols, size=m, replace=False)))
@@ -885,40 +926,48 @@ def serialize_ensemble(ensemble: Ensemble) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
+#: The keys and JSON types of a `serialize_ensemble` document.
+_DOCUMENT = {"format": str, "version": int, "base_margin": float, "num_features": int,
+             "feature_names": list[str], "hyperparameters": Hyperparameters,
+             "training_loss": list[float], "best_round": int | None,
+             "trees": list[list[Tree]]}
+
+
 def load_ensemble(text: str) -> Ensemble:
     """Ensemble of a `serialize_ensemble` document. Raises ValueError for a
-    document that is not one, or whose fields disagree with each other."""
+    document that `serialize_ensemble` could not have written: one with
+    another format or version, a key `_DOCUMENT` does not list or a value of
+    another JSON type, a base margin other than 0, hyperparameters other
+    than a full `Hyperparameters.to_dict`, a tree `Tree.from_dict` refuses,
+    or fields that disagree with each other."""
     doc = json.loads(text)
     if not isinstance(doc, dict) or doc.get("format") != SERIALIZATION_FORMAT:
         raise ValueError("not an rfclass ensemble document")
-    if doc.get("version") != SERIALIZATION_VERSION:
-        raise ValueError(f"unsupported ensemble version {doc.get('version')}")
-    try:
-        hp = Hyperparameters.from_dict(doc["hyperparameters"])
-        num_features, names = doc["num_features"], doc["feature_names"]
-        if type(num_features) is not int or num_features < 1:  # type(), as True is an int
-            raise ValueError(f"num_features must be a positive JSON integer, got {num_features!r}")
-        if not isinstance(names, list) or len(names) != num_features \
-                or not all(isinstance(name, str) for name in names):
-            raise ValueError(f"feature_names must be a list of {num_features} names")
-        if not isinstance(doc["trees"], list):
-            raise ValueError(f"trees must be a list of rounds, got {type(doc['trees']).__name__}")
-        trees = []
-        for r, round_trees in enumerate(doc["trees"]):
-            if not isinstance(round_trees, list):
-                raise ValueError(f"round {r} must be a list of trees, got {type(round_trees).__name__}")
-            if len(round_trees) != hp.num_class:
-                raise ValueError(f"round {r} holds {len(round_trees)} trees, "
-                                 f"expected num_class = {hp.num_class}")
-            trees.append([Tree.from_dict(node, num_features, hp) for node in round_trees])
-        losses, best_round = doc["training_loss"], doc.get("best_round")
-        if not isinstance(losses, list) or len(losses) != len(trees) + 1 \
-                or not all(type(x) in (int, float) for x in losses):
-            raise ValueError(f"training_loss must be a list of {len(trees) + 1} numbers")
-        if best_round is not None and not (type(best_round) is int and 1 <= best_round <= len(trees)):
-            raise ValueError(f"best_round must be null or a round in [1, {len(trees)}], "
-                             f"got {best_round!r}")
-        return Ensemble(hp=hp, num_features=num_features, feature_names=tuple(names),
-                        trees=trees, training_loss=losses, best_round=best_round)
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed ensemble document: {exc!r}") from None
+    if json_value(doc.get("version"), int, "model.version") != SERIALIZATION_VERSION:
+        raise ValueError(f"unsupported ensemble version {doc['version']}")
+    doc = json_object(doc, _DOCUMENT, "model")
+    if doc["base_margin"] != 0:
+        raise ValueError(f"base_margin must be 0.0, got {doc['base_margin']!r}")
+    hp = Hyperparameters.from_dict(doc["hyperparameters"])
+    missing = sorted(hp.to_dict().keys() - doc["hyperparameters"].keys())
+    if missing:
+        raise ValueError(f"model.hyperparameters needs a {missing[0]!r}")
+    num_features, names = doc["num_features"], doc["feature_names"]
+    if num_features < 1:
+        raise ValueError(f"num_features must be at least 1, got {num_features}")
+    if len(names) != num_features:
+        raise ValueError(f"feature_names must be a list of {num_features} names")
+    trees = []
+    for r, round_trees in enumerate(doc["trees"]):
+        if len(round_trees) != hp.num_class:
+            raise ValueError(f"round {r} holds {len(round_trees)} trees, "
+                             f"expected num_class = {hp.num_class}")
+        trees.append([Tree.from_dict(node, num_features, hp) for node in round_trees])
+    losses, best_round = doc["training_loss"], doc["best_round"]
+    if len(losses) != len(trees) + 1:
+        raise ValueError(f"training_loss must be a list of {len(trees) + 1} numbers")
+    if best_round is not None and not 1 <= best_round <= len(trees):
+        raise ValueError(f"best_round must be null or a round in [1, {len(trees)}], "
+                         f"got {best_round!r}")
+    return Ensemble(hp=hp, num_features=num_features, feature_names=tuple(names),
+                    trees=trees, training_loss=losses, best_round=best_round)

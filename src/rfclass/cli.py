@@ -32,8 +32,8 @@ from .booster import Hyperparameters, load_ensemble, serialize_ensemble
 from .dataset import serialize_database
 from .errors import ConfigError, PipelineError, TrainingError
 from .pipeline import (PipelineConfig, StageFailure, SynthConfig, _dump_json, _stage,
-                       evaluate, explain, fit, held_out, ingest, preprocess, read_prepared,
-                       run_pipeline, tune)
+                       evaluate, explain, fit, held_out, ingest, preprocess, read_input,
+                       read_prepared, run_pipeline, tune)
 from .synth import _PRESETS, generate, preset
 
 EXIT_OK = 0
@@ -50,17 +50,6 @@ def _exit_code(exc: Exception) -> int:
     if isinstance(exc, TrainingError):
         return EXIT_TRAINING
     return EXIT_DATA
-
-
-def _load_config(path: str) -> PipelineConfig:
-    config_path = Path(path)
-    if not config_path.exists():
-        raise ConfigError(f"config file not found: {config_path}")
-    try:
-        text = config_path.read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config {config_path}: {exc}") from None
-    return PipelineConfig.from_json(text)
 
 
 def _check_outputs(args) -> None:
@@ -80,29 +69,19 @@ def _check_outputs(args) -> None:
                                     f"{path.parent} does not exist")
 
 
-def _require(path: str, what: str) -> Path:
-    p = Path(path)
-    if not p.exists():
-        raise PipelineError(f"missing {what}: expected file {p}")
-    return p
-
-
-def _read(path: str, what: str, config: PipelineConfig):
-    return read_prepared(_require(path, what), config)
-
-
 def _read_json(path: str, what: str, load=json.loads):
     """`load` of the text of the JSON file at `path`; a decoding error also
     names the file."""
+    text = read_input(path, what)
     try:
-        return load(_require(path, what).read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        return load(text)
+    except json.JSONDecodeError as exc:
         raise ValueError(f"{exc} ({path})") from None
 
 
 def _read_for(model, path: str, config: PipelineConfig):
     """The prepared CSV at `path`, checked against the model's features."""
-    db = _read(path, "prepared CSV (run `preprocess` first)", config)
+    db = read_prepared(path, "prepared CSV from `preprocess`", config)
     if db.schema.names != model.feature_names:
         raise PipelineError(f"features of {path} do not match the model's features")
     return db
@@ -124,7 +103,7 @@ def cmd_ingest(args, config: PipelineConfig) -> int:
 
 
 def cmd_preprocess(args, config: PipelineConfig) -> int:
-    merged = _read(args.data, "merged database (run `ingest` first)", config)
+    merged = read_prepared(args.data, "merged CSV from `ingest`", config)
     prepared = preprocess(merged, config, held_out(config))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -139,7 +118,7 @@ def cmd_preprocess(args, config: PipelineConfig) -> int:
 
 
 def cmd_tune(args, config: PipelineConfig) -> int:
-    train_db = _read(args.train, "training CSV (run `preprocess` first)", config)
+    train_db = read_prepared(args.train, "training CSV from `preprocess`", config)
     hp, trace = tune(train_db, config)
     if args.trace and trace is not None:
         Path(args.trace).write_text(trace)
@@ -153,7 +132,7 @@ def cmd_tune(args, config: PipelineConfig) -> int:
 
 
 def cmd_train(args, config: PipelineConfig) -> int:
-    train_db = _read(args.train, "training CSV (run `preprocess` first)", config)
+    train_db = read_prepared(args.train, "training CSV from `preprocess`", config)
     if args.hp:
         hp = Hyperparameters.from_dict(_read_json(args.hp, "hyperparameters JSON"))
     else:
@@ -165,7 +144,7 @@ def cmd_train(args, config: PipelineConfig) -> int:
 
 
 def _load_model(path: str):
-    return _read_json(path, "model JSON (run `train` first)", load_ensemble)
+    return _read_json(path, "model JSON from `train`", load_ensemble)
 
 
 def cmd_evaluate(args, config: PipelineConfig) -> int:
@@ -264,7 +243,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with _stage(args.command):
             _check_outputs(args)
-            config = _load_config(args.config) if "config" in args else None
+            config = (PipelineConfig.from_json(read_input(args.config, "config", ConfigError))
+                      if "config" in args else None)
             return args.func(args, config)
     except StageFailure as exc:
         print(f"error {exc}", file=sys.stderr)

@@ -10,6 +10,10 @@ whole once the last stage ends, so a run that fails leaves `out_dir` as it
 was. Each `rfclass` subcommand calls the same stage function on the files
 it reads, so its outputs equal the run directory's files. Two runs with
 equal config and seed produce byte-identical artifacts.
+
+Every input file, the config, the sources, the prepared CSVs, a `--hp` file
+and a model, is read by `read_input`, which turns a file that is missing or
+cannot be read as text into one error naming it.
 """
 
 import json
@@ -27,7 +31,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .booster import (Ensemble, Hyperparameters, json_fields, json_number, predict_class,
+from .booster import (Ensemble, Hyperparameters, json_fields, json_value, predict_class,
                       serialize_ensemble, train)
 from .dataset import (Database, DatabaseTag, FeatureSchema, canonical_schema, deduplicate,
                       merge, parse_database, parse_tag, serialize_database)
@@ -63,14 +67,6 @@ class SourceConfig:
     rf_column: str = "RF"
     column_map: dict[str, str] = field(default_factory=dict)
 
-    def __post_init__(self):
-        if not all(isinstance(v, str) for v in (self.path, self.key_column, self.rf_column)):
-            raise ValueError("path, key_column and rf_column must be strings")
-        if not isinstance(self.column_map, dict) or not all(
-                isinstance(v, str) for v in self.column_map.values()):
-            raise ValueError(f"column_map must map feature names to column names, "
-                             f"got {self.column_map!r}")
-
 
 @dataclass(frozen=True)
 class SynthConfig:
@@ -96,13 +92,6 @@ def _read(kind, value, where: str, skip=(), make=None):
     """`make` (by default `kind`) called with the fields of `kind` that the
     JSON object `value` holds."""
     return _build(where, make or kind, **json_fields(kind, value, where, skip))
-
-
-def _range_pair(name: str, bounds) -> tuple:
-    where = f"range_overrides entry {name!r}"
-    if not isinstance(bounds, (list, tuple)) or len(bounds) != 2:
-        raise ValueError(f"{where} must be a [lo, hi] pair of numbers, got {bounds!r}")
-    return tuple(json_number(b, float, where) for b in bounds)
 
 
 @dataclass(frozen=True)
@@ -146,26 +135,22 @@ class PipelineConfig:
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ValueError(f"{name} must be at least 1, got {value}")
-        if not isinstance(self.range_overrides, dict):
-            raise ValueError(f"range_overrides must be a JSON object, "
-                             f"got {type(self.range_overrides).__name__}")
-        object.__setattr__(self, "schema", canonical_schema(
-            {name: _range_pair(name, bounds) for name, bounds in self.range_overrides.items()}))
+        for name, bounds in self.range_overrides.items():
+            if len(bounds) != 2:
+                raise ValueError(f"range_overrides entry {name!r} must be a [lo, hi] pair of "
+                                 f"numbers, got {bounds!r}")
+        object.__setattr__(self, "schema", canonical_schema(self.range_overrides))
 
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineConfig":
         """The config of a JSON document. `json_fields` reads it and each of
-        its sections, and the settings' constructors check ranges, so a bad
-        value fails before any stage."""
+        its sections into new dicts, so `raw` keeps `data` as written, and the
+        settings' constructors check ranges, so a bad value fails before any
+        stage."""
         try:
             kw = json_fields(cls, data, "config", skip=("raw",))
-            if not isinstance(kw["combo"], str):
-                raise ValueError(f"combo must be a string, got {kw['combo']!r}")
-            kw["combo"] = parse_tag(kw["combo"])
+            kw["combo"] = parse_tag(json_value(kw["combo"], str, "config.combo"))
             if kw.get("sources") is not None:
-                if not isinstance(kw["sources"], dict):
-                    raise ValueError(f"sources must be a JSON object, "
-                                     f"got {type(kw['sources']).__name__}")
                 names, sources = {}, {}
                 for name, spec in kw["sources"].items():
                     tag = parse_tag(name)  # ignores case, so two keys may name one source
@@ -241,23 +226,33 @@ def _dump_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
 
 
+def read_input(path, what: str, error=PipelineError) -> str:
+    """The text of the input file at `path`. A file that is missing, is not
+    a readable file or is not UTF-8 raises `error`, naming `what` and the
+    file. The config, the sources, the prepared CSVs, `--hp` files and
+    models are all read here."""
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc  # an OSError's own message repeats the path
+        raise error(f"cannot read {what} {path}: {reason}") from None
+
+
 def load_sources(config: PipelineConfig, tags) -> list[Database]:
     """Parse or generate each source database in `tags`, in that order."""
     out = []
     for tag in tags:
         if config.sources is not None:
             src = config.sources[tag]
-            path = Path(src.path)
-            if not path.exists():
-                raise PipelineError(f"missing input file for {tag.value}: {path}")
+            text = read_input(src.path, f"source {tag.value}")
             try:
                 out.append(parse_database(
-                    path.read_text(), tag, config.schema,
+                    text, tag, config.schema,
                     key_column=src.key_column, rf_column=src.rf_column,
                     column_map=src.column_map,
                 ))
-            except (IngestError, UnicodeDecodeError) as exc:  # the message alone fits any source
-                raise IngestError(f"{exc} (source {tag.value}: {path})") from None
+            except IngestError as exc:  # the message alone fits any source
+                raise IngestError(f"{exc} (source {tag.value}: {src.path})") from None
         else:
             spec = preset(tag.value, config.synth.divergence)
             seed = _stage_seed(config.seed, 1 + list(DatabaseTag).index(tag))
@@ -266,18 +261,19 @@ def load_sources(config: PipelineConfig, tags) -> list[Database]:
     return out
 
 
-def read_prepared(path: Path, config: PipelineConfig) -> Database:
-    """Parse a CSV a stage wrote (merged, train, test or independent set),
-    under the config's schema restricted to the file's feature columns."""
+def read_prepared(path, what: str, config: PipelineConfig) -> Database:
+    """Parse the CSV `what` that a stage wrote (merged, train, test or
+    independent set), under the config's schema restricted to the file's
+    feature columns."""
+    text = read_input(path, what)
     try:
-        text = path.read_text()
         names = [h.strip() for h in text.partition("\n")[0].split(",")
                  if h.strip() not in ("key", "source", "RF")]
         schema = config.schema.subset(names)
         if len(schema.names) != len(names):  # non-canonical feature set
             raise PipelineError(f"unrecognized feature columns in {path}")
         return parse_database(text, config.combo, schema)
-    except (IngestError, UnicodeDecodeError) as exc:  # the message alone fits any file
+    except IngestError as exc:  # the message alone fits any file
         raise IngestError(f"{exc} ({path})") from None
 
 

@@ -56,13 +56,6 @@ class SearchGrid:
     max_sweeps: int = 3
 
     def __post_init__(self):
-        if not isinstance(self.candidates, dict) or not all(
-                isinstance(values, (list, tuple)) for values in self.candidates.values()):
-            raise ValueError(f"candidates must map names to lists, got {self.candidates!r}")
-        if not isinstance(self.pairs, (list, tuple)) or not all(
-                isinstance(pair, (list, tuple)) and all(isinstance(name, str) for name in pair)
-                for pair in self.pairs):
-            raise ValueError(f"pairs must be lists of names, got {self.pairs!r}")
         if self.max_sweeps < 1:
             raise ValueError("max_sweeps must be at least 1")
         paired = {name for pair in self.pairs for name in pair}

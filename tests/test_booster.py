@@ -346,6 +346,17 @@ class TestTrain:
         model = train(X, y, hp_with(num_rounds=1), seed=0)
         assert (predict_class(model, X) == 3).all()
 
+    def test_levels_past_the_rows_draw_no_columns(self, rng):
+        # no node below depth n - 2 holds two rows, so a deeper max_depth
+        # grows the same trees from the same draws
+        n = 12
+        X = np.round(rng.normal(size=(n, 5)), 1)
+        y = rng.integers(0, 10, n)
+        models = [train(X, y, hp_with(max_depth=depth, colsample_bylevel=0.5, num_rounds=1),
+                        seed=4) for depth in (n - 1, 10**5)]
+        capped, deep = ([tree.to_dict() for tree in model.trees[0]] for model in models)
+        assert deep == capped
+
     def test_zero_rounds_uniform(self, rng):
         X = rng.random((5, 3))
         model = train(X, rng.integers(0, 10, 5), hp_with(num_rounds=0), seed=0)

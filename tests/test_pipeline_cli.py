@@ -133,11 +133,12 @@ class TestConfigValidation:
                          "pairs": [["max_depth"]]},
             })
 
-    @pytest.mark.parametrize("grid", [{"pairs": [["max_depth"]]}, {"candidates": {}},
-                                      {"candidates": 0, "pairs": 5}],
-                             ids=["pairs_only", "empty_candidates", "falsy_candidates"])
-    def test_grid_entries_never_fall_back_to_the_default_grid(self, grid):
-        with pytest.raises(ConfigError, match="bad grid"):
+    @pytest.mark.parametrize("grid, message", [
+        ({"pairs": [["max_depth"]]}, "bad grid"), ({"candidates": {}}, "bad grid"),
+        ({"candidates": 0, "pairs": 5}, "grid.candidates must be a JSON object")],
+        ids=["pairs_only", "empty_candidates", "falsy_candidates"])
+    def test_grid_entries_never_fall_back_to_the_default_grid(self, grid, message):
+        with pytest.raises(ConfigError, match=message):
             PipelineConfig.from_dict({"combo": "TC", "synth": {}, "grid": grid})
 
     def test_bad_hyperparameters(self):
@@ -186,6 +187,27 @@ class TestConfigValidation:
         except ConfigError:
             return
         assert isinstance(config, PipelineConfig)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_mutated_models_raise_only_value_errors(self, trained_run, data):
+        doc = json.loads((trained_run / "model.json").read_text())
+        for _ in range(data.draw(st.integers(1, 3))):
+            *path, key = data.draw(st.sampled_from(list(_locations(doc))))
+            parent = functools.reduce(operator.getitem, path, doc)
+            mutation = data.draw(st.sampled_from(["drop", "retype", "out_of_range"]))
+            if mutation == "drop":
+                del parent[key]
+            else:
+                value = data.draw(JSON_VALUES if mutation == "retype" else EXTREME_NUMBERS)
+                parent[key] = copy.deepcopy(value)  # the sampled values are shared
+        text = json.dumps(doc)
+        try:
+            model = booster.load_ensemble(text)
+        except ValueError:
+            return
+        # a document that loads is one serialize_ensemble writes
+        assert json.loads(booster.serialize_ensemble(model)) == json.loads(text)
 
     def test_independent_mapping(self):
         assert INDEPENDENT_SOURCE[DatabaseTag.TC] is DatabaseTag.ATLAS
@@ -252,7 +274,8 @@ class TestRunPipeline:
             },
             "hyperparameters": dict(FAST_HP),
         })
-        with pytest.raises(StageFailure, match=r"\[ingest\].*missing input file"):
+        with pytest.raises(StageFailure, match=r"\[ingest\] cannot read source TORIS .*nope.csv: "
+                                               r"No such file or directory"):
             run_pipeline(config, tmp_path / "run")
 
     def test_tuning_path_writes_trace(self, tmp_path):
@@ -387,6 +410,21 @@ class TestCli:
         assert "train" in out and "independent" in out
         assert (tmp_path / "run" / "reports" / "summary.csv").exists()
 
+    @pytest.mark.parametrize("settings_", [
+        {"hyperparameters": dict(FAST_HP, num_rounds=3)},
+        {"hyperparameters": None, "split": {"test_fraction": 0.1, "k_folds": 2},
+         "grid": {"candidates": {"max_depth": [2], "num_rounds": [3]},
+                  "pairs": [["max_depth", "num_rounds"]], "max_sweeps": 1}},
+    ], ids=["hyperparameters", "grid"])
+    def test_snapshot_holds_the_config_as_written(self, tmp_path, settings_):
+        sources = _write_sources(tmp_path, ["TORIS", "Commercial", "Atlas"], n=120)
+        sources["TORIS"]["column_map"] = {"gor": "gor"}
+        config = self._write_config(tmp_path, synth=None, sources=sources,
+                                    range_overrides={"gor": [0, 60]}, **settings_)
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "run")]) == 0
+        snapshot = json.loads((tmp_path / "run" / pipeline.SNAPSHOT).read_text())
+        assert snapshot["config"] == json.loads(config.read_text())
+
     def test_stagewise_chain(self, tmp_path, capsys):
         config = self._write_config(tmp_path)
         merged = tmp_path / "merged.csv"
@@ -427,7 +465,8 @@ class TestCli:
         code = main(["run", "--config", str(tmp_path / "absent.json"),
                      "--out", str(tmp_path / "run")])
         assert code == 2
-        assert "config file not found" in capsys.readouterr().err
+        assert (f"cannot read config {tmp_path / 'absent.json'}: No such file or directory"
+                in capsys.readouterr().err)
 
     def test_missing_artifact_exits_3_and_names_file(self, tmp_path, capsys):
         config = self._write_config(tmp_path)
@@ -457,7 +496,8 @@ class TestCli:
         ({"range_overrides": [[0, 1]]}, "range_overrides must be a JSON object"),
         ({"combo": 5}, "combo must be a string"),
         ({"combo": ["TC"]}, "combo must be a string"),
-        ({"range_overrides": {"gor": 60}}, "must be a [lo, hi] pair"),
+        ({"range_overrides": {"gor": 60}},
+         "config.range_overrides.gor must be a JSON array, got 60"),
         ({"synth": {"n": "many"}}, "synth.n must be a number"),
         ({"synth": {"n": 0}}, "synth.n must be at least 1"),
         ({"synth": {"n": -3}}, "synth.n must be at least 1"),
@@ -473,23 +513,23 @@ class TestCli:
         ({"range_overrides": {"gor": [60, 0]}}, "lower bound must be below upper bound"),
         ({"hyperparameters": None,
           "grid": {"candidates": {"max_depth": 3}, "pairs": [["max_depth"]]}},
-         "candidates must map names to lists"),
+         "grid.candidates.max_depth must be a JSON array, got 3"),
         ({"hyperparameters": None,
           "grid": {"candidates": {"max_depth": ["deep"]}, "pairs": [["max_depth"]]}},
          "hyperparameters.max_depth must be a number written as a JSON integer"),
         ({"hyperparameters": None,
           "grid": {"candidates": {"max_depth": [2]}, "pairs": 5}},
-         "pairs must be lists of names"),
+         "grid.pairs must be a JSON array, got 5"),
         ({"hyperparameters": None,
           "grid": {"candidates": {"max_depth": [2]}, "pairs": [["max_depth", "max_depth"]]}},
          "pairs must hold one or two names, each once"),
         ({"hyperparameters": None, "grid": {"candidates": [1]}},
-         "candidates must map names to lists"),
+         "grid.candidates must be a JSON object, got list"),
         ({"seed": 1.7}, "seed must be a number written as a JSON integer"),
         ({"split": {"k_folds": 3.9}}, "split.k_folds must be a number written as a JSON integer"),
         ({"synth": {"n": 120.9}}, "synth.n must be a number written as a JSON integer"),
         ({"synth": None, "sources": {"TORIS": {"path": "toris.csv", "column_map": [1]}}},
-         "column_map must map feature names to column names"),
+         "source entry 'TORIS'.column_map must be a JSON object, got list"),
         ({"hyperparameters": dict(FAST_HP, objective="reg:squarederror")},
          "objective must be 'multi:softmax'"),
         ({"hyperparameters": dict(FAST_HP, num_rounds=2.5)},
@@ -498,6 +538,8 @@ class TestCli:
          "hyperparameters.alpha must be a number, got nan"),
         ({"hyperparameters": dict(FAST_HP, num_class=10.0)}, "num_class must be 10, got 10.0"),
         ({"hyperparameters": dict(FAST_HP, num_class=True)}, "num_class must be 10, got True"),
+        ({"hyperparameters": dict(FAST_HP, lambda_=0.05)},
+         "bad hyperparameters: hyperparameters name both 'lambda' and 'lambda_'"),
         ({"shap_sampel": 5}, "unknown key in config: 'shap_sampel'"),
         ({"hyperparameters": None, "grid": {"candidates": {"max_depth": [2]},
                                             "pairs": [["max_depth"]], "pair": []}},
@@ -529,7 +571,8 @@ class TestCli:
             "grid_pair_repeats_a_name",
             "grid_candidates_list", "seed_fraction", "k_folds_fraction", "synth_n_fraction",
             "column_map_not_object", "objective_not_softmax", "num_rounds_fraction",
-            "alpha_nan", "num_class_float", "num_class_true", "unknown_top_level_key",
+            "alpha_nan", "num_class_float", "num_class_true", "lambda_twice",
+            "unknown_top_level_key",
             "unknown_grid_key", "unknown_source_key", "unknown_synth_key", "split_seed",
             "unknown_prune_key", "sources_lack_combo_source", "empty_sources_beside_synth",
             "split_null", "sources_case_duplicate"])
@@ -744,16 +787,19 @@ class TestCli:
           "--out", "{tmp}/report.json"], 3,
          "error [evaluate] Expecting value: line 2 column 1 (char 1) ({tmp}/blank.json)\n"),
         (["ingest", "--config", "{tmp}/latin.json", "--out", "{tmp}/merged.csv"], 3,
-         "error [ingest] 'utf-8' codec can't decode byte 0xff in position 7: invalid start byte "
-         "(source TORIS: {tmp}/latin.csv)\n"),
+         "error [ingest] cannot read source TORIS {tmp}/latin.csv: 'utf-8' codec can't decode "
+         "byte 0xff in position 7: invalid start byte\n"),
         (["preprocess", "--data", "{tmp}/latin.csv", "--out", "{tmp}/prep"], 3,
-         "error [preprocess] 'utf-8' codec can't decode byte 0xff in position 7: invalid start "
-         "byte ({tmp}/latin.csv)\n"),
+         "error [preprocess] cannot read merged CSV from `ingest` {tmp}/latin.csv: 'utf-8' codec "
+         "can't decode byte 0xff in position 7: invalid start byte\n"),
+        (["train", "--train", "{run}/train.csv", "--hp", "{tmp}/lambda_twice.json",
+          "--out", "{tmp}/model.json"], 3,
+         "error [train] hyperparameters name both 'lambda' and 'lambda_'\n"),
     ], ids=["ingest_out_in_missing_dir", "run_out_is_file", "config_is_directory",
             "config_not_utf8", "hp_unknown_key", "hp_not_object", "hp_value_not_number",
             "hp_num_class_12", "model_not_object", "hp_num_class_float", "hp_num_class_true",
             "ingest_field_over_csv_limit", "run_field_over_csv_limit", "hp_not_json",
-            "model_not_json", "source_not_utf8", "prepared_not_utf8"])
+            "model_not_json", "source_not_utf8", "prepared_not_utf8", "hp_lambda_twice"])
     def test_bad_path_is_diagnosed_without_traceback(self, trained_run, tmp_path, capfd,
                                                       argv, code, message):
         config = self._write_config(tmp_path)
@@ -764,6 +810,7 @@ class TestCli:
         (tmp_path / "twelve.json").write_text(json.dumps(dict(FAST_HP, num_class=12)))
         (tmp_path / "ten_float.json").write_text(json.dumps(dict(FAST_HP, num_class=10.0)))
         (tmp_path / "ten_true.json").write_text(json.dumps(dict(FAST_HP, num_class=True)))
+        (tmp_path / "lambda_twice.json").write_text(json.dumps(dict(FAST_HP, lambda_=0.05)))
         sources = _write_sources(tmp_path, ["TORIS", "Commercial"], n=20)
         header, rest = (tmp_path / "TORIS.csv").read_text().split("\n", 1)
         # line 2 holds a quoted key over the csv module's field size limit
@@ -808,7 +855,7 @@ class TestCli:
         config = self._write_config(tmp_path)
         names = dict(tmp=tmp_path, run=trained_run, config=config)
         work = RuntimeError("the command started work")
-        with mock.patch.object(cli, "_load_config", side_effect=work), \
+        with mock.patch.object(cli, "read_input", side_effect=work), \
                 mock.patch.object(cli, "generate", side_effect=work), \
                 mock.patch.object(cli, "fit", side_effect=work), \
                 mock.patch.object(cli, "tune", side_effect=work):
@@ -819,21 +866,25 @@ class TestCli:
     @pytest.mark.parametrize("corrupt, message", [
         (lambda doc: _internal_node(doc).update(feature=99), "feature 99 is outside"),
         (lambda doc: doc["trees"][0].__delitem__(slice(3, None)), "round 0 holds 3 trees"),
-        (lambda doc: _internal_node(doc).pop("feature"), "numeric 'feature'"),
+        (lambda doc: _internal_node(doc).pop("feature"), "tree node needs a 'feature'"),
         (lambda doc: doc["hyperparameters"].update(eta=0.3),
          "unknown key in hyperparameters: 'eta'"),
-        (lambda doc: doc.pop("num_features"), "KeyError('num_features')"),
-        (lambda doc: doc.pop("trees"), "KeyError('trees')"),
-        (lambda doc: doc["trees"].__setitem__(0, 7), "round 0 must be a list of trees, got int"),
-        (lambda doc: _internal_node(doc).update(threshold=math.inf), "finite numeric 'threshold'"),
-        (lambda doc: _internal_node(doc)["left"].update(leaf=math.nan), "finite numeric 'leaf'"),
+        (lambda doc: doc.pop("num_features"), "model needs a 'num_features'"),
+        (lambda doc: doc.pop("trees"), "model needs a 'trees'"),
+        (lambda doc: doc["trees"].__setitem__(0, 7), "model.trees[0] must be a JSON array, got 7"),
+        (lambda doc: _internal_node(doc).update(threshold=math.inf),
+         "tree node.threshold must be a number, got inf"),
+        (lambda doc: _internal_node(doc)["left"].update(leaf=math.nan),  # a split there
+         "unknown key in tree node: 'feature', 'gain', 'left', 'right', 'threshold'"),
         (_twelve_classes, "num_class must be 10, got 12"),
-        (lambda doc: doc.update(trees={}), "trees must be a list of rounds, got dict"),
-        (lambda doc: doc.update(training_loss="x"), "training_loss must be a list of"),
+        (lambda doc: doc.update(trees={}), "model.trees must be a JSON array, got dict"),
+        (lambda doc: doc.update(training_loss="x"),
+         "model.training_loss must be a JSON array, got 'x'"),
         (lambda doc: doc["training_loss"].pop(), "training_loss must be a list of"),
-        (lambda doc: doc.update(best_round="z"), "best_round must be null or a round"),
+        (lambda doc: doc.update(best_round="z"),
+         "model.best_round must be a number written as a JSON integer, got 'z'"),
         (lambda doc: doc.update(num_features=doc["num_features"] + 0.7),
-         "num_features must be a positive JSON integer"),
+         "model.num_features must be a number written as a JSON integer"),
         (lambda doc: doc["feature_names"].pop(), "feature_names must be a list of"),
         (lambda doc: doc["hyperparameters"].update(num_class=10.0), "num_class must be 10"),
         (lambda doc: doc["hyperparameters"].update(num_class=True), "num_class must be 10"),
@@ -842,12 +893,29 @@ class TestCli:
         (lambda doc: _internal_node(doc)["left"].update(cover=0.5),
          "child cover 0.5 is below min_child_weight = 1"),
         (lambda doc: _leaf(doc).update(leaf=0.05), "leaf 0.05 exceeds the learning_rate"),
+        (lambda doc: doc.update(base_margin=3.0), "base_margin must be 0.0, got 3.0"),
+        (lambda doc: _internal_node(doc).update(leaf=0.0),
+         "unknown key in tree node: 'feature', 'gain', 'left', 'right', 'threshold'"),
+        (lambda doc: doc.update(note="x"), "unknown key in model: 'note'"),
+        (lambda doc: _leaf(doc).update(depth=2), "unknown key in tree node: 'depth'"),
+        (lambda doc: doc["training_loss"].__setitem__(1, math.nan),
+         "model.training_loss[1] must be a number, got nan"),
+        (lambda doc: doc.update(version=True),
+         "model.version must be a number written as a JSON integer, got True"),
+        (lambda doc: doc.pop("best_round"), "model needs a 'best_round'"),
+        (lambda doc: _leaf(doc).update(leaf=math.nan), "tree node.leaf must be a number, got nan"),
+        (lambda doc: doc["hyperparameters"].update(lambda_=0.05),
+         "hyperparameters name both 'lambda' and 'lambda_'"),
+        (lambda doc: doc["hyperparameters"].pop("gamma"), "model.hyperparameters needs a 'gamma'"),
     ], ids=["feature_out_of_range", "round_of_three_trees", "node_without_feature",
             "unknown_hyperparameter", "no_num_features", "no_trees", "round_not_list",
             "infinite_threshold", "nan_leaf", "twelve_classes", "trees_object",
             "training_loss_string", "training_loss_short", "best_round_string", "num_features_fraction",
             "feature_names_short", "num_class_float", "num_class_true", "deeper_than_max_depth",
-            "negative_gain", "child_below_min_child_weight", "leaf_beyond_clip"])
+            "negative_gain", "child_below_min_child_weight", "leaf_beyond_clip",
+            "base_margin_three", "split_with_leaf_key", "unknown_top_level_key",
+            "unknown_node_key", "nan_loss", "version_true", "no_best_round", "nan_leaf_value",
+            "lambda_twice", "hyperparameter_missing"])
     def test_corrupted_model_exits_3(self, trained_run, tmp_path, capsys, corrupt, message):
         doc = json.loads((trained_run / "model.json").read_text())
         corrupt(doc)
