@@ -29,11 +29,10 @@ from dataclasses import replace
 from pathlib import Path
 
 from .booster import Hyperparameters, load_ensemble, serialize_ensemble
-from .dataset import serialize_database
 from .errors import ConfigError, PipelineError, TrainingError
 from .pipeline import (PipelineConfig, StageFailure, SynthConfig, _dump_json, _stage,
                        evaluate, explain, fit, held_out, ingest, preprocess, read_input,
-                       read_prepared, run_pipeline, tune)
+                       read_prepared, run_pipeline, tune, write_csv)
 from .synth import _PRESETS, generate, preset
 
 EXIT_OK = 0
@@ -90,14 +89,14 @@ def _read_for(model, path: str, config: PipelineConfig):
 def cmd_synth(args, config: None) -> int:
     spec = preset(args.preset, args.divergence)
     db = generate(spec, args.n, args.seed)
-    Path(args.out).write_text(serialize_database(db))
+    write_csv(args.out, db)
     print(f"wrote {len(db)} records to {args.out}")
     return EXIT_OK
 
 
 def cmd_ingest(args, config: PipelineConfig) -> int:
     merged = ingest(config)
-    Path(args.out).write_text(serialize_database(merged))
+    write_csv(args.out, merged)
     print(f"merged {merged.tag.value}: {len(merged)} records -> {args.out}")
     return EXIT_OK
 

@@ -9,15 +9,20 @@ convert to and from ReservoirRecord rows, with None for a missing cell.
 
 One table, `_TAG_TOKENS`, maps the spellings of every tag for `parse_tag`
 and for a CSV's `source` column, which takes only source tags. CSVs are
-written with 17 significant digits, one `%` per row's numbers, so
-`parse_database` reads back the same float64 bits.
+read and written CSV_BLOCK rows at a time. `parse_database` checks a block
+column by column, parsing each distinct token once, and raises the fault a
+row-by-row reading would meet first. `serialize_database` formats a block's
+numbers with one `%` at 17 significant digits, so `parse_database` reads
+back the same float64 bits.
 """
 
 import csv
 import io
 import math
+import re
 from dataclasses import dataclass, replace
 from enum import Enum
+from itertools import compress
 
 import numpy as np
 
@@ -242,27 +247,116 @@ class Database:
         return not (np.isnan(self.values).any() or np.isnan(self.rf).any())
 
 
-def _parse_cell(token: str, line: int, column: str) -> float:
-    """The cell's number, NaN for a missing token."""
-    stripped = token.strip()
-    if stripped.lower() in MISSING_TOKENS:
-        return math.nan
+#: Rows read or written at a time, each block into its own arrays or
+#: string. Converting a whole 45k-row database to Python floats at once,
+#: and growing one buffer to the full text, held about 20 MB beside the
+#: text, and the process's peak memory varied by as much again from run to
+#: run with where the allocator placed those blocks. Parsing a whole
+#: source's columns at once likewise raised the parse's peak by half.
+CSV_BLOCK = 1024
+
+#: Characters that may make `csv.writer` quote a field: it over-matches,
+#: since `csv_text` itself decides whether a key it finds is quoted.
+_QUOTABLE = re.compile(r'[,"\r\n]')
+
+
+def _fault(line: int, reason, column: str | None = None) -> str:
+    """The message of an IngestError at a CSV line, and column if one is at fault."""
+    where = f"line {line}" if column is None else f"line {line}, column {column!r}"
+    return f"{where}: {reason}"
+
+
+def _parse_cell(token: str) -> float:
+    """The cell's number, NaN for a missing token; ValueError says why a
+    token is neither."""
     try:
-        value = float(stripped)
+        value = float(token)  # which ignores padding, as `strip` does
     except ValueError:
-        raise IngestError(f"line {line}, column {column!r}: cannot parse {token!r} as a number") from None
+        if token.strip().lower() in MISSING_TOKENS:  # none of them is a number
+            return math.nan
+        raise ValueError(f"cannot parse {token!r} as a number") from None
     if not math.isfinite(value):
-        raise IngestError(f"line {line}, column {column!r}: non-finite value {token!r}")
+        raise ValueError(f"non-finite value {token!r}")
     return value
 
 
-def _checked_rows(reader):
-    """The rows of a `csv.reader`; a row it cannot read raises IngestError
-    naming the line, as for a field over the csv module's size limit."""
+def _parse_rf(token: str) -> float:
+    rf = _parse_cell(token)
+    if rf < 0:
+        raise ValueError(f"negative recovery factor {rf}")
+    return rf
+
+
+def _parse_key(token: str) -> str:
+    key = normalize_key(token)
+    if not key:
+        raise ValueError("empty key")
+    return key
+
+
+def _parse_source(token: str) -> DatabaseTag:
+    source = _TAG_TOKENS.get(token.strip().lower())
+    if source is None or not source.is_source:
+        raise ValueError(f"{token!r} is not a source tag")
+    return source
+
+
+def _row_blocks(reader):
+    """The rows after the header as (line numbers, rows) lists of up to
+    CSV_BLOCK non-blank rows; the last pair may be empty. A row the reader
+    cannot read, as for a field over the csv module's size limit, raises
+    IngestError naming its line once the rows before it are yielded."""
+    lines, rows = [], []
     try:
-        yield from reader
+        for row in reader:
+            if row:
+                lines.append(reader.line_num)
+                rows.append(row)
+                if len(rows) == CSV_BLOCK:
+                    yield lines, rows
+                    lines, rows = [], []
     except csv.Error as exc:
-        raise IngestError(f"line {reader.line_num}: {exc}") from None
+        yield lines, rows  # a fault in an earlier row is met first
+        raise IngestError(_fault(reader.line_num, exc)) from None
+    yield lines, rows
+
+
+class _Block:
+    """One block of CSV rows, checked column by column.
+
+    A check reads its column in every row before the first fault found so
+    far, and a fault it finds cuts the block there: that fault lies in an
+    earlier row, so it replaces the one before. As the checks run in the
+    order a row's cells are checked, the fault left is the one a reading
+    row by row would meet first.
+    """
+
+    def __init__(self, lines: list[int], rows: list[list[str]]):
+        self.lines, self.rows, self.fault = lines, rows, None
+
+    def cut(self, at: int, reason, column: str | None = None) -> None:
+        self.fault = _fault(self.lines[at], reason, column)
+        self.lines, self.rows = self.lines[:at], self.rows[:at]
+
+    def keep(self, mask: np.ndarray) -> None:
+        self.lines = list(compress(self.lines, mask))
+        self.rows = list(compress(self.rows, mask))
+
+    def column(self, position: int, name: str, parse, dtype=float) -> np.ndarray:
+        """The column's cells by `parse`, called once per distinct token;
+        a token it rejects with ValueError cuts the block at its first row.
+        Distinct tokens come in the order they first occur, so the first
+        one rejected is in the first row at fault."""
+        tokens = [row[position] for row in self.rows]
+        table = {}
+        for token in dict.fromkeys(tokens):
+            try:
+                table[token] = parse(token)
+            except ValueError as reason:
+                self.cut(tokens.index(token), reason, name)
+                tokens = tokens[:len(self.rows)]
+                break
+        return np.fromiter(map(table.__getitem__, tokens), dtype, len(tokens))
 
 
 def parse_database(
@@ -281,13 +375,20 @@ def parse_database(
     provenance (required when `tag` is a merged tag); otherwise every record
     is tagged with `tag` itself. Malformed rows raise IngestError naming the
     line, and the column where one is at fault.
+
+    Rows are read CSV_BLOCK at a time and each block column by column: RF
+    first, then the key, the source and the features, each distinct token
+    parsed once. The error raised is the first fault in file order, with a
+    row's cells checked in that order and the cells of a row without RF
+    never checked.
     """
     reader = csv.reader(io.StringIO(text))
-    csv_rows = _checked_rows(reader)
     try:
-        header = next(csv_rows)
+        header = next(reader)
     except StopIteration:
         raise IngestError("empty CSV: no header row") from None
+    except csv.Error as exc:
+        raise IngestError(_fault(reader.line_num, exc)) from None
     header = [h.strip() for h in header]
     positions = {name: i for i, name in enumerate(header)}
     repeated = sorted({name for name in header if name and header.count(name) > 1})
@@ -304,42 +405,28 @@ def parse_database(
     if source_pos is None and not tag.is_source:
         raise IngestError(f"merged tag {tag.value} requires a 'source' column")
 
-    rf_pos, key_pos = positions[rf_column], positions[key_column]
-    feature_pos = [positions[col] for col in feature_cols]
-    keys, rfs, sources, rows = [], [], [], []
-    for row in csv_rows:
-        line = reader.line_num
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise IngestError(f"line {line}: expected {len(header)} fields, found {len(row)}")
-        rf = _parse_cell(row[rf_pos], line, rf_column)
-        if rf != rf:
-            continue  # no target value: the row cannot be used at all
-        if rf < 0:
-            raise IngestError(f"line {line}, column {rf_column!r}: negative recovery factor {rf}")
-        key = normalize_key(row[key_pos])
-        if not key:
-            raise IngestError(f"line {line}, column {key_column!r}: empty key")
-        source = tag if source_pos is None else _TAG_TOKENS.get(row[source_pos].strip().lower())
-        if source is None or not source.is_source:
-            raise IngestError(f"line {line}, column 'source': {row[source_pos]!r} is not a source tag")
-        keys.append(key)
-        rfs.append(rf)
-        sources.append(source)
-        rows.append([_parse_cell(row[p], line, col)
-                     for p, col in zip(feature_pos, feature_cols)])
-    return Database(tag, schema, np.array(rows, dtype=float).reshape(len(rows), len(feature_cols)),
-                    np.array(keys, dtype=object), np.array(rfs, dtype=float),
-                    np.array(sources, dtype=object))
-
-
-#: Rows serialized at a time, each block into its own string. Converting a
-#: whole 45k-row database to Python floats at once, and growing one buffer
-#: to the full text, held about 20 MB beside the text, and the process's
-#: peak memory varied by as much again from run to run with where the
-#: allocator placed those blocks.
-SERIALIZE_BLOCK = 1024
+    parts = []
+    for lines, rows in _row_blocks(reader):
+        block = _Block(lines, rows)
+        ragged = next((i for i, row in enumerate(rows) if len(row) != len(header)), None)
+        if ragged is not None:
+            block.cut(ragged, f"expected {len(header)} fields, found {len(rows[ragged])}")
+        rf = block.column(positions[rf_column], rf_column, _parse_rf)
+        present = rf == rf  # a row without RF cannot be used at all
+        block.keep(present)
+        rf = rf[present]
+        keys = block.column(positions[key_column], key_column, _parse_key, object)
+        sources = (np.full(len(block.rows), tag, dtype=object) if source_pos is None
+                   else block.column(source_pos, "source", _parse_source, object))
+        columns = [block.column(positions[col], col, _parse_cell) for col in feature_cols]
+        if block.fault is not None:
+            raise IngestError(block.fault)
+        values = np.empty((len(block.rows), len(columns)))
+        for j, column in enumerate(columns):
+            values[:, j] = column
+        parts.append((values, keys, rf, sources))
+    values, keys, rf, sources = (np.concatenate(arrays) for arrays in zip(*parts))
+    return Database(tag, schema, values, keys, rf, sources)
 
 
 def csv_text(rows) -> str:
@@ -352,19 +439,24 @@ def csv_text(rows) -> str:
 def serialize_database(db: Database) -> str:
     """Canonical CSV form: key, source, features in schema order, RF.
 
-    One `%` formats a row's numbers at 17 significant digits, which read
-    back as the same float64, and a missing cell is written blank. The
-    numbers never need quoting; `csv_text` quotes the key as it needs.
+    Numbers are written at 17 significant digits, which read back as the
+    same float64, and a missing one is written blank. Each block of
+    CSV_BLOCK rows is formatted with one `%` on a row template repeated once
+    per row, and its `nan`s are blanked at once. The numbers and source tags
+    never need quoting; a key that might is quoted by `csv_text`, as
+    `csv.writer` quotes it.
     """
     template = ",".join(["%.17g"] * (len(db.schema.features) + 1))
     parts = [csv_text([["key", "source", *db.schema.names, RF_COLUMN]])]
-    cells = np.column_stack([db.values, db.rf])
-    for start in range(0, len(db), SERIALIZE_BLOCK):
-        block = slice(start, start + SERIALIZE_BLOCK)
-        parts.append(csv_text(
-            [key, source.value, *(template % tuple(row)).replace("nan", "").split(",")]
-            for key, source, row in zip(db.keys[block].tolist(), db.sources[block].tolist(),
-                                        cells[block].tolist())))
+    for start in range(0, len(db), CSV_BLOCK):
+        block = slice(start, start + CSV_BLOCK)
+        cells = np.column_stack([db.values[block], db.rf[block]])
+        numbers = "\n".join([template] * len(cells)) % tuple(cells.ravel().tolist())
+        keys = (csv_text([[key]])[:-1] if _QUOTABLE.search(key) else key
+                for key in db.keys[block].tolist())
+        sources = (source.value for source in db.sources[block].tolist())
+        lines = zip(keys, sources, numbers.replace("nan", "").split("\n"))
+        parts.append("\n".join(map(",".join, lines)) + "\n")
     return "".join(parts)
 
 

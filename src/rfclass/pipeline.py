@@ -222,6 +222,21 @@ def _stage_seed(seed: int, index: int) -> int:
     return (seed * 2654435761 + index * 97003) % (2**31 - 1)
 
 
+#: Characters of CSV text encoded and written at a time. `Path.write_text`
+#: encodes the whole text into a second buffer as large, which set the
+#: peak memory of a run that writes its prepared sets.
+WRITE_SLICE = 1 << 20
+
+
+def write_csv(path, db: Database) -> None:
+    """Write `db` as CSV to `path`, WRITE_SLICE characters at a time; the
+    bytes are those of `Path.write_text(serialize_database(db))`."""
+    text = serialize_database(db)
+    with open(path, "w") as out:
+        for start in range(0, len(text), WRITE_SLICE):
+            out.write(text[start:start + WRITE_SLICE])
+
+
 def _dump_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
 
@@ -302,7 +317,7 @@ class Prepared(NamedTuple):
         for name, db in (("train", self.train), ("test", self.test),
                          ("independent", self.independent)):
             if db is not None:
-                (out / f"{name}.csv").write_text(serialize_database(db))
+                write_csv(out / f"{name}.csv", db)
         _dump_json(out / "preprocess_meta.json", self.meta)
 
 
@@ -441,7 +456,7 @@ def run_pipeline(config: PipelineConfig, out_dir: str | Path) -> RunResult:
 
         with _stage("ingest"):
             merged = ingest(config)
-            (run_dir / "merged.csv").write_text(serialize_database(merged))
+            write_csv(run_dir / "merged.csv", merged)
 
         with _stage("preprocess"):
             prepared = preprocess(merged, config, held_out(config))

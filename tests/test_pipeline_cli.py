@@ -232,6 +232,15 @@ class TestRunPipeline:
         meta = json.loads((result.run_dir / "preprocess_meta.json").read_text())
         assert "transform_params" in meta and "imputed_cells" in meta
 
+    def test_csv_files_are_written_in_slices_with_the_serialized_bytes(self, tmp_path,
+                                                                        monkeypatch):
+        db = generate(preset("toris"), 30, seed=0)
+        monkeypatch.setattr(pipeline, "WRITE_SLICE", 100)
+        pipeline.write_csv(tmp_path / "toris.csv", db)
+        text = serialize_database(db)
+        assert len(text) > 10 * 100
+        assert (tmp_path / "toris.csv").read_bytes() == text.encode()
+
     def test_tca_has_no_independent(self, tmp_path):
         result = run_pipeline(tiny_config("TCA"), tmp_path / "run")
         assert "independent" not in result.reports
@@ -797,7 +806,7 @@ class TestCli:
          "error [train] hyperparameters name both 'lambda' and 'lambda_'\n"),
     ], ids=["ingest_out_in_missing_dir", "run_out_is_file", "config_is_directory",
             "config_not_utf8", "hp_unknown_key", "hp_not_object", "hp_value_not_number",
-            "hp_num_class_12", "model_not_object", "hp_num_class_float", "hp_num_class_true",
+            "hp_num_class_12", "hp_num_class_float", "hp_num_class_true", "model_not_object",
             "ingest_field_over_csv_limit", "run_field_over_csv_limit", "hp_not_json",
             "model_not_json", "source_not_utf8", "prepared_not_utf8", "hp_lambda_twice"])
     def test_bad_path_is_diagnosed_without_traceback(self, trained_run, tmp_path, capfd,
