@@ -31,12 +31,12 @@ margins and makes every random draw in class order. Each round it hands
 adds the round's walks to the margins (`_add_round`), so every float
 operation is the one a lone process does and the models are
 bit-identical at any worker count. `forked` is the one task map of forked
-workers, for tree growth, attribution and tuning folds alike, and the one
-place that sizes them: it deals task i to worker i mod workers and gives
-the results back in task order, so callers never see the worker count. A
-task's exception reaches the caller unchanged (as a `RuntimeError` naming
-it if it cannot be pickled), and a worker that dies raises the caller's
-own error.
+workers, for tree growth, attribution, tuning folds and a run's file
+writes alike, and the one place that sizes them: it deals task i to worker
+i mod workers and gives the results back in task order, so callers never
+see the worker count. A task's exception reaches the caller unchanged (as
+a `RuntimeError` naming it if it cannot be pickled), and a worker that
+dies raises the caller's own error.
 
 `_add_round` is the one place a tree's walk is added to margins: from
 zero, round by round, class k's walk to column k. Training, the
@@ -655,7 +655,13 @@ def predict_class(ensemble: Ensemble, X) -> np.ndarray | int:
 #:   model of 7941 leaves, 8 rows (64k, 64-74 ms alone) took as long or
 #:   longer and 12 rows (95k, 84 ms) 6-7% less. pipeline_tc explains 40 rows
 #:   of that model.
-FORK_AT = {"row_rounds": 5_000, "row_leaves": 100_000}
+#: - `cells`, rows times columns of the files `pipeline.Prepared.write`
+#:   writes: merged.csv, train.csv, test.csv and the meta of the first rows
+#:   of ingest_tca_large's merge, at the minimum of 9 calls, took 33-36 ms
+#:   alone and 36-44 ms on two workers at 73k cells, 47 and 50 ms at 107k,
+#:   65 and 52-55 ms at 140k, and 0.57-0.62 and 0.38-0.39 s for the whole
+#:   1.29M. pipeline_tc writes 159k cells.
+FORK_AT = {"row_rounds": 5_000, "row_leaves": 100_000, "cells": 100_000}
 
 
 def worker_count(n_tasks: int, **work: int) -> int:
@@ -663,8 +669,9 @@ def worker_count(n_tasks: int, **work: int) -> int:
     CPU this process may run on, at most one per task, where 1 means the
     tasks run in the calling process. It is 1 when the call's work, given in
     the units of `FORK_AT` (`row_rounds=` for `train`, `row_leaves=` for
-    `attribute`), is below the bound for its unit, since the fork would cost
-    more than it saves. It is also 1 on a platform without `sched_getaffinity` (where
+    `attribute`, `cells=` for `pipeline.Prepared.write`), is below the bound
+    for its unit, since the fork would cost more than it saves. It is also 1
+    on a platform without `sched_getaffinity` (where
     `fork` is missing or unsafe), in a process running other threads, since
     a forked child could inherit a lock one of them holds, and in a daemonic
     process, such as a tuning fold worker, which may not start children."""
@@ -712,8 +719,9 @@ def _worker_main(task, conn, parent_ends) -> None:
 def forked(task, lost: Exception, n_tasks: int, **work: int):
     """Yield `run(tasks)`, which returns `[task(*args) for args in tasks]`.
     This is the one place rfclass starts a process: `train`'s tree workers,
-    `attribute`'s row workers and the tuner's fold workers all come from it,
-    and the caller never sees how many there are.
+    `attribute`'s row workers, the tuner's fold workers and the data file
+    writers of `pipeline.Prepared.write` all come from it, and the caller
+    never sees how many there are.
 
     `worker_count(n_tasks, **work)` sets the workers: `n_tasks` caps them,
     as workers beyond the tasks of a `run` call would sit idle, and `work`

@@ -255,8 +255,9 @@ class Database:
 #: source's columns at once likewise raised the parse's peak by half.
 CSV_BLOCK = 1024
 
-#: Characters that may make `csv.writer` quote a field: it over-matches,
-#: since `csv_text` itself decides whether a key it finds is quoted.
+#: Characters for which `serialize_database` quotes a key. `csv.writer`
+#: with a "\n" line end would leave a bare "\r" unquoted, and
+#: `csv.reader` could not read that key back.
 _QUOTABLE = re.compile(r'[,"\r\n]')
 
 
@@ -285,6 +286,18 @@ def _parse_rf(token: str) -> float:
     if rf < 0:
         raise ValueError(f"negative recovery factor {rf}")
     return rf
+
+
+def _decimal(parse):
+    """`parse` that first refuses a number `float` reads but a decimal
+    grammar does not: one holding `_` (`1_5`) or a non-ASCII character
+    (the Arabic-Indic digit `٢`). Missing tokens pass as before."""
+    def strict(token: str) -> float:
+        if (not token.isascii() or "_" in token) \
+                and token.strip().lower() not in MISSING_TOKENS:
+            raise ValueError(f"cannot parse {token!r} as a number")
+        return parse(token)
+    return strict
 
 
 def _parse_key(token: str) -> str:
@@ -405,20 +418,24 @@ def parse_database(
     if source_pos is None and not tag.is_source:
         raise IngestError(f"merged tag {tag.value} requires a 'source' column")
 
+    # a text of ASCII without "_" holds no token that `_decimal` refuses,
+    # so only another text pays for checking each distinct one
+    cell, rf_cell = ((_parse_cell, _parse_rf) if text.isascii() and "_" not in text
+                     else (_decimal(_parse_cell), _decimal(_parse_rf)))
     parts = []
     for lines, rows in _row_blocks(reader):
         block = _Block(lines, rows)
         ragged = next((i for i, row in enumerate(rows) if len(row) != len(header)), None)
         if ragged is not None:
             block.cut(ragged, f"expected {len(header)} fields, found {len(rows[ragged])}")
-        rf = block.column(positions[rf_column], rf_column, _parse_rf)
+        rf = block.column(positions[rf_column], rf_column, rf_cell)
         present = rf == rf  # a row without RF cannot be used at all
         block.keep(present)
         rf = rf[present]
         keys = block.column(positions[key_column], key_column, _parse_key, object)
         sources = (np.full(len(block.rows), tag, dtype=object) if source_pos is None
                    else block.column(source_pos, "source", _parse_source, object))
-        columns = [block.column(positions[col], col, _parse_cell) for col in feature_cols]
+        columns = [block.column(positions[col], col, cell) for col in feature_cols]
         if block.fault is not None:
             raise IngestError(block.fault)
         values = np.empty((len(block.rows), len(columns)))
@@ -443,8 +460,8 @@ def serialize_database(db: Database) -> str:
     same float64, and a missing one is written blank. Each block of
     CSV_BLOCK rows is formatted with one `%` on a row template repeated once
     per row, and its `nan`s are blanked at once. The numbers and source tags
-    never need quoting; a key that might is quoted by `csv_text`, as
-    `csv.writer` quotes it.
+    never need quoting; a key that `_QUOTABLE` matches is quoted as
+    `csv.writer` quotes a field, its `"` doubled.
     """
     template = ",".join(["%.17g"] * (len(db.schema.features) + 1))
     parts = [csv_text([["key", "source", *db.schema.names, RF_COLUMN]])]
@@ -452,7 +469,7 @@ def serialize_database(db: Database) -> str:
         block = slice(start, start + CSV_BLOCK)
         cells = np.column_stack([db.values[block], db.rf[block]])
         numbers = "\n".join([template] * len(cells)) % tuple(cells.ravel().tolist())
-        keys = (csv_text([[key]])[:-1] if _QUOTABLE.search(key) else key
+        keys = ('"%s"' % key.replace('"', '""') if _QUOTABLE.search(key) else key
                 for key in db.keys[block].tolist())
         sources = (source.value for source in db.sources[block].tolist())
         lines = zip(keys, sources, numbers.replace("nan", "").split("\n"))

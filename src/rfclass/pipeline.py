@@ -7,9 +7,12 @@ preprocessed datasets with an audit sidecar, tuning trace, serialized
 model, per-role evaluation reports, importance summary, and a one-row
 summary table. It builds the directory beside `out_dir` and publishes it
 whole once the last stage ends, so a run that fails leaves `out_dir` as it
-was. Each `rfclass` subcommand calls the same stage function on the files
-it reads, so its outputs equal the run directory's files. Two runs with
-equal config and seed produce byte-identical artifacts.
+was. merged.csv is written with the prepared sets at the end of the
+preprocess stage, each file by a forked worker when the run is large
+enough (`Prepared.write`). Each `rfclass` subcommand calls the same stage
+function on the files it reads, so its outputs equal the run directory's
+files. Two runs with equal config and seed produce byte-identical
+artifacts.
 
 Every input file, the config, the sources, the prepared CSVs, a `--hp` file
 and a model, is read by `read_input`, which turns a file that is missing or
@@ -31,8 +34,8 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .booster import (Ensemble, Hyperparameters, json_fields, json_value, predict_class,
-                      serialize_ensemble, train)
+from .booster import (Ensemble, Hyperparameters, forked, json_fields, json_value,
+                      predict_class, serialize_ensemble, train)
 from .dataset import (Database, DatabaseTag, FeatureSchema, canonical_schema, deduplicate,
                       merge, parse_database, parse_tag, serialize_database)
 from .errors import ConfigError, IngestError, PipelineError
@@ -306,19 +309,50 @@ def held_out(config: PipelineConfig) -> Database | None:
     return load_sources(config, [tag])[0]
 
 
+def _cells(item) -> int:
+    """The cells of the file written from `item`: a database's rows times
+    its columns, or the values of a JSON document, a list counting its
+    items."""
+    if isinstance(item, Database):
+        return len(item) * (len(item.schema.names) + 3)
+    if isinstance(item, dict):
+        return sum(map(_cells, item.values()))
+    return len(item) if isinstance(item, list) else 1
+
+
 class Prepared(NamedTuple):
     train: Database
     test: Database
     independent: Database | None
     meta: dict
 
-    def write(self, out: Path) -> None:
-        """train.csv, test.csv, independent.csv (when prepared) and preprocess_meta.json."""
-        for name, db in (("train", self.train), ("test", self.test),
-                         ("independent", self.independent)):
-            if db is not None:
-                write_csv(out / f"{name}.csv", db)
-        _dump_json(out / "preprocess_meta.json", self.meta)
+    def write(self, out: Path, merged: Database | None = None) -> None:
+        """Write merged.csv (when given), train.csv, test.csv,
+        independent.csv (when prepared) and preprocess_meta.json into `out`.
+
+        Each file is one `forked` task, so on two CPUs two files are
+        serialized and written at once. The sets reach the workers through
+        the fork, held by the task, whose argument is an index: no database
+        and no text is pickled either way. The tasks go largest first by
+        `_cells`, so that dealing them by index gives the workers like
+        shares. A write that fails raises its error here, and the files
+        other tasks wrote stay.
+        """
+        files = {"merged.csv": merged, "train.csv": self.train, "test.csv": self.test,
+                 "independent.csv": self.independent, "preprocess_meta.json": self.meta}
+        sizes = {name: _cells(item) for name, item in files.items() if item is not None}
+        names = sorted(sizes, key=lambda name: -sizes[name])
+
+        def write(i: int) -> None:
+            item = files[names[i]]
+            if isinstance(item, Database):
+                write_csv(out / names[i], item)
+            else:
+                _dump_json(out / names[i], item)
+
+        with forked(write, PipelineError("a file writer process exited mid-write"), len(names),
+                    cells=sum(sizes.values())) as run:
+            run([(i,) for i in range(len(names))])
 
 
 def preprocess(merged: Database, config: PipelineConfig,
@@ -456,11 +490,10 @@ def run_pipeline(config: PipelineConfig, out_dir: str | Path) -> RunResult:
 
         with _stage("ingest"):
             merged = ingest(config)
-            write_csv(run_dir / "merged.csv", merged)
 
-        with _stage("preprocess"):
+        with _stage("preprocess"):  # merged.csv is written with the prepared sets
             prepared = preprocess(merged, config, held_out(config))
-            prepared.write(run_dir)
+            prepared.write(run_dir, merged)
 
         with _stage("tune"):
             hp, trace = tune(prepared.train, config)

@@ -10,7 +10,7 @@ each RF-sorted column array.
 """
 
 import math
-from collections import Counter
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -81,13 +81,77 @@ def prune_missing(db: Database, prune: PruneSpec = PruneSpec()) -> Database:
     return db.take(missing <= prune.record_threshold)
 
 
-def _window_mode(present: list[float]) -> float:
-    """Most frequent exact value, smallest on ties; median when all distinct."""
-    counts = Counter(present)
-    top = max(counts.values())
-    if top == 1:
-        return float(np.median(present))
-    return min(v for v, c in counts.items() if c == top)
+def _window_modes(values: np.ndarray, window: np.ndarray) -> np.ndarray:
+    """Each window's most frequent exact value, the smallest on ties, or its
+    median when all of its values are distinct.
+
+    `values` are in column order and `window` holds each one's window id;
+    the ids ascend from 0 and none is left out. Each value is replaced by
+    its rank among the distinct values, and one sort of window-major keys
+    then puts each window's equal values in runs, smallest first. -0.0 and
+    0.0 share a rank, so a zero mode takes the sign of its window's first
+    zero, as a count in order of appearance keeps the first key it meets.
+    """
+    distinct, rank = np.unique(values, return_inverse=True)
+    keys = np.sort(window * distinct.size + rank)
+    fresh = np.ones(keys.size, dtype=bool)
+    fresh[1:] = keys[1:] != keys[:-1]
+    runs = np.flatnonzero(fresh)
+    lengths = np.diff(runs, append=keys.size)
+    in_window, rank = np.divmod(keys, distinct.size)
+    ordered = distinct[rank]
+    run_window = in_window[runs]
+    top = np.maximum.reduceat(lengths, np.flatnonzero(np.diff(run_window, prepend=-1)))
+    tops = np.flatnonzero(lengths == top[run_window])
+    modes = ordered[runs[tops[np.diff(run_window[tops], prepend=-1) > 0]]]  # the first top run
+    zeros = np.flatnonzero(values == 0)
+    first = zeros[np.diff(window[zeros], prepend=-1) > 0]  # each window's first zero
+    at = window[first]
+    modes[at] = np.where(modes[at] == 0, values[first], modes[at])
+    # a window of distinct values lies sorted in its place: take its middle
+    counts = np.bincount(window)
+    unique = np.flatnonzero(top == 1)
+    middle = (np.cumsum(counts) - (counts + 1) // 2)[unique]  # the upper middle one
+    modes[unique] = ordered[middle] + 0.0  # `np.median` sums from 0.0, so -0.0 gives 0.0
+    even = counts[unique] % 2 == 0  # and it takes the mean of the middle two
+    modes[unique[even]] = (ordered[middle[even] - 1] + ordered[middle[even]]) / 2
+    return modes
+
+
+def _windows(missing: np.ndarray) -> list[tuple[int, int, int]]:
+    """The (start, scan position, end) of every window `_impute_column`
+    fills, in scan order.
+
+    The bounds depend only on where the holes are. Every entry before the
+    scan position is present (original or filled), so a window's missing
+    count is the number of holes from the scan position to its end, found
+    by bisecting the hole positions. A run of complete windows is jumped
+    over in one step, and a window grows forward straight to the least end
+    its count allows (`start + 10 * count`, which holes met on the way only
+    push further), so the work is per window, not per hole.
+    """
+    n = missing.size
+    holes = np.flatnonzero(missing).tolist()
+    bounds = []
+    h, p, prev_start = 0, 0, None  # holes[h] is the first hole at or after the scan position p
+    while h < len(holes):
+        skip = (holes[h] - p) // 10  # complete windows ahead
+        if skip:
+            p += 10 * skip
+            prev_start = p - 10
+        start, end = p, p + 10
+        if end > n:
+            start = p if prev_start is None else prev_start
+            end = n
+        count = bisect_left(holes, end, h) - h
+        while 10 * count > end - start and end < n:
+            end = min(n, start + 10 * count)
+            count = bisect_left(holes, end, h) - h
+        if 10 * count > end - start:  # at the column end: grow backward over present entries
+            start = max(0, end - 10 * count)
+        bounds.append((start, p, end))
+        h, p, prev_start = h + count, end, start
+    return bounds
 
 
 def _impute_column(column: np.ndarray) -> np.ndarray:
@@ -100,42 +164,30 @@ def _impute_column(column: np.ndarray) -> np.ndarray:
     regardless of its share. A tail shorter than 10 entries merges into the
     previous window. Missing entries take the window's modal present value.
 
-    Every entry before the scan position is present (original or filled),
-    so the missing count of a window is that of its part from the scan
-    position on, read off a cumulative count, and runs of complete windows
-    are jumped over in one step.
+    `_windows` finds every window first. A window that starts at its scan
+    position reads only original values, so the modes of all of them come
+    from one `_window_modes` call. Only the last window can reach back over
+    earlier fills, as a merged tail or by growing backward, since both
+    happen at the column end; it is filled after the others, from them.
     """
-    vals = column.tolist()
-    n = len(vals)
+    out = column.copy()
     missing = np.isnan(column)
-    is_hole = missing.tolist()
-    holes = np.flatnonzero(missing).tolist()
-    before = np.concatenate(([0], np.cumsum(missing))).tolist()  # holes before each index
-    h = 0  # holes[h] is the first hole at or after the scan position p
-    p = 0
-    prev_start = None
-    while h < len(holes):
-        skip = (holes[h] - p) // 10  # complete windows ahead
-        if skip:
-            p += 10 * skip
-            prev_start = p - 10
-        start, end = p, p + 10
-        if end > n:
-            start = p if prev_start is None else prev_start
-            end = n
-        count = before[end] - before[p]
-        while 10 * count > (end - start) and end < n:
-            count += is_hole[end]
-            end += 1
-        if 10 * count > (end - start):  # at the column end: grow backward over present entries
-            start = max(0, end - 10 * count)
-        fill = _window_mode([v for v in vals[start:end] if v == v])
-        while h < len(holes) and holes[h] < end:
-            vals[holes[h]] = fill
-            h += 1
-        prev_start = start
-        p = end
-    return np.array(vals)
+    bounds = _windows(missing)
+    last = bounds.pop() if bounds and bounds[-1][0] < bounds[-1][1] else None
+    if bounds:
+        starts, _, ends = np.array(bounds).T
+        lengths = ends - starts
+        window = np.repeat(np.arange(lengths.size), lengths)
+        index = np.arange(lengths.sum()) + np.repeat(starts - np.cumsum(lengths) + lengths,
+                                                     lengths)
+        hole = missing[index]
+        modes = _window_modes(column[index[~hole]], window[~hole])
+        out[index[hole]] = modes[window[hole]]
+    if last is not None:
+        part = out[last[0]:last[2]]  # a view: filling it fills `out`
+        hole = np.isnan(part)
+        part[hole] = _window_modes(part[~hole], np.zeros(np.count_nonzero(~hole), dtype=int))
+    return out
 
 
 def impute(db: Database) -> Database:
@@ -143,8 +195,11 @@ def impute(db: Database) -> Database:
 
     Records are ordered by ascending RF (stable on ties) for the window
     scan; the returned database keeps the original record order. Present
-    values are never altered. Intended for training/testing partitions only;
-    independent databases are complete-case filtered instead.
+    values are never altered. Each column is filled by `_impute_column`
+    with array operations per window, never a Python step per hole, and
+    the filled columns are put back in record order at once. Intended for
+    training/testing partitions only; independent databases are
+    complete-case filtered instead.
     """
     if not len(db):
         return db
@@ -157,8 +212,7 @@ def impute(db: Database) -> Database:
         )
     order = np.argsort(db.rf, kind="stable")
     values = np.empty_like(db.values)
-    for j, column in enumerate(db.values[order].T):
-        values[order, j] = _impute_column(column)
+    values[order] = np.stack([_impute_column(column) for column in db.values[order].T], axis=1)
     return replace(db, values=values)
 
 

@@ -93,6 +93,12 @@ def interrupting_wait(call, children):
     return mock.patch.object(Connection, "recv", interrupted)
 
 
+def cpus(n):
+    """Patch the CPUs this process may run on, and so the workers
+    `booster.forked` starts."""
+    return mock.patch.object(os, "sched_getaffinity", return_value=set(range(n)))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

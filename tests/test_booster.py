@@ -25,7 +25,7 @@ from rfclass.explain import attribute
 from rfclass.pipeline import PipelineConfig, ingest, preprocess
 from rfclass.preprocess import to_matrix
 
-from conftest import interrupting_wait
+from conftest import cpus, interrupting_wait
 
 
 def hp_with(**kwargs) -> Hyperparameters:
@@ -606,11 +606,6 @@ class TestTrain:
 
 
 # ---------------------------------------------------------------- tree workers
-
-def cpus(n):
-    """Patch the CPUs this process may run on, and so the tree workers."""
-    return mock.patch.object(os, "sched_getaffinity", return_value=set(range(n)))
-
 
 def in_children(action):
     """A `_grow_tree` that runs `action()` first when called in a forked

@@ -126,6 +126,25 @@ class TestParse:
                             DatabaseTag.TORIS, SCHEMA)
         assert db.records[0].key == "eagle ford"
 
+    @pytest.mark.parametrize("token", ["1_5", "\u0662", "1\u00a0", "\uff11"])
+    def test_numbers_outside_the_decimal_grammar_rejected(self, token):
+        row = full_row("a", 0.3)
+        row[1 + NAMES.index("bo")] = token
+        with pytest.raises(IngestError, match=r"line 2, column 'bo': cannot parse"):
+            parse_database(csv_with([row]), DatabaseTag.TORIS, SCHEMA)
+        rf = full_row("a_b", token)  # the key may hold them
+        with pytest.raises(IngestError, match=r"line 2, column 'RF': cannot parse"):
+            parse_database(csv_with([rf]), DatabaseTag.TORIS, SCHEMA)
+
+    @pytest.mark.parametrize("token, value", [(" 1e3 ", 1000.0), (".5", 0.5), ("\t-0.0", -0.0),
+                                              ("+2.", 2.0)])
+    def test_padded_and_short_decimals_accepted(self, token, value):
+        for key in ("a", "a_\u00e9"):  # with and without the slower check
+            row = full_row(key, 0.3)
+            row[1 + NAMES.index("bo")] = token
+            got = parse_database(csv_with([row]), DatabaseTag.TORIS, SCHEMA)
+            assert got.values[0, NAMES.index("bo")].tobytes() == np.float64(value).tobytes()
+
     def test_empty_key_rejected(self):
         with pytest.raises(IngestError, match="empty key"):
             parse_database(csv_with([full_row("   ", 0.3)]), DatabaseTag.TORIS, SCHEMA)
@@ -210,8 +229,12 @@ def oracle_serialize(db):
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["key", "source", *db.schema.names, "RF"])
     for key, source, values, rf in zip(db.keys, db.sources, db.values.tolist(), db.rf.tolist()):
-        writer.writerow([key, source.value,
-                         *("" if x != x else format(x, ".17g") for x in [*values, rf])])
+        cells = [source.value, *("" if x != x else format(x, ".17g") for x in [*values, rf])]
+        if "\r" in key:  # which `csv.writer` would leave unquoted
+            buf.write('"%s",' % key.replace('"', '""'))
+            writer.writerow(cells)
+        else:
+            writer.writerow([key, *cells])
     return buf.getvalue()
 
 
@@ -228,7 +251,7 @@ EDGE_NUMBERS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1e3
 @st.composite
 def databases(draw, parseable=False):
     """Small databases over a subset of the features. Keys may hold `,`,
-    `"`, a line break or the text `nan`; values may be NaN (missing),
+    `"`, a line break, a bare `\r` or the text `nan`; values may be NaN (missing),
     signed zeros, subnormals or near the float64 limits. With `parseable`,
     keys are normalized and non-empty and RF is present and non-negative,
     as `parse_database` requires to give a row back."""
@@ -237,8 +260,8 @@ def databases(draw, parseable=False):
     n = draw(st.integers(0, 6))
     numbers = st.one_of(st.sampled_from(EDGE_NUMBERS + [float("nan")]),
                         st.floats(allow_nan=True, allow_infinity=False))
-    text = st.one_of(st.sampled_from(["nan", "NaN", "a,b", 'say "hi"', "x\ny", " pad "]),
-                     st.text(alphabet='abn ,"\n.-1', max_size=8))
+    text = st.one_of(st.sampled_from(["nan", "NaN", "a,b", 'say "hi"', "x\ny", " pad ", "a\rb"]),
+                     st.text(alphabet='abn ,"\r\n.-1', max_size=8))
     keys = [draw(text) for _ in range(n)]
     if parseable:
         keys = [normalize_key(key) or "k" for key in keys]
@@ -263,6 +286,8 @@ def oracle_parse(text, tag, schema):
         if stripped.lower() in MISSING_TOKENS:
             return math.nan
         try:
+            if not token.isascii() or "_" in token:  # `float` reads `1_5` and `\u0662`
+                raise ValueError
             value = float(stripped)
         except ValueError:
             raise IngestError(f"line {line}, column {column!r}: cannot parse {token!r} "
@@ -326,7 +351,8 @@ MISSING_CELLS = st.sampled_from(sorted(MISSING_TOKENS)).flatmap(padded)
 NUMBER_CELLS = number_cells(st.one_of(st.sampled_from(EDGE_NUMBERS), st.floats(-1e6, 1e6)))
 RF_CELLS = number_cells(st.one_of(st.sampled_from(EDGE_NUMBERS).map(abs), st.floats(0, 5)))
 GARBAGE_CELLS = st.one_of(
-    st.sampled_from(["x", "1.2.3", "inf", "-Infinity", "nan", "1e999", "TC", "--1", "0x10", " "]),
+    st.sampled_from(["x", "1.2.3", "inf", "-Infinity", "nan", "1e999", "TC", "--1", "0x10", " ",
+                     "1_5", "\u0662", "\u00a01"]),
     st.text(alphabet='ab1., "\n', max_size=5))
 #: Keys; one in twenty holds a bare "\r", which `csv.writer` leaves unquoted
 #: and `csv.reader` then cannot read.
@@ -423,6 +449,16 @@ class TestSerializeRoundTrip:
     @given(db=databases())
     def test_text_equals_the_per_cell_oracle(self, db):
         assert serialize_database(db) == oracle_serialize(db)
+
+    @given(db=databases())
+    def test_csv_reader_gives_back_every_key(self, db):
+        rows = list(csv.reader(io.StringIO(serialize_database(db))))
+        assert [row[0] for row in rows[1:]] == db.keys.tolist()
+
+    def test_a_key_with_a_bare_carriage_return_parses_back(self):
+        db = make_database([make_record("a\rb", [1.0], 0.3)])
+        assert serialize_database(db).split("\n")[1].startswith('"a\rb",')
+        assert parse_database(serialize_database(db), db.tag, db.schema).keys.tolist() == ["a b"]
 
     @given(db=databases(parseable=True))
     def test_parse_gives_back_the_value_bits(self, db):

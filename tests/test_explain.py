@@ -17,7 +17,7 @@ from rfclass.explain import (ROW_BLOCK, Attribution, _child_fractions,
                              aggregate_importance, attribute,
                              importance_from_database)
 
-from conftest import complete_database, interrupting_wait, random_tree
+from conftest import complete_database, cpus, interrupting_wait, random_tree
 
 
 def expected_margin(tree, x, coalition):
@@ -355,11 +355,6 @@ class TestPathKernel:
         for i in range(0, 40, 7):
             for c in range(3):
                 assert attr.phi[i, c].tobytes() == oracle_tree_shap(model, X[i], c)[0].tobytes()
-
-
-def cpus(n):
-    """Patch the CPUs this process may run on, and so the attribution workers."""
-    return mock.patch.object(os, "sched_getaffinity", return_value=set(range(n)))
 
 
 def in_workers(action):

@@ -24,7 +24,7 @@ from rfclass.dataset import DatabaseTag, serialize_database
 from rfclass.synth import generate, preset
 from rfclass.tuner import default_grid
 
-from conftest import bounded_wait
+from conftest import bounded_wait, cpus
 
 FAST_HP = {
     "max_depth": 3, "min_child_weight": 1, "learning_rate": 0.2,
@@ -258,7 +258,7 @@ class TestRunPipeline:
         runs, forks = [], []
         for n_cpus in (1, 2):
             # every fit and attribution of the run forks its workers when it may
-            with mock.patch.object(os, "sched_getaffinity", return_value=set(range(n_cpus))), \
+            with cpus(n_cpus), \
                     mock.patch.dict(booster.FORK_AT, row_rounds=0, row_leaves=0), \
                     mock.patch.object(os, "fork", wraps=os.fork) as fork:
                 result = run_pipeline(tiny_config(seed=9), tmp_path / f"cpus{n_cpus}")
@@ -382,11 +382,10 @@ def in_workers(stage, action, *, here=False):
 
 
 @contextlib.contextmanager
-def forking(cpus):
-    """Limit the workers to `cpus`, and let every fit and attribution fork
+def forking(n_cpus):
+    """Limit the workers to `n_cpus`, and let every fit and attribution fork
     them whatever its size."""
-    with mock.patch.object(os, "sched_getaffinity", return_value=set(range(cpus))), \
-            mock.patch.dict(booster.FORK_AT, row_rounds=0, row_leaves=0):
+    with cpus(n_cpus), mock.patch.dict(booster.FORK_AT, row_rounds=0, row_leaves=0):
         yield
 
 
@@ -662,19 +661,19 @@ class TestCli:
             grid={"candidates": {"max_depth": [2, 3], "num_rounds": [2, 4]},
                   "pairs": [["max_depth", "num_rounds"]], "max_sweeps": 1})
 
-    def _tune(self, trained_run, tmp_path, cpus, out):
+    def _tune(self, trained_run, tmp_path, n_cpus, out):
         """`rfclass tune --trace` on the trained run's training set, with the
-        fold workers limited to `cpus`."""
+        fold workers limited to `n_cpus`."""
         config = self._grid_config(tmp_path)
-        with mock.patch.object(os, "sched_getaffinity", return_value=set(range(cpus))):
-            assert booster.worker_count(3) == cpus
+        with cpus(n_cpus):
+            assert booster.worker_count(3) == n_cpus
             return main(["tune", "--config", str(config), "--train", str(trained_run / "train.csv"),
                          "--out", str(tmp_path / f"{out}.json"),
                          "--trace", str(tmp_path / f"{out}.jsonl")])
 
     def test_tune_writes_the_same_bytes_with_one_worker_and_two(self, trained_run, tmp_path):
-        for cpus in (1, 2):
-            assert self._tune(trained_run, tmp_path, cpus, f"cpus{cpus}") == 0
+        for n_cpus in (1, 2):
+            assert self._tune(trained_run, tmp_path, n_cpus, f"cpus{n_cpus}") == 0
         for suffix in (".json", ".jsonl"):
             assert ((tmp_path / f"cpus1{suffix}").read_bytes()
                     == (tmp_path / f"cpus2{suffix}").read_bytes())
@@ -704,8 +703,8 @@ class TestCli:
         def fail():
             raise error
         outcomes = []
-        for cpus in (1, 2):  # at 2 CPUs only a forked worker raises
-            with forking(cpus), in_workers(stage, fail, here=cpus == 1), bounded_wait():
+        for n_cpus in (1, 2):  # at 2 CPUs only a forked worker raises
+            with forking(n_cpus), in_workers(stage, fail, here=n_cpus == 1), bounded_wait():
                 outcomes.append((main(argv), capfd.readouterr().err))
             assert multiprocessing.active_children() == []
         assert outcomes == [(WORKERS[stage][1], f"error [{stage}] {error}\n")] * 2
@@ -756,6 +755,19 @@ class TestCli:
             err = capfd.readouterr().err
             assert err.startswith("error [ingest] line 2: expected "), err
             assert err.rstrip().endswith(f"(source Commercial: {tmp_path / 'Commercial.csv'})")
+
+    @pytest.mark.parametrize("token", ["1_5", "\u0662"])
+    def test_a_number_outside_the_decimal_grammar_exits_3(self, tmp_path, capfd, token):
+        sources = _write_sources(tmp_path, ["TORIS", "Commercial"], n=20)
+        header, first, rest = (tmp_path / "TORIS.csv").read_text().split("\n", 2)
+        cells = first.split(",")
+        cells[header.split(",").index("bo")] = token
+        (tmp_path / "TORIS.csv").write_text(f"{header}\n{','.join(cells)}\n{rest}")
+        config = self._write_config(tmp_path, synth=None, sources=sources)
+        assert main(["ingest", "--config", str(config), "--out", str(tmp_path / "m.csv")]) == 3
+        assert capfd.readouterr().err.startswith(
+            f"error [ingest] line 2, column 'bo': cannot parse {token!r} as a number")
+        assert not (tmp_path / "m.csv").exists()
 
     def test_a_source_cell_naming_a_merged_tag_exits_3(self, tmp_path, capfd):
         sources = _write_sources(tmp_path, ["TORIS", "Commercial"], n=20)
@@ -1092,3 +1104,77 @@ class TestCli:
         assert _exit_code(TrainingError("x")) == 4
         assert _exit_code(StageFailure("train", TrainingError("x"))) == 4
         assert _exit_code(StageFailure("ingest", ConfigError("x"))) == 2
+
+
+class TestDataFileWriters:
+    """`Prepared.write`, which writes merged.csv and the prepared sets of
+    `rfclass run`, and the prepared sets of `rfclass preprocess`, one
+    forked task per file."""
+
+    @staticmethod
+    def _config(tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"combo": "TC", "seed": 5, "synth": {"n": 350},
+                                    "hyperparameters": FAST_HP, "shap_sample": 12}))
+        return str(path)
+
+    @staticmethod
+    def _forks(n_cpus, argv):
+        """The forks of a successful `main(argv)` on `n_cpus` CPUs, where the
+        file writes fork whatever their size and nothing else forks."""
+        with cpus(n_cpus), \
+                mock.patch.dict(booster.FORK_AT, row_rounds=10**12, row_leaves=10**12, cells=0), \
+                mock.patch.object(os, "fork", wraps=os.fork) as fork:
+            assert main(argv) == 0
+        return fork.call_count
+
+    def test_run_writes_the_same_bytes_at_one_and_two_cpus(self, tmp_path, capsys):
+        config = self._config(tmp_path)
+        forks = [self._forks(n, ["run", "--config", config, "--out", str(tmp_path / f"cpus{n}")])
+                 for n in (1, 2)]
+        assert forks == [0, 2]  # two workers share merged.csv, the sets and the meta
+        one, two = _file_bytes(tmp_path / "cpus1"), _file_bytes(tmp_path / "cpus2")
+        assert {"merged.csv", "train.csv", "independent.csv", "preprocess_meta.json"} <= set(one)
+        assert one == two
+
+    def test_preprocess_writes_the_same_bytes_at_one_and_two_cpus(self, tmp_path, capsys):
+        config, merged = self._config(tmp_path), str(tmp_path / "merged.csv")
+        assert main(["ingest", "--config", config, "--out", merged]) == 0
+        forks = [self._forks(n, ["preprocess", "--config", config, "--data", merged,
+                                 "--out", str(tmp_path / f"cpus{n}")]) for n in (1, 2)]
+        assert forks == [0, 2]
+        one = _file_bytes(tmp_path / "cpus1")
+        assert sorted(one) == ["independent.csv", "preprocess_meta.json", "test.csv", "train.csv"]
+        assert one == _file_bytes(tmp_path / "cpus2")
+
+    def test_a_write_failing_in_a_worker_leaves_the_run_directory_as_it_was(self, tmp_path,
+                                                                           capfd):
+        config, out = self._config(tmp_path), tmp_path / "run"
+        assert main(["run", "--config", config, "--out", str(out)]) == 0
+        before = _file_bytes(out)
+        parent, write = os.getpid(), pipeline.write_csv
+
+        def blocked(path, db):  # train.csv is a directory when a worker writes it
+            if path.name == "train.csv" and os.getpid() != parent:
+                path.mkdir()
+            write(path, db)
+        with cpus(2), mock.patch.dict(booster.FORK_AT, cells=0), \
+                mock.patch.object(pipeline, "write_csv", blocked), bounded_wait():
+            assert main(["run", "--config", config, "--out", str(out)]) == 3
+        err = capfd.readouterr().err
+        assert err.startswith("error [preprocess] [Errno 21] Is a directory: "), err
+        assert err.endswith("train.csv'\n")
+        assert multiprocessing.active_children() == []
+        assert _file_bytes(out) == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "run"]
+
+    def test_preprocess_into_a_train_csv_directory_exits_3(self, tmp_path, capfd):
+        config, merged = self._config(tmp_path), str(tmp_path / "merged.csv")
+        assert main(["ingest", "--config", config, "--out", merged]) == 0
+        (tmp_path / "prep" / "train.csv").mkdir(parents=True)
+        with cpus(2), mock.patch.dict(booster.FORK_AT, cells=0), bounded_wait():
+            assert main(["preprocess", "--config", config, "--data", merged,
+                         "--out", str(tmp_path / "prep")]) == 3
+        err = capfd.readouterr().err
+        assert err.startswith("error [preprocess] [Errno 21] Is a directory: "), err
+        assert multiprocessing.active_children() == []

@@ -3,7 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rfclass.dataset import Database, DatabaseTag, canonical_schema
@@ -75,6 +75,52 @@ def impute_column_oracle(values):
         previous_start = start
         position = end
     return vals
+
+
+def _scan_window_mode(present: list[float]) -> float:
+    counts = Counter(present)
+    top = max(counts.values())
+    if top == 1:
+        return float(np.median(present))
+    return min(v for v, c in counts.items() if c == top)
+
+
+def impute_column_scan_oracle(column: np.ndarray) -> np.ndarray:
+    """The per-hole scan `preprocess._impute_column` ran before it found its
+    windows first: windows are walked in order, each mode counted with
+    `Counter` (which keeps the sign of the first zero it meets) and the
+    holes filled one by one."""
+    vals = column.tolist()
+    n = len(vals)
+    missing = np.isnan(column)
+    is_hole = missing.tolist()
+    holes = np.flatnonzero(missing).tolist()
+    before = np.concatenate(([0], np.cumsum(missing))).tolist()  # holes before each index
+    h = 0  # holes[h] is the first hole at or after the scan position p
+    p = 0
+    prev_start = None
+    while h < len(holes):
+        skip = (holes[h] - p) // 10  # complete windows ahead
+        if skip:
+            p += 10 * skip
+            prev_start = p - 10
+        start, end = p, p + 10
+        if end > n:
+            start = p if prev_start is None else prev_start
+            end = n
+        count = before[end] - before[p]
+        while 10 * count > (end - start) and end < n:
+            count += is_hole[end]
+            end += 1
+        if 10 * count > (end - start):  # at the column end: grow backward over present entries
+            start = max(0, end - 10 * count)
+        fill = _scan_window_mode([v for v in vals[start:end] if v == v])
+        while h < len(holes) and holes[h] < end:
+            vals[holes[h]] = fill
+            h += 1
+        prev_start = start
+        p = end
+    return np.array(vals)
 
 
 def db_from_column(column, rfs):
@@ -190,6 +236,33 @@ class TestPruneMissing:
 
 # ---------------------------------------------------------------- impute
 
+@st.composite
+def imputation_cases(draw):
+    """(column, RF) pairs for `impute`. Values come from a few numbers with
+    -0.0 beside 0.0 (tied modes), or are all distinct (medians of even and
+    odd counts). Holes fall anywhere, or crowd the column's end, where a
+    window grows backward or spans the whole column; lengths other than
+    multiples of ten leave short tails."""
+    n = draw(st.integers(1, 75))
+    if draw(st.booleans()):
+        values = draw(st.lists(st.sampled_from([0.0, -0.0, 1.0, -2.5, 7.0]),
+                               min_size=n, max_size=n))
+    else:
+        values = draw(st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n, unique=True))
+    rate = draw(st.sampled_from([0.0, 0.05, 0.15, 0.4, 0.9]))
+    column = np.array(values)
+    column[np.array([draw(st.floats(0, 1)) < rate for _ in range(n)])] = np.nan
+    tail = draw(st.integers(0, n))  # the last `tail` entries missing
+    column[n - tail:] = np.nan
+    if np.isnan(column).all():
+        column[draw(st.integers(0, n - 1))] = values[0]
+    rf = np.array(draw(st.permutations(range(n))), dtype=float) / n
+    if draw(st.booleans()):  # RF ties, kept in record order
+        rf = np.floor(rf * 4) / 4
+    return column, rf
+
+
+
 class TestImpute:
     def test_hand_traced_window(self):
         column = [1.0, 1.0, 2.0, None, 3.0, 1.0, 1.0, 2.0, 2.0, 1.0]
@@ -263,6 +336,18 @@ class TestImpute:
     def test_requires_rf(self):
         with pytest.raises(ValueError):
             impute(make_database([make_record("a", [None] + [1.0] * 10, None)]))
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=imputation_cases())
+    def test_equals_the_per_hole_scan(self, case):
+        column, rf = case
+        db = Database(DatabaseTag.TORIS, canonical_schema().subset(["bo"]), column[:, None],
+                      np.array([f"r{i}" for i in range(len(rf))], dtype=object), rf,
+                      np.full(len(rf), DatabaseTag.TORIS, dtype=object))
+        order = np.argsort(rf, kind="stable")
+        expected = np.empty_like(column)
+        expected[order] = impute_column_scan_oracle(column[order])
+        assert impute(db).values[:, 0].tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------- transforms

@@ -18,7 +18,7 @@ from rfclass.preprocess import SplitSpec, stratified_kfold, to_matrix
 from rfclass.tuner import (SearchGrid, TuningResult, cross_validate,
                            default_grid, pairwise_grid_search)
 
-from conftest import bounded_wait, make_database, make_record
+from conftest import bounded_wait, cpus, make_database, make_record
 
 
 # ---------------------------------------------------------------- oracles
@@ -350,7 +350,7 @@ class TestMemoAndPrefixScoring:
             pairs=(("learning_rate", "num_rounds"), ("max_depth",)), max_sweeps=1)
         start = fast_hp(learning_rate=0.1, num_rounds=2, max_depth=2)
         # one CPU: the fold tasks run in this process, where the mock sees them
-        with mock.patch.object(os, "sched_getaffinity", return_value={0}), \
+        with cpus(1), \
                 mock.patch.object(tuner, "train", wraps=tuner.train) as counted:
             result = pairwise_grid_search(db, grid, seed=0, k=3, start=start)
         # distinct groups: the start; learning rate 0.1 (4 rounds, 2 is the
@@ -377,11 +377,6 @@ class TestPrefixLosses:
             prefix = replace(model, trees=model.trees[:r])
             assert staged[r] == (prefix.margins(X[30:]).tobytes(),
                                  mlogloss(predict_proba(prefix, X[30:]), y[30:]))
-
-
-def cpus(n):
-    """Patch the CPUs this process may run on, and so the fold workers."""
-    return mock.patch.object(os, "sched_getaffinity", return_value=set(range(n)))
 
 
 def small_search():
