@@ -657,11 +657,13 @@ def predict_class(ensemble: Ensemble, X) -> np.ndarray | int:
 #:   of that model.
 #: - `cells`, rows times columns of the files `pipeline.Prepared.write`
 #:   writes: merged.csv, train.csv, test.csv and the meta of the first rows
-#:   of ingest_tca_large's merge, at the minimum of 9 calls, took 33-36 ms
-#:   alone and 36-44 ms on two workers at 73k cells, 47 and 50 ms at 107k,
-#:   65 and 52-55 ms at 140k, and 0.57-0.62 and 0.38-0.39 s for the whole
-#:   1.29M. pipeline_tc writes 159k cells.
-FORK_AT = {"row_rounds": 5_000, "row_leaves": 100_000, "cells": 100_000}
+#:   of ingest_tca_large's merge, at the minimum of 9 calls in each of five
+#:   series, took as long or longer on two workers at 56-73k cells (25-36
+#:   ms alone), less in four series and 3 ms more in one at 107k (44-50 ms
+#:   alone), and 8-20% less in every series from 120k on (46-65 ms alone
+#:   at 120-140k). The whole 1.29M took 0.38-0.39 s against 0.57-0.62 s.
+#:   pipeline_tc writes 159k cells.
+FORK_AT = {"row_rounds": 5_000, "row_leaves": 100_000, "cells": 120_000}
 
 
 def worker_count(n_tasks: int, **work: int) -> int:

@@ -269,13 +269,17 @@ def _fault(line: int, reason, column: str | None = None) -> str:
 
 def _parse_cell(token: str) -> float:
     """The cell's number, NaN for a missing token; ValueError says why a
-    token is neither."""
+    token is neither. A number `float` reads but a decimal grammar does
+    not, one holding `_` (`1_5`) or a non-ASCII character (the
+    Arabic-Indic digit `٢`), is refused."""
     try:
         value = float(token)  # which ignores padding, as `strip` does
     except ValueError:
         if token.strip().lower() in MISSING_TOKENS:  # none of them is a number
             return math.nan
         raise ValueError(f"cannot parse {token!r} as a number") from None
+    if "_" in token or not token.isascii():
+        raise ValueError(f"cannot parse {token!r} as a number")
     if not math.isfinite(value):
         raise ValueError(f"non-finite value {token!r}")
     return value
@@ -286,18 +290,6 @@ def _parse_rf(token: str) -> float:
     if rf < 0:
         raise ValueError(f"negative recovery factor {rf}")
     return rf
-
-
-def _decimal(parse):
-    """`parse` that first refuses a number `float` reads but a decimal
-    grammar does not: one holding `_` (`1_5`) or a non-ASCII character
-    (the Arabic-Indic digit `٢`). Missing tokens pass as before."""
-    def strict(token: str) -> float:
-        if (not token.isascii() or "_" in token) \
-                and token.strip().lower() not in MISSING_TOKENS:
-            raise ValueError(f"cannot parse {token!r} as a number")
-        return parse(token)
-    return strict
 
 
 def _parse_key(token: str) -> str:
@@ -418,24 +410,20 @@ def parse_database(
     if source_pos is None and not tag.is_source:
         raise IngestError(f"merged tag {tag.value} requires a 'source' column")
 
-    # a text of ASCII without "_" holds no token that `_decimal` refuses,
-    # so only another text pays for checking each distinct one
-    cell, rf_cell = ((_parse_cell, _parse_rf) if text.isascii() and "_" not in text
-                     else (_decimal(_parse_cell), _decimal(_parse_rf)))
     parts = []
     for lines, rows in _row_blocks(reader):
         block = _Block(lines, rows)
         ragged = next((i for i, row in enumerate(rows) if len(row) != len(header)), None)
         if ragged is not None:
             block.cut(ragged, f"expected {len(header)} fields, found {len(rows[ragged])}")
-        rf = block.column(positions[rf_column], rf_column, rf_cell)
+        rf = block.column(positions[rf_column], rf_column, _parse_rf)
         present = rf == rf  # a row without RF cannot be used at all
         block.keep(present)
         rf = rf[present]
         keys = block.column(positions[key_column], key_column, _parse_key, object)
         sources = (np.full(len(block.rows), tag, dtype=object) if source_pos is None
                    else block.column(source_pos, "source", _parse_source, object))
-        columns = [block.column(positions[col], col, cell) for col in feature_cols]
+        columns = [block.column(positions[col], col, _parse_cell) for col in feature_cols]
         if block.fault is not None:
             raise IngestError(block.fault)
         values = np.empty((len(block.rows), len(columns)))

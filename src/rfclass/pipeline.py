@@ -335,11 +335,14 @@ class Prepared(NamedTuple):
         the fork, held by the task, whose argument is an index: no database
         and no text is pickled either way. The tasks go largest first by
         `_cells`, so that dealing them by index gives the workers like
-        shares. A write that fails raises its error here, and the files
-        other tasks wrote stay.
+        shares. A write that fails raises its error here, and the CSV files
+        other tasks wrote stay. The meta is written under a hidden name and
+        put in place only once every file is written, so a new meta never
+        sits beside the CSV files of an earlier write into `out`.
         """
+        part = out / ".preprocess_meta.json.part"
         files = {"merged.csv": merged, "train.csv": self.train, "test.csv": self.test,
-                 "independent.csv": self.independent, "preprocess_meta.json": self.meta}
+                 "independent.csv": self.independent, part.name: self.meta}
         sizes = {name: _cells(item) for name, item in files.items() if item is not None}
         names = sorted(sizes, key=lambda name: -sizes[name])
 
@@ -350,9 +353,13 @@ class Prepared(NamedTuple):
             else:
                 _dump_json(out / names[i], item)
 
-        with forked(write, PipelineError("a file writer process exited mid-write"), len(names),
-                    cells=sum(sizes.values())) as run:
-            run([(i,) for i in range(len(names))])
+        try:
+            with forked(write, PipelineError("a file writer process exited mid-write"),
+                        len(names), cells=sum(sizes.values())) as run:
+                run([(i,) for i in range(len(names))])
+            part.replace(out / "preprocess_meta.json")
+        finally:
+            part.unlink(missing_ok=True)
 
 
 def preprocess(merged: Database, config: PipelineConfig,

@@ -139,11 +139,10 @@ class TestParse:
     @pytest.mark.parametrize("token, value", [(" 1e3 ", 1000.0), (".5", 0.5), ("\t-0.0", -0.0),
                                               ("+2.", 2.0)])
     def test_padded_and_short_decimals_accepted(self, token, value):
-        for key in ("a", "a_\u00e9"):  # with and without the slower check
-            row = full_row(key, 0.3)
-            row[1 + NAMES.index("bo")] = token
-            got = parse_database(csv_with([row]), DatabaseTag.TORIS, SCHEMA)
-            assert got.values[0, NAMES.index("bo")].tobytes() == np.float64(value).tobytes()
+        row = full_row("a_\u00e9", 0.3)  # the key may hold `_` and non-ASCII
+        row[1 + NAMES.index("bo")] = token
+        got = parse_database(csv_with([row]), DatabaseTag.TORIS, SCHEMA)
+        assert got.values[0, NAMES.index("bo")].tobytes() == np.float64(value).tobytes()
 
     def test_empty_key_rejected(self):
         with pytest.raises(IngestError, match="empty key"):

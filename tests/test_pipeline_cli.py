@@ -1168,13 +1168,25 @@ class TestDataFileWriters:
         assert _file_bytes(out) == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "run"]
 
-    def test_preprocess_into_a_train_csv_directory_exits_3(self, tmp_path, capfd):
+    def test_preprocess_into_a_train_csv_directory_keeps_the_old_meta(self, tmp_path, capfd):
         config, merged = self._config(tmp_path), str(tmp_path / "merged.csv")
+        prep = tmp_path / "prep"
         assert main(["ingest", "--config", config, "--out", merged]) == 0
-        (tmp_path / "prep" / "train.csv").mkdir(parents=True)
+        assert main(["preprocess", "--config", config, "--data", merged,
+                     "--out", str(prep)]) == 0
+        meta = (prep / "preprocess_meta.json").read_bytes()
+        (prep / "train.csv").unlink()
+        (prep / "train.csv").mkdir()
+        with open(config) as f:
+            other = json.load(f) | {"seed": 6}  # a different split
+        with open(config, "w") as f:
+            json.dump(other, f)
         with cpus(2), mock.patch.dict(booster.FORK_AT, cells=0), bounded_wait():
             assert main(["preprocess", "--config", config, "--data", merged,
-                         "--out", str(tmp_path / "prep")]) == 3
+                         "--out", str(prep)]) == 3
         err = capfd.readouterr().err
         assert err.startswith("error [preprocess] [Errno 21] Is a directory: "), err
         assert multiprocessing.active_children() == []
+        assert (prep / "preprocess_meta.json").read_bytes() == meta
+        assert sorted(p.name for p in prep.iterdir()) == [
+            "independent.csv", "preprocess_meta.json", "test.csv", "train.csv"]
